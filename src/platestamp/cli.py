@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,13 @@ from .core import (
     MaterialError,
     PlateStampError,
 )
-from .stamp_problem import BoundaryProfile, contact_pressure, sine_coefficients, total_force
+from .stamp_problem import (
+    BoundaryProfile,
+    ProfileKind,
+    contact_pressure,
+    sine_coefficients,
+    total_force,
+)
 from .strip_solution import SolutionPath, assemble_series
 from .verification import (
     GridSpec,
@@ -95,6 +102,8 @@ def _get_float(cp, section, key, positive=False):
         value = float(raw)
     except ValueError:
         raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} is not a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid value for [{section}] {key}: must be finite, got {raw!r}")
     if positive and not value > 0:
         raise ConfigError(f"invalid value for [{section}] {key}: must be positive, got {value}")
     return value
@@ -157,12 +166,15 @@ def _build_profile(cp) -> BoundaryProfile:
                                   "for kind 'tabulated'")
 
         def floats(key):
-            raw = cp.get("stamp", key).split()
+            error = ConfigError(f"invalid value for [stamp] {key}: expected "
+                                "space-separated finite numbers")
             try:
-                return [float(v) for v in raw]
+                values = [float(v) for v in cp.get("stamp", key).split()]
             except ValueError:
-                raise ConfigError(f"invalid value for [stamp] {key}: expected "
-                                  "space-separated numbers")
+                raise error
+            if not all(map(math.isfinite, values)):
+                raise error
+            return values
 
         try:
             return BoundaryProfile.tabulated(floats("xs"), floats("values"))
@@ -231,9 +243,22 @@ def parse_config(text: str) -> RunConfig:
     if cp.has_section("output") and cp.has_option("output", "directory"):
         output_dir = cp.get("output", "directory")
 
-    return RunConfig(geometry=geom, material=mat, profile=profile, modes=modes,
-                     grid_nx=grid_nx, grid_ny=grid_ny, path=path, verify=verify,
-                     output_dir=output_dir)
+    config = RunConfig(geometry=geom, material=mat, profile=profile, modes=modes,
+                       grid_nx=grid_nx, grid_ny=grid_ny, path=path, verify=verify,
+                       output_dir=output_dir)
+    _check_combination(config)
+    return config
+
+
+def _check_combination(config: RunConfig) -> None:
+    """Constraints between keys; checked again after command-line overrides."""
+    if (config.verify or config.path == "all") and min(config.grid_nx, config.grid_ny) < 3:
+        raise ConfigError(f"invalid value for [solver] grid: verification needs at least "
+                          f"3x3 points, got {config.grid_nx}x{config.grid_ny}")
+    profile = config.profile
+    if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > config.modes:
+        raise ConfigError(f"invalid value for [stamp] mode: mode {profile.mode} is not "
+                          f"representable with [solver] modes = {config.modes}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +427,7 @@ def main(argv=None) -> int:
             config.path = args.path
         if args.verify:
             config.verify = True
+        _check_combination(config)
         run(config, output_dir=args.output)
     except (ConfigError, BoundaryCompatibilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

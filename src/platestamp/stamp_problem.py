@@ -214,11 +214,18 @@ def sine_coefficients(
 
 
 def contact_pressure(sf: SeriesField, x):
-    """Normal stress sigma_y on the stamp face y = h; scalar or array x."""
+    """Normal stress sigma_y on the stamp face y = h; scalar or array x.
+
+    Sums c_n Y_n(1) sin(k_n x) over the modes in order, from the face
+    value of the normal-stress profile alone.
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa < 0.0) or np.any(xa > sf.geometry.l):
         raise DomainError("pressure requested outside the face [0, l]")
-    out = sf.grid_fields(xa, np.array([sf.geometry.h]))["sigma_y"][0]
+    out = np.zeros(xa.shape)
+    for mode, c, prof in sf.modes:
+        if c != 0.0:
+            out += c * (prof.Y(1.0) * np.sin(mode.k * xa))
     if np.isscalar(x):
         return float(out[0])
     return out

@@ -9,24 +9,29 @@ fields reduce to profiles of eta = y/h paired with a fixed x-parity
 (U, X are cosine-like; V, Y, SX sine-like).  Three routes produce those
 profiles:
 
-* path B (:func:`mode_fields_blocks`) combines the eight harmonic
-  building blocks with plane-strain coefficients; it is the normative
-  definition and satisfies the face conditions exactly by construction.
-* path A (:func:`mode_fields_initial`) imposes the four boundary
-  conditions on the transfer-operator representation and solves the
-  per-mode linear system numerically, then assembles all five fields
-  through the full operator table.
-* path C (:func:`mode_fields_closed`) evaluates the closed-form modal
+* path B (:func:`block_profiles`) combines the eight harmonic building
+  blocks with plane-strain coefficients; it is the normative definition
+  and satisfies the face conditions exactly by construction.
+* path A (:func:`initial_amplitudes`, :func:`initial_profiles`) imposes
+  the four boundary conditions on the transfer-operator representation,
+  solves the per-mode linear systems numerically, then assembles all five
+  fields through the full operator table.
+* path C (:func:`closed_profiles`) evaluates the closed-form modal
   series, with its per-mode amplitude pinned to the sine coefficient by
   least-squares calibration against path B and with the second factor of
   the shear formula fixed to eta*ch(beta*eta): the eta*sh(beta*eta)
   variant of that factor violates X(x, h) = 0 and is kept behind a flag
   for the discrepancy report.
 
+Each route's formulas live in one module-level kernel that broadcasts
+over (N, 1) columns of mode wavenumbers (:func:`mode_columns`) against a
+row of eta samples, so all modes are evaluated, and path A's 2x2 systems
+solved, in one array pass.  ``mode_fields_*`` bind one mode to the same
+kernels, so a per-mode profile equals its row of the batch bit for bit.
 All hyperbolics are evaluated in overflow-safe exponential form, so the
-routes stay finite for arbitrarily high modes.  Profiles and assembled
-series are frozen value objects over pure closures; they can be evaluated
-from any number of threads once built.
+routes stay finite for arbitrarily high modes.  Kernels are pure
+functions and profiles and assembled series are frozen value objects;
+they can be evaluated from any number of threads.
 """
 from __future__ import annotations
 
@@ -55,6 +60,11 @@ __all__ = [
     "ModeFieldCoeffs",
     "SeriesField",
     "FIELD_PARITIES",
+    "mode_columns",
+    "block_profiles",
+    "initial_amplitudes",
+    "initial_profiles",
+    "closed_profiles",
     "mode_fields_blocks",
     "mode_fields_initial",
     "mode_fields_closed",
@@ -113,17 +123,39 @@ class ModeFieldCoeffs:
                           for f in FIELD_NAMES])
 
 
-def _ratios(beta: float, eta):
-    """The four hyperbolic ratio profiles every route is built from."""
+def mode_columns(ns: Sequence[int], geom: Geometry):
+    """Mode numbers, wavenumbers and beta of the modes ``ns`` as (N, 1)
+    columns, computed as :meth:`ModeIndex.for_mode` computes them, so each
+    entry equals the per-mode value bit for bit."""
+    n = np.asarray(ns, dtype=int).reshape(-1, 1)
+    k = n * math.pi / geom.l
+    return n, k, k * geom.h
+
+
+def _bind(mode: ModeIndex, path: SolutionPath, kernel, *args, **options) -> ModeFieldCoeffs:
+    """Profiles of one mode: each field evaluates ``kernel`` for itself alone."""
+
+    def field(name):
+        return lambda eta: kernel(*args, eta, fields=(name,), **options)[0]
+
+    return ModeFieldCoeffs(mode=mode, path=path, **{f: field(f) for f in FIELD_NAMES})
+
+
+# ---------------------------------------------------------------------------
+# path B: harmonic building blocks (normative)
+# ---------------------------------------------------------------------------
+
+def _ratios(beta, eta):
+    """beta*eta and the four hyperbolic ratio profiles path B is built from."""
     be = beta * np.asarray(eta, dtype=float)
     shr = stable_ratio(RatioKind.SH_SH, be, beta)      # sh(ky)/sh(kh)
     chr_ = stable_ratio(RatioKind.CH_SH, be, beta)     # ch(ky)/sh(kh)
     ccr = stable_ratio(RatioKind.CHCH_SHSH, be, beta)  # ch(ky)ch(kh)/sh^2
     scr = shr * stable_ratio(RatioKind.CH_SH, beta, beta)  # sh(ky)ch(kh)/sh^2
-    return shr, chr_, ccr, scr
+    return be, shr, chr_, ccr, scr
 
 
-def mode_fields_blocks(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
+def block_profiles(k, beta, nu: float, eta, *, fields=FIELD_NAMES) -> tuple:
     """Path B: plane-strain combination of the harmonic building blocks.
 
     Written in block form (b10 = sh(ky)/sh(kh) etc., y = eta*h):
@@ -136,46 +168,60 @@ def mode_fields_blocks(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFi
 
     where b16s/b17s are the sh(ky)-companions of b16/b17 (they carry the
     same ch(kh)/sh(kh)^2 normalisation with sh(ky) in place of ch(ky)).
+
+    ``k`` and ``beta`` are scalars or (N, 1) columns, ``eta`` a scalar or
+    a row of samples; the profiles of ``fields`` come back in that order,
+    each of their broadcast shape.
     """
-    k, beta, nu = mode.k, mode.beta, mat.nu
+    be, shr, chr_, ccr, scr = _ratios(beta, eta)
+    formulas = {
+        "U": lambda: (-(1 - 2 * nu) * chr_ - be * shr + beta * ccr) / (2 * (1 - nu)),
+        "V": lambda: shr + (beta * scr - be * chr_) / (2 * (1 - nu)),
+        "Y": lambda: (k / (1 - nu)) * (chr_ - be * shr + beta * ccr),
+        "X": lambda: (k * beta / (1 - nu)) * (scr - np.asarray(eta) * chr_),
+        "SX": lambda: (k / (1 - nu)) * (chr_ + be * shr - beta * ccr),
+    }
+    return tuple(formulas[f]() for f in fields)
 
-    def U(eta):
-        shr, chr_, ccr, _ = _ratios(beta, eta)
-        return (-(1 - 2 * nu) * chr_ - beta * np.asarray(eta) * shr + beta * ccr) / (2 * (1 - nu))
 
-    def V(eta):
-        shr, chr_, _, scr = _ratios(beta, eta)
-        return shr + (beta * scr - beta * np.asarray(eta) * chr_) / (2 * (1 - nu))
-
-    def Y(eta):
-        shr, chr_, ccr, _ = _ratios(beta, eta)
-        return (k / (1 - nu)) * (chr_ - beta * np.asarray(eta) * shr + beta * ccr)
-
-    def X(eta):
-        _, chr_, _, scr = _ratios(beta, eta)
-        return (k * beta / (1 - nu)) * (scr - np.asarray(eta) * chr_)
-
-    def SX(eta):
-        shr, chr_, ccr, _ = _ratios(beta, eta)
-        return (k / (1 - nu)) * (chr_ + beta * np.asarray(eta) * shr - beta * ccr)
-
-    return ModeFieldCoeffs(mode=mode, path=SolutionPath.B, U=U, V=V, Y=Y, X=X, SX=SX)
+def mode_fields_blocks(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
+    """Path B profiles of one mode; see :func:`block_profiles`."""
+    return _bind(mode, SolutionPath.B, block_profiles, mode.k, mode.beta, mat.nu)
 
 
 # ---------------------------------------------------------------------------
 # path A: boundary solve on the operator table
 # ---------------------------------------------------------------------------
 
-def _scaled_ops(mode: ModeIndex, eta, nu: float, names: Sequence[OperatorId]):
-    """Transfer-operator multipliers divided by sh(k h), vectorised in eta."""
-    y = np.asarray(eta, dtype=float) * mode.h
-    ky = mode.k * y
-    s = stable_ratio(RatioKind.SH_SH, ky, mode.beta)
-    c = stable_ratio(RatioKind.CH_SH, ky, mode.beta)
-    return {op: _operator_multiplier(op, mode.k, y, s, c, nu) for op in names}
+def _scaled_ops(k, beta, eta, nu: float, names):
+    """Transfer-operator multipliers divided by sh(k h), broadcast over
+    k, beta and eta."""
+    y = np.asarray(eta, dtype=float) * (beta / k)
+    ky = k * y
+    s = stable_ratio(RatioKind.SH_SH, ky, beta)
+    c = stable_ratio(RatioKind.CH_SH, ky, beta)
+    return {op: _operator_multiplier(op, k, y, s, c, nu) for op in names}
 
 
-def mode_fields_initial(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
+#: operators of the y = 0 rows of the boundary system (V and X rows)
+_ZERO_ROW_OPS = (
+    OperatorId.L_VU, OperatorId.L_VV, OperatorId.L_VY, OperatorId.L_VX,
+    OperatorId.L_XU, OperatorId.L_XV, OperatorId.L_XY, OperatorId.L_XX,
+)
+
+#: per field, the operators acting on the two live amplitudes (u0 sh, y0 sh)
+#: with the sign that folds the odd-operator action on the cosine column u0;
+#: the v0 and x0 columns drop out because those amplitudes are exactly zero
+_INITIAL_ROWS = {
+    "U": ((OperatorId.L_UU, 1), (OperatorId.L_UY, 1)),
+    "V": ((OperatorId.L_VU, -1), (OperatorId.L_VY, 1)),
+    "Y": ((OperatorId.L_YU, -1), (OperatorId.L_YY, 1)),
+    "X": ((OperatorId.L_XU, 1), (OperatorId.L_XY, 1)),
+    "SX": ((OperatorId.A_U, -1), (OperatorId.A_Y, 1)),
+}
+
+
+def initial_amplitudes(n, k, beta, nu: float):
     """Path A: impose the four boundary conditions on the operator table.
 
     The per-mode initial-function amplitudes (u0 for U_0 ~ cos, v0 for
@@ -187,96 +233,75 @@ def mode_fields_initial(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeF
     conditions hold to roundoff of the profiles; conditioning is judged
     on the dimension-balanced variant (second unknown divided by k),
     whose entries are O(beta) with determinant -1 + O(e^(-2 beta)).
-    Profiles are then assembled through the full operator table,
-    including the horizontal-stress row.
+
+    ``n``, ``k`` and ``beta`` are scalars or (N, 1) columns; every mode is
+    solved at once.  Returns (u0 sh, y0 sh) in long double.  The lowest
+    mode whose system is too ill-conditioned raises
+    :class:`ModeDegeneracyError`, as a mode-by-mode solve would.
     """
-    nu = mat.nu
-    k = mode.k
+    n, k, beta = np.broadcast_arrays(n, k, beta)
+    for op in _ZERO_ROW_OPS:
+        value = np.broadcast_to(_operator_multiplier(op, k, 0.0, 0.0, 1.0, nu), k.shape)
+        bad = (value != 0.0) & (value != 1.0)
+        if np.any(bad):
+            raise PlateStampError(f"operator {op.name} not an identity entry at y=0 "
+                                  f"for mode n={n.flat[np.argmax(bad)]}")
 
-    # y = 0 rows of the boundary system must be exact identity rows
-    z0 = _identity_rows_at_zero(mode, nu)
-    for name, expected in z0.items():
-        if expected != 0.0 and expected != 1.0:
-            raise PlateStampError(f"operator {name} not an identity entry at y=0")
-
-    mh = _scaled_ops(mode, 1.0, nu, (
+    mh = _scaled_ops(k, beta, 1.0, nu, (
         OperatorId.L_VU, OperatorId.L_VY, OperatorId.L_XU, OperatorId.L_XY,
     ))
     # raw system in the scaled amplitudes (u0 sh, y0 sh); the face rows of
     # the assembled profiles reuse these exact entry values, so solving the
     # raw matrix keeps the face conditions at the solve residual
-    A = np.array([
-        [-mh[OperatorId.L_VU], mh[OperatorId.L_VY]],
-        [mh[OperatorId.L_XU], mh[OperatorId.L_XY]],
-    ], dtype=float)
-    b = np.array([1.0, 0.0])
+    a00, a01 = -mh[OperatorId.L_VU], mh[OperatorId.L_VY]
+    a10, a11 = mh[OperatorId.L_XU], mh[OperatorId.L_XY]
 
-    # conditioning judged on the dimension-balanced variant (unknowns
-    # u0 sh and y0 sh / k): entries O(beta), determinant -1 + O(e^-2beta)
-    balanced = np.array([[A[0, 0], k * A[0, 1]], [A[1, 0] / k, A[1, 1]]])
+    balanced = np.stack([np.stack([a00, k * a01], axis=-1),
+                         np.stack([a10 / k, a11], axis=-1)], axis=-2)
     cond = np.linalg.cond(balanced)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ModeDegeneracyError(mode.n, mode.beta, float(cond))
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise ModeDegeneracyError(int(n.flat[i]), float(beta.flat[i]), float(cond.flat[i]))
 
-    z = _cramer_refined(A.astype(np.longdouble), b.astype(np.longdouble))
-    # amplitude vector (u0, v0, y0, x0) scaled by sh(kh); kept in extended
-    # precision so the face-condition cancellations in the assembled
-    # profiles stay at roundoff of the profile, not of the large terms
-    w = np.array([z[0], np.longdouble(0.0), z[1], np.longdouble(0.0)],
-                 dtype=np.longdouble)
-
-    row_ops = {
-        "U": ((OperatorId.L_UU, 1), (OperatorId.L_UV, 1), (OperatorId.L_UY, 1), (OperatorId.L_UX, 1)),
-        "V": ((OperatorId.L_VU, -1), (OperatorId.L_VV, 1), (OperatorId.L_VY, 1), (OperatorId.L_VX, -1)),
-        "Y": ((OperatorId.L_YU, -1), (OperatorId.L_YV, 1), (OperatorId.L_YY, 1), (OperatorId.L_YX, -1)),
-        "X": ((OperatorId.L_XU, 1), (OperatorId.L_XV, 1), (OperatorId.L_XY, 1), (OperatorId.L_XX, 1)),
-        "SX": ((OperatorId.A_U, -1), (OperatorId.A_V, 1), (OperatorId.A_Y, 1), (OperatorId.A_X, -1)),
-    }
-    # signs fold the odd-operator action on cosine columns (u0, x0)
-
-    def make_profile(field):
-        ops_signs = row_ops[field]
-
-        def profile(eta):
-            names = [op for op, _ in ops_signs]
-            m = _scaled_ops(mode, eta, nu, names)
-            total = np.zeros_like(np.asarray(eta, dtype=float)).astype(np.longdouble)
-            for (op, sign), wj in zip(ops_signs, w):
-                if wj != 0.0:
-                    total = total + sign * m[op] * wj
-            return np.asarray(total, dtype=float)
-
-        return profile
-
-    return ModeFieldCoeffs(
-        mode=mode, path=SolutionPath.A,
-        U=make_profile("U"), V=make_profile("V"), Y=make_profile("Y"),
-        X=make_profile("X"), SX=make_profile("SX"),
-    )
+    # kept in extended precision so the face-condition cancellations in the
+    # assembled profiles stay at roundoff of the profile, not of the large
+    # terms
+    return _cramer_refined(*(np.asarray(a, dtype=np.longdouble)
+                             for a in (a00, a01, a10, a11)))
 
 
-def _identity_rows_at_zero(mode: ModeIndex, nu: float):
-    """Raw operator values at y = 0 for the identity-row check."""
-    out = {}
-    for op in (OperatorId.L_VU, OperatorId.L_VV, OperatorId.L_VY, OperatorId.L_VX,
-               OperatorId.L_XU, OperatorId.L_XV, OperatorId.L_XY, OperatorId.L_XX):
-        out[op.name] = float(_operator_multiplier(op, mode.k, 0.0, 0.0, 1.0, nu))
-    return out
+def _cramer_refined(a00, a01, a10, a11):
+    """Solve [[a00, a01], [a10, a11]] z = (1, 0) elementwise by Cramer's
+    rule with one refinement step."""
+    det = a00 * a11 - a01 * a10
+
+    def solve(r0, r1):
+        return (r0 * a11 - r1 * a01) / det, (a00 * r1 - a10 * r0) / det
+
+    z0, z1 = solve(1.0, 0.0)
+    d0, d1 = solve(1.0 - (a00 * z0 + a01 * z1), 0.0 - (a10 * z0 + a11 * z1))
+    return z0 + d0, z1 + d1
 
 
-def _cramer_refined(A, b):
-    """2x2 Cramer solve in extended precision with one refinement step."""
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    z = np.array([
-        (b[0] * A[1, 1] - b[1] * A[0, 1]) / det,
-        (A[0, 0] * b[1] - A[1, 0] * b[0]) / det,
-    ])
-    r = b - A @ z
-    z = z + np.array([
-        (r[0] * A[1, 1] - r[1] * A[0, 1]) / det,
-        (A[0, 0] * r[1] - A[1, 0] * r[0]) / det,
-    ])
-    return z
+def initial_profiles(k, beta, nu: float, u0, y0, eta, *, fields=FIELD_NAMES) -> tuple:
+    """Path A profiles, assembled from the amplitudes (u0 sh, y0 sh) of
+    :func:`initial_amplitudes` through the full operator table, including
+    the horizontal-stress row.  Shapes broadcast as in
+    :func:`block_profiles`."""
+    ops = _scaled_ops(k, beta, eta, nu, {op for f in fields for op, _ in _INITIAL_ROWS[f]})
+    out = []
+    for f in fields:
+        (op_u, sign_u), (op_y, sign_y) = _INITIAL_ROWS[f]
+        total = sign_u * ops[op_u] * u0 + sign_y * ops[op_y] * y0
+        out.append(np.asarray(total, dtype=float))
+    return tuple(out)
+
+
+def mode_fields_initial(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
+    """Path A profiles of one mode; see :func:`initial_amplitudes`."""
+    u0, y0 = initial_amplitudes(mode.n, mode.k, mode.beta, mat.nu)
+    return _bind(mode, SolutionPath.A, initial_profiles, mode.k, mode.beta, mat.nu, u0, y0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +318,54 @@ def delta_factor(mode: ModeIndex, mat: Material) -> float:
     return (1.0 - mat.nu) * math.sinh(mode.beta) ** 2
 
 
+def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
+                    uncorrected_shear: bool = False, fields=FIELD_NAMES) -> tuple:
+    """Path C: closed-form profiles.
+
+    ``delta_ratio`` is the calibrated amplitude-to-coefficient ratio
+    (:func:`calibrate_delta_ratio`).  ``uncorrected_shear`` switches the
+    shear profile to the variant whose second factor carries
+    eta*sh(beta*eta); that variant violates X(1) = 0 and exists only for
+    the discrepancy report.  Shapes broadcast as in :func:`block_profiles`.
+
+    Internally each bracket is expanded around e^(beta(eta-1)) with
+    E = e^(-2 beta), F = e^(-2 beta eta), so no large hyperbolic is formed.
+    """
+    # E = e^(-2 beta) from the C library's exp, mode by mode: numpy's
+    # vectorised exp differs from it in the last bit for a few percent of
+    # arguments, and the discrepancy report prints C-B differences at that
+    # level
+    E2 = np.array([math.exp(-2.0 * b) for b in np.ravel(beta)]).reshape(np.shape(beta))
+    # denominators of the e^(beta(eta-1))-scaled brackets: 2*Delta and
+    # Delta with Delta = (1-nu) sh(beta)^2 cancelled against e^(2 beta)/4
+    den2 = 2.0 * (1.0 - nu) * (1.0 - E2) ** 2
+    den1 = (1.0 - nu) * (1.0 - E2) ** 2
+    rho = delta_ratio
+    eta = np.asarray(eta, dtype=float)
+    F = np.exp(-2.0 * beta * eta)
+    em = np.exp(beta * (eta - 1.0))
+
+    def shear_bracket():
+        if uncorrected_shear:
+            # common (1 - F) factored out so the face violation, which is
+            # exponentially small in beta, survives in float arithmetic
+            return (1 - F) * ((1 - eta) + E2 * (1 + eta))
+        return (1 + E2) * (1 - F) - (1 - E2) * eta * (1 + F)
+
+    formulas = {
+        "U": lambda: -rho * em * (((1 - 2 * nu) * (1 - E2) - beta * (1 + E2)) * (1 + F)
+                                  + beta * (1 - E2) * eta * (1 - F)) / den2,
+        "V": lambda: rho * em * ((2 * (1 - nu) * (1 - E2) + beta * (1 + E2)) * (1 - F)
+                                 - beta * (1 - E2) * eta * (1 + F)) / den2,
+        "Y": lambda: rho * em * (beta / h) * (((1 - E2) + beta * (1 + E2)) * (1 + F)
+                                              - beta * (1 - E2) * eta * (1 - F)) / den1,
+        "X": lambda: rho * em * (beta * beta / h) * shear_bracket() / den1,
+        "SX": lambda: rho * em * (beta / h) * (((1 - E2) - beta * (1 + E2)) * (1 + F)
+                                               + beta * (1 - E2) * eta * (1 - F)) / den1,
+    }
+    return tuple(formulas[f]() for f in fields)
+
+
 def mode_fields_closed(
     mode: ModeIndex,
     geom: Geometry,
@@ -300,66 +373,15 @@ def mode_fields_closed(
     delta_ratio: float | None = None,
     uncorrected_shear: bool = False,
 ) -> ModeFieldCoeffs:
-    """Path C: closed-form per-mode profiles.
+    """Path C profiles of one mode; see :func:`closed_profiles`.
 
-    ``delta_ratio`` is the calibrated amplitude-to-coefficient ratio; if
-    omitted it is computed by :func:`calibrate_delta_ratio` (it comes out
-    as 1 to roundoff).  ``uncorrected_shear`` switches the shear profile
-    to the variant whose second factor carries eta*sh(beta*eta); that
-    variant violates X(1) = 0 and exists only for the discrepancy report.
-
-    Internally each bracket is expanded around e^(beta(eta-1)) with
-    E = e^(-2 beta), F = e^(-2 beta eta), so no large hyperbolic is formed.
+    ``delta_ratio`` defaults to :func:`calibrate_delta_ratio` (it comes
+    out as 1 to roundoff).
     """
     if delta_ratio is None:
         delta_ratio = calibrate_delta_ratio(geom, mat)
-    k, beta, nu = mode.k, mode.beta, mat.nu
-    E2 = math.exp(-2.0 * beta)
-    # denominators of the e^(beta(eta-1))-scaled brackets: 2*Delta and
-    # Delta with Delta = (1-nu) sh(beta)^2 cancelled against e^(2 beta)/4
-    den2 = 2.0 * (1.0 - nu) * (1.0 - E2) ** 2
-    den1 = (1.0 - nu) * (1.0 - E2) ** 2
-    rho = delta_ratio
-
-    def parts(eta):
-        eta = np.asarray(eta, dtype=float)
-        return eta, np.exp(-2.0 * beta * eta), np.exp(beta * (eta - 1.0))
-
-    def U(eta):
-        eta, F, em = parts(eta)
-        bracket = (((1 - 2 * nu) * (1 - E2) - beta * (1 + E2)) * (1 + F)
-                   + beta * (1 - E2) * eta * (1 - F))
-        return -rho * em * bracket / den2
-
-    def V(eta):
-        eta, F, em = parts(eta)
-        bracket = ((2 * (1 - nu) * (1 - E2) + beta * (1 + E2)) * (1 - F)
-                   - beta * (1 - E2) * eta * (1 + F))
-        return rho * em * bracket / den2
-
-    def Y(eta):
-        eta, F, em = parts(eta)
-        bracket = (((1 - E2) + beta * (1 + E2)) * (1 + F)
-                   - beta * (1 - E2) * eta * (1 - F))
-        return rho * em * (beta / geom.h) * bracket / den1
-
-    def X(eta):
-        eta, F, em = parts(eta)
-        if uncorrected_shear:
-            # common (1 - F) factored out so the face violation, which is
-            # exponentially small in beta, survives in float arithmetic
-            bracket = (1 - F) * ((1 - eta) + E2 * (1 + eta))
-        else:
-            bracket = (1 + E2) * (1 - F) - (1 - E2) * eta * (1 + F)
-        return rho * em * (beta * beta / geom.h) * bracket / den1
-
-    def SX(eta):
-        eta, F, em = parts(eta)
-        bracket = (((1 - E2) - beta * (1 + E2)) * (1 + F)
-                   + beta * (1 - E2) * eta * (1 - F))
-        return rho * em * (beta / geom.h) * bracket / den1
-
-    return ModeFieldCoeffs(mode=mode, path=SolutionPath.C, U=U, V=V, Y=Y, X=X, SX=SX)
+    return _bind(mode, SolutionPath.C, closed_profiles, mode.beta, mat.nu, geom.h,
+                 delta_ratio, uncorrected_shear=uncorrected_shear)
 
 
 def calibrate_delta_ratio(
@@ -421,30 +443,27 @@ class SeriesField:
         """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs))."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        G = self.material.G
-        shape = (ys.size, xs.size)
-        U = np.zeros(shape)
-        V = np.zeros(shape)
-        Y = np.zeros(shape)
-        X = np.zeros(shape)
-        SX = np.zeros(shape)
         eta = ys / self.geometry.h
-        for mode, c, prof in self.modes:
-            if c == 0.0:
-                continue
-            sin_kx = np.sin(mode.k * xs)
-            cos_kx = np.cos(mode.k * xs)
-            U += c * np.outer(prof.U(eta), cos_kx)
-            V += c * np.outer(prof.V(eta), sin_kx)
-            Y += c * np.outer(prof.Y(eta), sin_kx)
-            X += c * np.outer(prof.X(eta), cos_kx)
-            SX += c * np.outer(prof.SX(eta), sin_kx)
+        active = [(mode, c, prof) for mode, c, prof in self.modes if c != 0.0]
+        c = np.array([c for _, c, _ in active]).reshape(-1, 1)
+        kx = np.outer([mode.k for mode, _, _ in active], xs)
+        weighted = {Parity.SINE: c * np.sin(kx), Parity.COSINE: c * np.cos(kx)}
+
+        def total(name):
+            profiles = np.array([getattr(prof, name)(eta) for _, _, prof in active])
+            # one fixed-order sum over modes; einsum without optimisation
+            # never hands it to BLAS, so the result does not depend on the
+            # BLAS thread count
+            return np.einsum("nj,ni->ji", profiles.reshape(len(active), eta.size),
+                             weighted[FIELD_PARITIES[name]], optimize=False)
+
+        G = self.material.G
         return {
-            "u": U / G,
-            "v": V / G,
-            "sigma_x": SX,
-            "sigma_y": Y,
-            "tau_xy": X,
+            "u": total("U") / G,
+            "v": total("V") / G,
+            "sigma_x": total("SX"),
+            "sigma_y": total("Y"),
+            "tau_xy": total("X"),
         }
 
     def sample(self, x: float, y: float) -> FieldSample:

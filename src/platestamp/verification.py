@@ -29,14 +29,17 @@ from .core import (
     FdSolveError,
     Geometry,
     Material,
-    ModeIndex,
     PathDivergenceError,
 )
 from .harmonic_rect import DirichletData
 from .strip_solution import (
-    mode_fields_blocks,
-    mode_fields_closed,
-    mode_fields_initial,
+    FIELD_NAMES,
+    block_profiles,
+    calibrate_delta_ratio,
+    closed_profiles,
+    initial_amplitudes,
+    initial_profiles,
+    mode_columns,
 )
 
 __all__ = [
@@ -343,6 +346,14 @@ _CMP_ETAS = np.linspace(0.0, 1.0, 11)
 _SCALE_ETAS = np.linspace(0.0, 1.0, 101)
 
 
+def _relative_difference(a, b, b_fine) -> np.ndarray:
+    """Per mode, max over fields and samples of |a - b| / max_eta |b_fine|,
+    for profile stacks of shape (5, N, samples)."""
+    scale = np.max(np.abs(b_fine), axis=2, keepdims=True)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return np.max(np.abs(a - b) / scale, axis=(0, 2))
+
+
 def path_profile_difference(pa, pb) -> float:
     """Max over fields/samples of |pa - pb| / max_eta |pb|.
 
@@ -350,53 +361,61 @@ def path_profile_difference(pa, pb) -> float:
     comparison samples can miss the boundary layer of a high mode
     entirely, which would turn roundoff into a spurious relative error.
     """
-    a = pa.profile_matrix(_CMP_ETAS)
-    b = pb.profile_matrix(_CMP_ETAS)
-    scale = np.max(np.abs(pb.profile_matrix(_SCALE_ETAS)), axis=1, keepdims=True)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return float(np.max(np.abs(a - b) / scale))
+    a = pa.profile_matrix(_CMP_ETAS)[:, None, :]
+    b = pb.profile_matrix(_CMP_ETAS)[:, None, :]
+    b_fine = pb.profile_matrix(_SCALE_ETAS)[:, None, :]
+    return float(_relative_difference(a, b, b_fine)[0])
 
 
 def discrepancy_report(geom: Geometry, mat: Material,
                        modes: Sequence[int]) -> DiscrepancyReport:
     """Run the three per-mode routes against each other.
 
+    Every route evaluates all modes at once; each row equals what the
+    per-mode profiles of :mod:`platestamp.strip_solution` give for that
+    mode through :func:`path_profile_difference`.
+
     Path disagreements are report content, with one exception: a
     boundary-solve vs blocks divergence beyond 1e-8 means the solver
     itself is broken (those two routes share no formulas) and raises
     :class:`PathDivergenceError`.
     """
-    from .strip_solution import calibrate_delta_ratio  # local: avoid cycle at import
-
     rho = calibrate_delta_ratio(geom, mat)
-    rows = []
-    max_ab = 0.0
-    max_cb = 0.0
-    for n in modes:
-        mode = ModeIndex.for_mode(n, geom)
-        pb = mode_fields_blocks(mode, geom, mat)
-        pa = mode_fields_initial(mode, geom, mat)
-        pc = mode_fields_closed(mode, geom, mat, delta_ratio=rho)
-        d_ab = path_profile_difference(pa, pb)
-        d_cb = path_profile_difference(pc, pb)
-        max_ab = max(max_ab, d_ab)
-        max_cb = max(max_cb, d_cb)
+    ns, k, beta = mode_columns(modes, geom)
+    nu, h = mat.nu, geom.h
+    u0, y0 = initial_amplitudes(ns, k, beta, nu)
 
-        vb = pb.V(_SCALE_ETAS)
-        vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(_SCALE_ETAS)
-        delta_n = float(np.dot(vc, vb) / np.dot(vc, vc))
+    b_cmp = np.stack(block_profiles(k, beta, nu, _CMP_ETAS))
+    b_fine = np.stack(block_profiles(k, beta, nu, _SCALE_ETAS))
+    d_ab = _relative_difference(np.stack(initial_profiles(k, beta, nu, u0, y0, _CMP_ETAS)),
+                                b_cmp, b_fine)
+    d_cb = _relative_difference(np.stack(closed_profiles(beta, nu, h, rho, _CMP_ETAS)),
+                                b_cmp, b_fine)
 
-        unfixed = mode_fields_closed(mode, geom, mat, delta_ratio=rho,
-                                     uncorrected_shear=True)
-        rows.append(ModeDiscrepancy(
-            n=n, beta=mode.beta, rel_diff_ab=d_ab, rel_diff_cb=d_cb,
-            delta_ratio=delta_n,
-            uncorrected_shear_face=float(unfixed.X(1.0)),
-            corrected_shear_face=float(pc.X(1.0)),
-        ))
+    # per-mode least-squares amplitude ratio of the uncalibrated closed form;
+    # the stacked row products give the same bits as one np.dot per mode
+    (vc,) = closed_profiles(beta, nu, h, 1.0, _SCALE_ETAS, fields=("V",))
+    vb = b_fine[FIELD_NAMES.index("V")]
+    delta = ((vc[:, None, :] @ vb[:, :, None]) / (vc[:, None, :] @ vc[:, :, None])).ravel()
+
+    (unfixed,) = closed_profiles(beta, nu, h, rho, 1.0, uncorrected_shear=True,
+                                 fields=("X",))
+    (fixed,) = closed_profiles(beta, nu, h, rho, 1.0, fields=("X",))
+
+    rows = tuple(
+        ModeDiscrepancy(
+            n=int(ns[i, 0]), beta=float(beta[i, 0]),
+            rel_diff_ab=float(d_ab[i]), rel_diff_cb=float(d_cb[i]),
+            delta_ratio=float(delta[i]),
+            uncorrected_shear_face=float(unfixed[i, 0]),
+            corrected_shear_face=float(fixed[i, 0]),
+        )
+        for i in range(len(ns)))
+    max_ab = float(np.max(d_ab, initial=0.0))
+    max_cb = float(np.max(d_cb, initial=0.0))
     if max_ab > _PATH_AB_HARD_LIMIT:
         raise PathDivergenceError(
             f"boundary-solve profiles diverge from block profiles by "
             f"{max_ab:.3e} (> {_PATH_AB_HARD_LIMIT:g})")
     return DiscrepancyReport(geometry=geom, material=mat, calibration_ratio=rho,
-                             rows=tuple(rows), max_rel_ab=max_ab, max_rel_cb=max_cb)
+                             rows=rows, max_rel_ab=max_ab, max_rel_cb=max_cb)

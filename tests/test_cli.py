@@ -1,9 +1,14 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platestamp
 from platestamp import BoundaryCompatibilityError, ConfigError, parse_config, run
 from platestamp.cli import FIELD_GRID_HEADER, PRESSURE_HEADER, main
 from platestamp.stamp_problem import ProfileKind
@@ -167,6 +172,25 @@ class TestRun:
         bundle = run(cfg, output_dir=tmp_path / "out")
         assert bundle.summary["total_force"] != 0.0
 
+    def test_field_grid_independent_of_blas_threads(self, tmp_path):
+        # the mode sum must come out the same whatever BLAS thread count
+        # the process runs with
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("modes = 64", "modes = 256")
+                       .replace("grid = 41x41", "grid = 101x101"))
+        src = str(Path(platestamp.__file__).resolve().parents[1])
+        code = ("import sys; from platestamp import cli; "
+                "cli.run(cli.parse_config(open(sys.argv[1]).read()), sys.argv[2])")
+        grids = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
+                           env=env, check=True, timeout=300)
+            grids.append((out / "field_grid.csv").read_bytes())
+        assert grids[0] == grids[1]
+
     def test_tabulated_stamp_bad_values(self):
         text = MINIMAL.replace(
             "kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",
@@ -222,6 +246,37 @@ path = A
         cfg = self._write(tmp_path, text)
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("depth = 0.01", "depth = nan", "[stamp] depth"),
+        ("center = 1", "center = inf", "[stamp] center"),
+        ("l = 2", "l = inf", "[geometry] l"),
+        ("kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",
+         "kind = tabulated\nxs = 0 1 2\nvalues = 0 nan 0", "[stamp] values"),
+    ], ids=["depth", "center", "l", "tabulated"])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, old, new, named):
+        cfg = self._write(tmp_path, MINIMAL.replace(old, new))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,args", [
+        (SINGLE_MODE_VERIFY.replace("grid = 21x21", "grid = 2x2"), []),
+        (MINIMAL.replace("grid = 41x41", "grid = 5x2") + "path = all\n", []),
+        (MINIMAL, ["--grid", "2", "9", "--verify"]),
+    ], ids=["verify", "path-all", "override"])
+    def test_grid_too_small_to_verify_exit_two(self, tmp_path, capsys, text, args):
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        assert "[solver] grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,args", [
+        (SINGLE_MODE_VERIFY.replace("mode = 1", "mode = 9"), []),
+        (SINGLE_MODE_VERIFY.replace("mode = 1", "mode = 3"), ["--modes", "2"]),
+    ], ids=["config", "override"])
+    def test_single_mode_beyond_modes_exit_two(self, tmp_path, capsys, text, args):
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        assert "[stamp] mode" in capsys.readouterr().err
 
     def test_overrides(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

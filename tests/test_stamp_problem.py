@@ -110,6 +110,15 @@ class TestContactPressure:
         y1 = sf.modes[0][2].Y(1.0)
         assert np.allclose(p, y1 * np.sin(np.pi * xs / geom.l), rtol=1e-13, atol=1e-13)
 
+    def test_matches_face_row_of_grid(self, geom, mat):
+        # the face sum from the Y profile alone equals sigma_y(x, h) of the
+        # assembled grid, up to the order of the mode sum
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        sf = assemble_series(sine_coefficients(profile, geom, 128), geom, mat)
+        xs = np.linspace(0, geom.l, 53)
+        face = sf.grid_fields(xs, np.array([geom.h]))["sigma_y"][0]
+        assert np.max(np.abs(contact_pressure(sf, xs) - face)) <= 1e-13 * np.max(np.abs(face))
+
     def test_flat_stamp_edge_growth_with_truncation(self, geom, mat):
         # the discontinuous profile has no bounded pressure limit: the max
         # grows monotonically as more modes are retained

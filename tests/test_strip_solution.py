@@ -28,7 +28,15 @@ from platestamp import (
     sine_coefficients,
     BoundaryProfile,
 )
-from platestamp.strip_solution import delta_factor
+from platestamp.strip_solution import (
+    FIELD_NAMES,
+    block_profiles,
+    closed_profiles,
+    delta_factor,
+    initial_amplitudes,
+    initial_profiles,
+    mode_columns,
+)
 from platestamp.verification import path_profile_difference
 
 mp.mp.dps = 40
@@ -197,6 +205,61 @@ class TestPathC:
             ss.mode_fields_blocks = orig
 
 
+class TestBatchKernels:
+    """The kernels evaluate all modes at once; each row must be the
+    per-mode profile bit for bit, since the per-mode builders bind one
+    mode to the same kernels."""
+
+    NS = (1, 2, 7, 33, 64, 200)
+    ETAS = np.linspace(0.0, 1.0, 33)
+
+    @pytest.mark.parametrize("path", ["A", "B", "C", "C-uncorrected"])
+    def test_rows_equal_per_mode_profiles(self, geom, mat, path):
+        rho = calibrate_delta_ratio(geom, mat)
+        ns, k, beta = mode_columns(self.NS, geom)
+        uncorrected = path == "C-uncorrected"
+        if path == "A":
+            batch = initial_profiles(k, beta, mat.nu, *initial_amplitudes(ns, k, beta, mat.nu),
+                                     self.ETAS)
+        elif path == "B":
+            batch = block_profiles(k, beta, mat.nu, self.ETAS)
+        else:
+            batch = closed_profiles(beta, mat.nu, geom.h, rho, self.ETAS,
+                                    uncorrected_shear=uncorrected)
+        for i, n in enumerate(self.NS):
+            mode = ModeIndex.for_mode(n, geom)
+            assert (k[i, 0], beta[i, 0]) == (mode.k, mode.beta)
+            if path == "A":
+                prof = mode_fields_initial(mode, geom, mat)
+            elif path == "B":
+                prof = mode_fields_blocks(mode, geom, mat)
+            else:
+                prof = mode_fields_closed(mode, geom, mat, delta_ratio=rho,
+                                          uncorrected_shear=uncorrected)
+            for f, rows in zip(FIELD_NAMES, batch):
+                assert np.array_equal(rows[i], getattr(prof, f)(self.ETAS)), (n, f)
+
+    def test_field_subset_in_requested_order(self, geom, mat):
+        _, k, beta = mode_columns(range(1, 5), geom)
+        every = dict(zip(FIELD_NAMES, block_profiles(k, beta, mat.nu, self.ETAS)))
+        x, u = block_profiles(k, beta, mat.nu, self.ETAS, fields=("X", "U"))
+        assert np.array_equal(x, every["X"]) and np.array_equal(u, every["U"])
+
+
+def outer_product_fields(sf, xs, ys):
+    """Reference for SeriesField.grid_fields: the mode-by-mode sum of
+    outer products, accumulated in mode order."""
+    eta = ys / sf.geometry.h
+    acc = {f: np.zeros((ys.size, xs.size)) for f in FIELD_NAMES}
+    for mode, c, prof in sf.modes:
+        for f in FIELD_NAMES:
+            trig = np.cos if f in ("U", "X") else np.sin
+            acc[f] += c * np.outer(getattr(prof, f)(eta), trig(mode.k * xs))
+    G = sf.material.G
+    return {"u": acc["U"] / G, "v": acc["V"] / G, "sigma_x": acc["SX"],
+            "sigma_y": acc["Y"], "tau_xy": acc["X"]}
+
+
 class TestAssembly:
     def test_single_mode_series(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="B")
@@ -257,6 +320,20 @@ class TestAssembly:
             assert np.max(np.abs(f["v"])) <= 1e-12 * scale
             assert np.max(np.abs(f["sigma_y"])) <= 1e-12 * scale
             assert np.max(np.abs(f["sigma_x"])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("path,N", [("B", 256), ("A", 24), ("C", 24)])
+    def test_grid_fields_match_outer_product_sum(self, geom, mat, path, N):
+        # one contraction per field sums the same terms in another order:
+        # agreement to 1e-13 of each field's scale
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        sf = assemble_series(sine_coefficients(profile, geom, N), geom, mat, path=path)
+        xs = np.linspace(0, geom.l, 37)
+        ys = np.linspace(0, geom.h, 29)
+        got = sf.grid_fields(xs, ys)
+        want = outer_product_fields(sf, xs, ys)
+        for key, ref in want.items():
+            assert got[key].shape == ref.shape
+            assert np.max(np.abs(got[key] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
 
     def test_rejects_empty_coefficients(self, geom, mat):
         with pytest.raises(DomainError):

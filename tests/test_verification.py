@@ -7,18 +7,25 @@ import pytest
 from platestamp import (
     BoundaryProfile,
     DirichletData,
+    Geometry,
     GridSpec,
     Material,
+    ModeDegeneracyError,
+    ModeIndex,
     assemble_series,
     constitutive_residual,
     discrepancy_report,
     equilibrium_residual,
     fd_laplace_solve,
     laplacian_residual,
+    mode_fields_blocks,
+    mode_fields_closed,
+    mode_fields_initial,
     sine_coefficients,
     solve_dirichlet,
     evaluate_harmonic,
 )
+from platestamp.verification import path_profile_difference
 
 
 @pytest.fixture(scope="module")
@@ -247,18 +254,55 @@ class TestDiscrepancyReport:
         assert set(d) == {"calibration_ratio", "path_equiv_max_rel_diff_ab",
                           "path_equiv_max_rel_diff_cb"}
 
+    @pytest.mark.parametrize("l,h,nu", [(2.0, 1.0, 0.3), (1.0, 3.0, 0.499)])
+    def test_rows_match_per_mode_recomputation(self, l, h, nu):
+        # the batched report computes what the per-mode profiles give
+        geom, mat = Geometry(l, h), Material(E=1.0, nu=nu)
+        rep = discrepancy_report(geom, mat, range(1, 65))
+        rho = rep.calibration_ratio
+        etas = np.linspace(0.0, 1.0, 101)
+        assert [row.n for row in rep.rows] == list(range(1, 65))
+        for row in rep.rows:
+            mode = ModeIndex.for_mode(row.n, geom)
+            pb = mode_fields_blocks(mode, geom, mat)
+            pc = mode_fields_closed(mode, geom, mat, delta_ratio=rho)
+            unfixed = mode_fields_closed(mode, geom, mat, delta_ratio=rho,
+                                         uncorrected_shear=True)
+            vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(etas)
+            vb = pb.V(etas)
+            assert row.beta == mode.beta
+            assert row.rel_diff_ab == path_profile_difference(
+                mode_fields_initial(mode, geom, mat), pb)
+            assert row.rel_diff_cb == path_profile_difference(pc, pb)
+            assert row.delta_ratio == pytest.approx(
+                np.dot(vc, vb) / np.dot(vc, vc), rel=0, abs=1e-15)
+            assert row.uncorrected_shear_face == float(unfixed.X(1.0))
+            assert row.corrected_shear_face == float(pc.X(1.0))
+
+    def test_degenerate_mode_named_as_per_mode_builder(self, mat):
+        # beta_1 ~ 3e5 still solves, beta_2 ~ 6e5 does not
+        geom = Geometry(l=1e-5, h=1.0)
+        with pytest.raises(ModeDegeneracyError) as per_mode:
+            for n in range(1, 5):
+                mode_fields_initial(ModeIndex.for_mode(n, geom), geom, mat)
+        with pytest.raises(ModeDegeneracyError) as batched:
+            discrepancy_report(geom, mat, range(1, 5))
+        assert per_mode.value.n == batched.value.n == 2
+        assert batched.value.beta == per_mode.value.beta
+        assert batched.value.cond == pytest.approx(per_mode.value.cond, rel=1e-12)
+
     def test_hard_error_on_path_divergence(self, geom, mat, monkeypatch):
         # a boundary-solve route that stops matching the block route is an
         # implementation failure, not report content
         import platestamp.verification as verif
-        from platestamp import PathDivergenceError, mode_fields_blocks
+        from platestamp import PathDivergenceError
+        from platestamp.strip_solution import FIELD_NAMES, block_profiles
 
-        def broken(mode, geom_, mat_):
-            prof = mode_fields_blocks(mode, geom_, mat_)
-            return type(prof)(mode=prof.mode, path=prof.path,
-                              U=lambda eta: prof.U(eta) * 1.001,
-                              V=prof.V, Y=prof.Y, X=prof.X, SX=prof.SX)
+        def broken(k, beta, nu, u0, y0, eta, *, fields=FIELD_NAMES):
+            prof = dict(zip(FIELD_NAMES, block_profiles(k, beta, nu, eta)))
+            prof["U"] = prof["U"] * 1.001
+            return tuple(prof[f] for f in fields)
 
-        monkeypatch.setattr(verif, "mode_fields_initial", broken)
+        monkeypatch.setattr(verif, "initial_profiles", broken)
         with pytest.raises(PathDivergenceError):
             discrepancy_report(geom, mat, [1])
