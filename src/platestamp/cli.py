@@ -35,6 +35,7 @@ from .stamp_problem import (
 from .strip_solution import SolutionPath, assemble_series
 from .verification import (
     GridSpec,
+    SharedGridFields,
     constitutive_residual,
     discrepancy_report,
     equilibrium_residual,
@@ -47,7 +48,9 @@ PRESSURE_HEADER = "x,sigma_y_at_h"
 
 #: physical band excluded by the verification order meters (see
 #: platestamp.verification: the truncated series is unresolvable by the
-#: run grid inside a ~1/k_N boundary layer).
+#: run grid inside a ~1/k_N boundary layer), as a fraction of the plate's
+#: shorter side: the band runs along all four sides, so a fraction of the
+#: longer side can leave no interior point.
 VERIFY_MARGIN_FRACTION = 0.15
 
 _KNOWN_KEYS = {
@@ -216,6 +219,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid material: {exc}") from exc
 
     profile = _build_profile(cp)
+    _check_support(profile, geom)
     # reject stamps whose face displacement fails to vanish at the corners
     profile.validate_edges(geom)
 
@@ -248,6 +252,22 @@ def parse_config(text: str) -> RunConfig:
                        output_dir=output_dir)
     _check_combination(config)
     return config
+
+
+def _check_support(profile: BoundaryProfile, geom: Geometry) -> None:
+    """Reject a stamp that leaves the whole face [0, l] untouched: it would
+    solve to an all-zero field."""
+    if profile.kind is ProfileKind.TABULATED:
+        # piecewise linear and zero at both corners, so zero on the face
+        # exactly when it is zero at every knot on the face
+        if not any(profile.evaluate(x, geom) for x in profile.xs if 0.0 <= x <= geom.l):
+            raise ConfigError(f"invalid value for [stamp] values: the tabulated profile is "
+                              f"zero all along the face [0, {geom.l:g}]")
+    elif profile.kind is not ProfileKind.SINGLE_MODE:
+        lo, hi = profile.breakpoints(geom)
+        if lo >= geom.l:
+            raise ConfigError(f"invalid value for [stamp] center: the stamp covers "
+                              f"[{lo:g}, {hi:g}], outside the face [0, {geom.l:g}]")
 
 
 def _check_combination(config: RunConfig) -> None:
@@ -314,11 +334,14 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
 
         grid = GridSpec(config.grid_nx, config.grid_ny)
         refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
-        margin = VERIFY_MARGIN_FRACTION * geom.h
-        eq1, eq2 = equilibrium_residual(sf, grid, refined=refined,
+        margin = VERIFY_MARGIN_FRACTION * min(geom.l, geom.h)
+        # both meters read the same coarse and fine grids: evaluate each once
+        shared = SharedGridFields(sf)
+        eq1, eq2 = equilibrium_residual(shared, grid, refined=refined,
                                         exclusion_margin=margin)
-        c1, c2, c3 = constitutive_residual(sf, grid, refined=refined,
+        c1, c2, c3 = constitutive_residual(shared, grid, refined=refined,
                                            exclusion_margin=margin)
+        del shared  # frees the kept grids before the artifacts are formatted
         summary.update({
             "equilibrium_order_x": eq1.observed_order,
             "equilibrium_order_y": eq2.observed_order,

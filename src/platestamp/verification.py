@@ -12,7 +12,10 @@ further band of physical width ``exclusion_margin``: a truncated series
 with top wavenumber k_N has a boundary layer of thickness ~1/k_N that a
 desk-scale grid cannot resolve, and convergence-order measurements are
 meaningful only outside it.  Observed orders are computed from the l2
-(root-mean-square) residual of a grid pair.
+(root-mean-square) residual of a grid pair.  The meters read only
+``geometry``, ``material`` and ``grid_fields`` of the field they are
+given; wrapped in :class:`SharedGridFields`, one series field serves both
+meters with one evaluation per grid.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ from .strip_solution import (
 __all__ = [
     "GridSpec",
     "ResidualReport",
+    "SharedGridFields",
     "fd_laplace_solve",
     "laplacian_residual",
     "equilibrium_residual",
@@ -81,10 +85,6 @@ class GridSpec:
         """Full sample axes including the boundary ring."""
         return (np.linspace(0.0, geom.l, self.nx + 2),
                 np.linspace(0.0, geom.h, self.ny + 2))
-
-    def refined(self) -> "GridSpec":
-        """Grid with exactly halved spacing."""
-        return GridSpec(nx=2 * self.nx + 1, ny=2 * self.ny + 1)
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,29 @@ def _meter(sf, grid, refined, exclusion_margin, picks, material=None):
     return tuple(reports)
 
 
+class SharedGridFields:
+    """A series field whose grid evaluations are kept, so that the residual
+    meters, given the same instance, evaluate each grid once between them.
+
+    Forwards ``geometry`` and ``material`` and calls the wrapped field's
+    ``grid_fields`` once per distinct pair of axes; later calls with equal
+    axes return the kept fields, which callers must not modify.  It holds
+    every grid it has evaluated, so it is meant to live for one run.
+    """
+
+    def __init__(self, sf):
+        self.geometry = sf.geometry
+        self.material = sf.material
+        self._sf = sf
+        self._kept: dict = {}
+
+    def grid_fields(self, xs, ys) -> dict:
+        key = (np.asarray(xs, dtype=float).tobytes(), np.asarray(ys, dtype=float).tobytes())
+        if key not in self._kept:
+            self._kept[key] = self._sf.grid_fields(xs, ys)
+        return self._kept[key]
+
+
 def equilibrium_residual(
     sf,
     grid: GridSpec,
@@ -344,27 +367,44 @@ class DiscrepancyReport:
 
 _CMP_ETAS = np.linspace(0.0, 1.0, 11)
 _SCALE_ETAS = np.linspace(0.0, 1.0, 101)
+#: samples of the layer variable s = beta*(1 - eta) next to the loaded face
+_LAYER_S = np.linspace(0.0, 40.0, 81)
 
 
-def _relative_difference(a, b, b_fine) -> np.ndarray:
-    """Per mode, max over fields and samples of |a - b| / max_eta |b_fine|,
-    for profile stacks of shape (5, N, samples)."""
-    scale = np.max(np.abs(b_fine), axis=2, keepdims=True)
-    scale = np.where(scale == 0.0, 1.0, scale)
+def _layer_etas(beta):
+    """eta samples at s = beta*(1 - eta) in [0, 40], clipped at eta = 0:
+    a high mode's profiles rise and decay there, within a few multiples
+    of 1/beta of the face, between the uniform samples."""
+    return np.maximum(1.0 - _LAYER_S / beta, 0.0)
+
+
+def _profile_scale(*stacks) -> np.ndarray:
+    """Per field and mode, the largest magnitude over the samples of all
+    ``stacks`` (profile stacks of shape (5, N, samples)); 1 where it is 0."""
+    scale = np.max([np.max(np.abs(s), axis=2, keepdims=True) for s in stacks], axis=0)
+    return np.where(scale == 0.0, 1.0, scale)
+
+
+def _relative_difference(a, b, scale) -> np.ndarray:
+    """Per mode, max over fields and samples of |a - b| / scale, for profile
+    stacks of shape (5, N, samples) and a scale from :func:`_profile_scale`."""
     return np.max(np.abs(a - b) / scale, axis=(0, 2))
 
 
 def path_profile_difference(pa, pb) -> float:
     """Max over fields/samples of |pa - pb| / max_eta |pb|.
 
-    The scale is the profile's max over a fine eta grid: the coarse
+    The scale is the profile's max over a fine uniform eta grid and over
+    samples of the face boundary layer (:func:`_layer_etas`): the coarse
     comparison samples can miss the boundary layer of a high mode
-    entirely, which would turn roundoff into a spurious relative error.
+    entirely, and so can the uniform ones once beta is large, which would
+    turn roundoff into a spurious relative error.
     """
     a = pa.profile_matrix(_CMP_ETAS)[:, None, :]
     b = pb.profile_matrix(_CMP_ETAS)[:, None, :]
-    b_fine = pb.profile_matrix(_SCALE_ETAS)[:, None, :]
-    return float(_relative_difference(a, b, b_fine)[0])
+    scale = _profile_scale(pb.profile_matrix(_SCALE_ETAS)[:, None, :],
+                           pb.profile_matrix(_layer_etas(pb.mode.beta))[:, None, :])
+    return float(_relative_difference(a, b, scale)[0])
 
 
 def discrepancy_report(geom: Geometry, mat: Material,
@@ -387,10 +427,11 @@ def discrepancy_report(geom: Geometry, mat: Material,
 
     b_cmp = np.stack(block_profiles(k, beta, nu, _CMP_ETAS))
     b_fine = np.stack(block_profiles(k, beta, nu, _SCALE_ETAS))
+    scale = _profile_scale(b_fine, np.stack(block_profiles(k, beta, nu, _layer_etas(beta))))
     d_ab = _relative_difference(np.stack(initial_profiles(k, beta, nu, u0, y0, _CMP_ETAS)),
-                                b_cmp, b_fine)
+                                b_cmp, scale)
     d_cb = _relative_difference(np.stack(closed_profiles(beta, nu, h, rho, _CMP_ETAS)),
-                                b_cmp, b_fine)
+                                b_cmp, scale)
 
     # per-mode least-squares amplitude ratio of the uncalibrated closed form;
     # the stacked row products give the same bits as one np.dot per mode

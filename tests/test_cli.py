@@ -1,17 +1,34 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
 import filecmp
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import platestamp
-from platestamp import BoundaryCompatibilityError, ConfigError, parse_config, run
+from platestamp import (
+    BoundaryCompatibilityError,
+    ConfigError,
+    GridSpec,
+    assemble_series,
+    cli,
+    constitutive_residual,
+    equilibrium_residual,
+    parse_config,
+    run,
+    sine_coefficients,
+)
 from platestamp.cli import FIELD_GRID_HEADER, PRESSURE_HEADER, main
 from platestamp.stamp_problem import ProfileKind
+from platestamp.strip_solution import SeriesField
+from platestamp.verification import SharedGridFields
+
+SRC = str(Path(platestamp.__file__).resolve().parents[1])
 
 MINIMAL = """\
 [geometry]
@@ -52,6 +69,19 @@ modes = 8
 grid = 21x21
 verify = true
 """
+
+
+#: a small verified run: 16 modes on a 13x11 output grid
+SMALL_VERIFY = MINIMAL.replace("modes = 64", "modes = 16") \
+    .replace("grid = 41x41", "grid = 13x11") + "verify = true\n"
+
+THICK_VERIFY = MINIMAL.replace("h = 1", "h = 20").replace("nu = 0.3", "nu = 0.2") \
+    .replace("grid = 41x41", "grid = 21x21") + "verify = true\n"
+
+
+def _env_with_src():
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
 class TestParseConfig:
@@ -162,6 +192,53 @@ class TestRun:
         assert bundle.summary["path"] == "B"
         assert bundle.summary["path_equiv_max_rel_diff_ab"] <= 1e-10
 
+    @pytest.mark.parametrize("text", [SMALL_VERIFY, SMALL_VERIFY + "path = all\n"],
+                             ids=["verify", "path-all"])
+    def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch, text):
+        # the output grid, then the coarse and the fine residual grid that
+        # both meters share
+        calls = []
+        original = SeriesField.grid_fields
+
+        def counted(sf, xs, ys):
+            calls.append((len(xs), len(ys)))
+            return original(sf, xs, ys)
+
+        monkeypatch.setattr(SeriesField, "grid_fields", counted)
+        run(parse_config(text), output_dir=tmp_path / "out")
+        assert calls == [(13, 11), (15, 13), (27, 23)]
+
+    def test_verified_run_matches_independent_meters(self, tmp_path):
+        cfg = parse_config(SMALL_VERIFY)
+        summary = run(cfg, output_dir=tmp_path / "out").summary
+        geom = cfg.geometry
+        sf = assemble_series(sine_coefficients(cfg.profile, geom, cfg.modes), geom,
+                             cfg.material)
+        pair = dict(grid=GridSpec(13, 11), refined=GridSpec(25, 21),
+                    exclusion_margin=0.15 * min(geom.l, geom.h))
+        eq = equilibrium_residual(sf, **pair)
+        con = constitutive_residual(sf, **pair)
+        assert [summary[f"equilibrium_order_{a}"] for a in "xy"] == \
+            [r.observed_order for r in eq]
+        assert [summary[f"equilibrium_max_abs_{a}"] for a in "xy"] == [r.max_abs for r in eq]
+        assert [summary[f"constitutive_order_{f}"] for f in ("sigma_x", "sigma_y", "tau_xy")] \
+            == [r.observed_order for r in con]
+
+    def test_bundle_does_not_keep_shared_evaluation(self, tmp_path, monkeypatch):
+        # the kept residual grids live for one run only
+        made = []
+
+        class Recorded(SharedGridFields):
+            def __init__(self, sf):
+                super().__init__(sf)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(cli, "SharedGridFields", Recorded)
+        bundle = run(parse_config(SMALL_VERIFY), output_dir=tmp_path / "out")
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert "equilibrium_order_x" in bundle.summary
+
     def test_tabulated_stamp_from_config(self, tmp_path):
         text = MINIMAL.replace(
             "kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",
@@ -178,13 +255,11 @@ class TestRun:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL.replace("modes = 64", "modes = 256")
                        .replace("grid = 41x41", "grid = 101x101"))
-        src = str(Path(platestamp.__file__).resolve().parents[1])
         code = ("import sys; from platestamp import cli; "
                 "cli.run(cli.parse_config(open(sys.argv[1]).read()), sys.argv[2])")
         grids = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads)
             out = tmp_path / f"threads{threads}"
             subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
                            env=env, check=True, timeout=300)
@@ -277,6 +352,40 @@ path = A
         cfg = self._write(tmp_path, text)
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
         assert "[stamp] mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("center = 1", "center = 5", "[stamp] center"),
+        ("kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",
+         "kind = tabulated\nxs = 0 1 2\nvalues = 0 0 0", "[stamp] values"),
+    ], ids=["bump-off-face", "tabulated-zero"])
+    def test_stamp_without_support_exit_two(self, tmp_path, capsys, old, new, named):
+        # either would solve to an all-zero field
+        cfg = self._write(tmp_path, MINIMAL.replace(old, new))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_thick_plate_verify_exit_zero(self, tmp_path):
+        # h/l = 10: the verification margin follows the shorter side, and the
+        # top modes' face layer no longer reads as a path divergence
+        cfg = self._write(tmp_path, THICK_VERIFY)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        assert "exclusion margin 0.3)" in (tmp_path / "out" / "report.txt").read_text()
+
+    def test_python_dash_m(self, tmp_path):
+        ok = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 8")
+                         .replace("grid = 41x41", "grid = 9x9"))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace("depth = 0.01", "depth = nan"))
+        codes = []
+        for cfg in (ok, bad):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "platestamp", "--config", str(cfg),
+                 "--output", str(tmp_path / "out")],
+                env=_env_with_src(), capture_output=True, text=True, timeout=120)
+            codes.append(proc.returncode)
+        assert codes == [0, 2]
+        assert "[stamp] depth" in proc.stderr
+        assert (tmp_path / "out" / "field_grid.csv").exists()
 
     def test_overrides(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

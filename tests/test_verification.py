@@ -25,7 +25,7 @@ from platestamp import (
     solve_dirichlet,
     evaluate_harmonic,
 )
-from platestamp.verification import path_profile_difference
+from platestamp.verification import SharedGridFields, path_profile_difference
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,45 @@ class TestPhysicsMeters:
         reps = constitutive_residual(raised_cosine_field, grid, material=wrong)
         assert max(r.max_abs for r in reps) > 1e-3 * scale
 
+    def test_shared_evaluation_matches_independent_meters(self, geom, mat,
+                                                          raised_cosine_field):
+        # one evaluation per grid serves both meters, with the same bits
+        grid, refined = GridSpec(41, 41), GridSpec(81, 81)
+        margin = 0.15 * geom.h
+        calls = []
+
+        class Counted:
+            geometry, material = geom, mat
+
+            def grid_fields(self, xs, ys):
+                calls.append((len(xs), len(ys)))
+                return raised_cosine_field.grid_fields(xs, ys)
+
+        shared = SharedGridFields(Counted())
+        eq = equilibrium_residual(shared, grid, refined=refined, exclusion_margin=margin)
+        con = constitutive_residual(shared, grid, refined=refined, exclusion_margin=margin)
+        assert calls == [(43, 43), (83, 83)]
+        assert eq == equilibrium_residual(raised_cosine_field, grid, refined=refined,
+                                          exclusion_margin=margin)
+        assert con == constitutive_residual(raised_cosine_field, grid, refined=refined,
+                                            exclusion_margin=margin)
+
+    def test_constitutive_negative_control_through_shared(self, geom, mat,
+                                                          raised_cosine_field):
+        # the check-only material still acts on fields kept by the shared
+        # evaluation, and leaves them as they were for the next meter
+        wrong = Material(E=mat.E, nu=mat.nu + 0.02)
+        grid = GridSpec(41, 41)
+        xs, ys = grid.axes(geom)
+        scale = float(np.max(np.abs(raised_cosine_field.grid_fields(xs, ys)["sigma_x"])))
+        shared = SharedGridFields(raised_cosine_field)
+        right = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h)
+        reps = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h,
+                                     material=wrong)
+        assert max(r.max_abs for r in reps) > 1e-3 * scale
+        assert max(r.max_abs for r in reps) > 4.0 * max(r.max_abs for r in right)
+        assert constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h) == right
+
     def test_exclusion_margin_too_large_rejected(self, geom, mat):
         sf = assemble_series([1.0], geom, mat)
         from platestamp import DomainError
@@ -254,7 +293,8 @@ class TestDiscrepancyReport:
         assert set(d) == {"calibration_ratio", "path_equiv_max_rel_diff_ab",
                           "path_equiv_max_rel_diff_cb"}
 
-    @pytest.mark.parametrize("l,h,nu", [(2.0, 1.0, 0.3), (1.0, 3.0, 0.499)])
+    @pytest.mark.parametrize("l,h,nu", [(2.0, 1.0, 0.3), (1.0, 3.0, 0.499),
+                                        (2.0, 20.0, 0.2)])
     def test_rows_match_per_mode_recomputation(self, l, h, nu):
         # the batched report computes what the per-mode profiles give
         geom, mat = Geometry(l, h), Material(E=1.0, nu=nu)
@@ -278,6 +318,20 @@ class TestDiscrepancyReport:
                 np.dot(vc, vb) / np.dot(vc, vc), rel=0, abs=1e-15)
             assert row.uncorrected_shear_face == float(unfixed.X(1.0))
             assert row.corrected_shear_face == float(pc.X(1.0))
+
+    def test_thick_plate_no_false_divergence(self):
+        # at h=20 the top modes have beta ~ 2e3, and their shear profile
+        # peaks inside the face layer, far above its value at any uniform
+        # eta sample; scaling by the uniform samples alone read 3.5e-6 here
+        geom, mat = Geometry(2.0, 20.0), Material(E=1.0, nu=0.2)
+        top = ModeIndex.for_mode(64, geom)
+        pb = mode_fields_blocks(top, geom, mat)
+        peak = float(np.max(np.abs(pb.X(np.linspace(1.0 - 10.0 / top.beta, 1.0, 2001)))))
+        uniform = float(np.max(np.abs(pb.X(np.linspace(0.0, 1.0, 101)))))
+        assert peak > 1e6 * uniform
+        rep = discrepancy_report(geom, mat, range(1, 65))
+        assert rep.max_rel_ab < 1e-8
+        assert rep.max_rel_cb < 1e-10
 
     def test_degenerate_mode_named_as_per_mode_builder(self, mat):
         # beta_1 ~ 3e5 still solves, beta_2 ~ 6e5 does not
