@@ -289,6 +289,23 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+#: the five field cells of a field_grid.csv line; "%.17g" gives a float
+#: the same digits as :func:`_fmt`
+_FIELD_CELLS = ",".join(["%.17g"] * 5)
+
+
+def _field_grid_rows(xs, ys, fields):
+    """The lines of field_grid.csv after its header, as one string per grid
+    row (one y), so the whole table is never held as text."""
+    x_cells = [_fmt(x) + "," for x in xs.tolist()]
+    columns = [fields[name] for name in ("u", "v", "sigma_x", "sigma_y", "tau_xy")]
+    for j, y in enumerate(ys.tolist()):
+        y_cell = _fmt(y) + ","
+        yield "".join([x_cell + y_cell + _FIELD_CELLS % values + "\n"
+                       for x_cell, values in zip(x_cells,
+                                                 zip(*(c[j].tolist() for c in columns)))])
+
+
 def run(config: RunConfig, output_dir=None) -> OutputBundle:
     """Execute one configuration and write the output bundle.
 
@@ -302,7 +319,19 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
 
     xs = np.linspace(0.0, geom.l, config.grid_nx)
     ys = np.linspace(0.0, geom.h, config.grid_ny)
-    fields = sf.grid_fields(xs, ys)
+    run_verification = config.verify or config.path == "all"
+    if run_verification:
+        # the discrepancy report runs before the grid pass, so that the
+        # kept grids do not add to its memory peak
+        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
+        grid = GridSpec(config.grid_nx, config.grid_ny)
+        refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
+        # the output grid and the coarse and fine grids that both residual
+        # meters read: one profile pass evaluates all three
+        shared = SharedGridFields(sf, [(xs, ys), grid.axes(geom), refined.axes(geom)])
+        fields = shared.grid_fields(xs, ys)
+    else:
+        fields = sf.grid_fields(xs, ys)
     pressure = contact_pressure(sf, xs)
     force = total_force(sf)
 
@@ -327,16 +356,10 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
     ]
 
-    run_verification = config.verify or config.path == "all"
     if run_verification:
-        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
         summary.update(disc.as_dict())
 
-        grid = GridSpec(config.grid_nx, config.grid_ny)
-        refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
         margin = VERIFY_MARGIN_FRACTION * min(geom.l, geom.h)
-        # both meters read the same coarse and fine grids: evaluate each once
-        shared = SharedGridFields(sf)
         eq1, eq2 = equilibrium_residual(shared, grid, refined=refined,
                                         exclusion_margin=margin)
         c1, c2, c3 = constitutive_residual(shared, grid, refined=refined,
@@ -377,17 +400,10 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     out = Path(output_dir or config.output_dir or "platestamp_out")
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = [FIELD_GRID_HEADER]
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            rows.append(",".join([
-                _fmt(x), _fmt(y),
-                _fmt(fields["u"][j, i]), _fmt(fields["v"][j, i]),
-                _fmt(fields["sigma_x"][j, i]), _fmt(fields["sigma_y"][j, i]),
-                _fmt(fields["tau_xy"][j, i]),
-            ]))
     bundle.files["field_grid"] = out / "field_grid.csv"
-    bundle.files["field_grid"].write_text("\n".join(rows) + "\n")
+    with bundle.files["field_grid"].open("w") as fh:
+        fh.write(FIELD_GRID_HEADER + "\n")
+        fh.writelines(_field_grid_rows(xs, ys, fields))
 
     rows = [PRESSURE_HEADER]
     for i, x in enumerate(xs):

@@ -71,7 +71,6 @@ __all__ = [
     "calibrate_delta_ratio",
     "assemble_series",
     "evaluate_fields",
-    "delta_factor",
 ]
 
 #: x-parity of the five per-mode profiles (U, V, Y, X, SX order).
@@ -308,16 +307,6 @@ def mode_fields_initial(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeF
 # path C: closed-form modal series
 # ---------------------------------------------------------------------------
 
-def delta_factor(mode: ModeIndex, mat: Material) -> float:
-    """Per-mode denominator (1 - nu) sh(beta)^2 of the closed-form series.
-
-    Direct evaluation; representable for beta below ~350.  The closed
-    path itself never forms this quantity, it works with scaled
-    exponentials.
-    """
-    return (1.0 - mat.nu) * math.sinh(mode.beta) ** 2
-
-
 def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
                     uncorrected_shear: bool = False, fields=FIELD_NAMES) -> tuple:
     """Path C: closed-form profiles.
@@ -441,30 +430,54 @@ class SeriesField:
 
     def grid_fields(self, xs, ys) -> dict:
         """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs))."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        eta = ys / self.geometry.h
+        return self.grid_fields_many([(xs, ys)])[0]
+
+    def grid_fields_many(self, grids) -> list:
+        """:meth:`grid_fields` of each ``(xs, ys)`` pair of ``grids``, in order.
+
+        Each field's profiles are evaluated once, for all modes, on the eta
+        rows of every grid together; each grid is then summed from its own
+        columns of that block, so its fields equal a separate
+        :meth:`grid_fields` call bit for bit.
+        """
+        axes = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+                for xs, ys in grids]
+        eta = np.concatenate([ys for _, ys in axes]) / self.geometry.h
+        splits = np.cumsum([ys.size for _, ys in axes])[:-1]
         active = [(mode, c, prof) for mode, c, prof in self.modes if c != 0.0]
         c = np.array([c for _, c, _ in active]).reshape(-1, 1)
-        kx = np.outer([mode.k for mode, _, _ in active], xs)
-        weighted = {Parity.SINE: c * np.sin(kx), Parity.COSINE: c * np.cos(kx)}
+        k = [mode.k for mode, _, _ in active]
 
-        def total(name):
-            profiles = np.array([getattr(prof, name)(eta) for _, _, prof in active])
-            # one fixed-order sum over modes; einsum without optimisation
-            # never hands it to BLAS, so the result does not depend on the
-            # BLAS thread count
-            return np.einsum("nj,ni->ji", profiles.reshape(len(active), eta.size),
-                             weighted[FIELD_PARITIES[name]], optimize=False)
+        def profile_blocks(name):
+            # one field's profiles, all modes by the eta rows of all grids,
+            # split into each grid's columns
+            profiles = np.empty((len(active), eta.size))
+            for row, (_, _, prof) in zip(profiles, active):
+                row[:] = getattr(prof, name)(eta)
+            return np.split(profiles, splits, axis=1)
+
+        totals = [{} for _ in axes]
+        # one parity's weights and one field's profile block alive at a time
+        for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
+            weighted = [c * trig(np.outer(k, xs)) for xs, _ in axes]
+            for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
+                # one fixed-order sum over modes; einsum without optimisation
+                # never hands it to BLAS, so the result does not depend on
+                # the BLAS thread count.  The contiguous copy gives each grid
+                # the operand layout of a single-grid call.
+                for total, block, w in zip(totals, profile_blocks(name), weighted):
+                    total[name] = np.einsum("nj,ni->ji", np.ascontiguousarray(block), w,
+                                            optimize=False)
+            del weighted
 
         G = self.material.G
-        return {
-            "u": total("U") / G,
-            "v": total("V") / G,
-            "sigma_x": total("SX"),
-            "sigma_y": total("Y"),
-            "tau_xy": total("X"),
-        }
+        return [{
+            "u": total["U"] / G,
+            "v": total["V"] / G,
+            "sigma_x": total["SX"],
+            "sigma_y": total["Y"],
+            "tau_xy": total["X"],
+        } for total in totals]
 
     def sample(self, x: float, y: float) -> FieldSample:
         f = self.grid_fields(np.array([x]), np.array([y]))

@@ -15,7 +15,8 @@ meaningful only outside it.  Observed orders are computed from the l2
 (root-mean-square) residual of a grid pair.  The meters read only
 ``geometry``, ``material`` and ``grid_fields`` of the field they are
 given; wrapped in :class:`SharedGridFields`, one series field serves both
-meters with one evaluation per grid.
+meters with one evaluation per grid, and one profile pass can serve all
+of a run's grids.
 """
 from __future__ import annotations
 
@@ -215,12 +216,31 @@ def laplacian_residual(
 # physics residual meters
 # ---------------------------------------------------------------------------
 
-def _central_residuals(sf, geom: Geometry, grid: GridSpec,
-                       material: Material | None = None):
+# Residual builders: from a grid's fields ``f``, its central-difference
+# operators and the material, the residual arrays one meter reports.
+
+def _equilibrium_terms(f, Dx, Dy, mat: Material) -> tuple:
+    return (Dx(f["sigma_x"]) + Dy(f["tau_xy"]),
+            Dx(f["tau_xy"]) + Dy(f["sigma_y"]))
+
+
+def _constitutive_terms(f, Dx, Dy, mat: Material) -> tuple:
+    ex = Dx(f["u"])
+    ey = Dy(f["v"])
+    gxy = Dy(f["u"]) + Dx(f["v"])
+    lam, G = mat.lam, mat.G
+    trace = lam * (ex + ey)
+    return (f["sigma_x"][1:-1, 1:-1] - (trace + 2.0 * G * ex),
+            f["sigma_y"][1:-1, 1:-1] - (trace + 2.0 * G * ey),
+            f["tau_xy"][1:-1, 1:-1] - G * gxy)
+
+
+def _central_residuals(sf, geom: Geometry, grid: GridSpec, terms, material: Material):
+    """The residual arrays ``terms`` builds from the grid's fields and
+    central differences, on the grid's interior."""
     dx, dy = grid.spacing(geom)
     xs, ys = grid.axes(geom)
     f = sf.grid_fields(xs, ys)
-    mat = material if material is not None else sf.material
 
     def Dx(a):
         return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * dx)
@@ -228,31 +248,21 @@ def _central_residuals(sf, geom: Geometry, grid: GridSpec,
     def Dy(a):
         return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * dy)
 
-    eq1 = Dx(f["sigma_x"]) + Dy(f["tau_xy"])
-    eq2 = Dx(f["tau_xy"]) + Dy(f["sigma_y"])
-
-    ex = Dx(f["u"])
-    ey = Dy(f["v"])
-    gxy = Dy(f["u"]) + Dx(f["v"])
-    lam, G = mat.lam, mat.G
-    trace = lam * (ex + ey)
-    c_sx = f["sigma_x"][1:-1, 1:-1] - (trace + 2.0 * G * ex)
-    c_sy = f["sigma_y"][1:-1, 1:-1] - (trace + 2.0 * G * ey)
-    c_txy = f["tau_xy"][1:-1, 1:-1] - G * gxy
-    return (eq1, eq2, c_sx, c_sy, c_txy), xs[1:-1], ys[1:-1], dx
+    return terms(f, Dx, Dy, material), xs[1:-1], ys[1:-1], dx
 
 
-def _meter(sf, grid, refined, exclusion_margin, picks, material=None):
+def _meter(sf, grid, refined, exclusion_margin, terms, material=None):
     geom = sf.geometry
-    res_c, xi, yi, dx = _central_residuals(sf, geom, grid, material)
+    mat = material if material is not None else sf.material
+    res_c, xi, yi, dx = _central_residuals(sf, geom, grid, terms, mat)
     XI, YI, mask = _interior_mask(geom, xi, yi, exclusion_margin)
     reports = []
-    stats_c = [_stats(res_c[i], XI, YI, mask) for i in picks]
+    stats_c = [_stats(res, XI, YI, mask) for res in res_c]
     if refined is not None:
-        res_f, xif, yif, dxf = _central_residuals(sf, geom, refined, material)
+        res_f, xif, yif, dxf = _central_residuals(sf, geom, refined, terms, mat)
         XIf, YIf, maskf = _interior_mask(geom, xif, yif, exclusion_margin)
-        for (max_abs, l2, loc), i in zip(stats_c, picks):
-            _, l2f, _ = _stats(res_f[i], XIf, YIf, maskf)
+        for (max_abs, l2, loc), res in zip(stats_c, res_f):
+            _, l2f, _ = _stats(res, XIf, YIf, maskf)
             reports.append(ResidualReport(max_abs, l2, loc,
                                           observed_order=_order(l2, l2f, dx, dxf)))
     else:
@@ -265,20 +275,29 @@ class SharedGridFields:
     """A series field whose grid evaluations are kept, so that the residual
     meters, given the same instance, evaluate each grid once between them.
 
-    Forwards ``geometry`` and ``material`` and calls the wrapped field's
-    ``grid_fields`` once per distinct pair of axes; later calls with equal
-    axes return the kept fields, which callers must not modify.  It holds
-    every grid it has evaluated, so it is meant to live for one run.
+    Forwards ``geometry`` and ``material``.  The ``(xs, ys)`` pairs of
+    ``axes`` are evaluated up front by one ``grid_fields_many`` call of the
+    wrapped field, which evaluates each mode's profiles once for all of
+    them; any other pair of axes is evaluated by the wrapped field's
+    ``grid_fields`` on first use.  Later calls with equal axes return the
+    kept fields, which callers must not modify.  It holds every grid it
+    has evaluated, so it is meant to live for one run.
     """
 
-    def __init__(self, sf):
+    def __init__(self, sf, axes=()):
         self.geometry = sf.geometry
         self.material = sf.material
         self._sf = sf
         self._kept: dict = {}
+        if axes:
+            self._kept = dict(zip(map(self._key, axes), sf.grid_fields_many(axes)))
+
+    @staticmethod
+    def _key(axes) -> tuple:
+        return tuple(np.asarray(a, dtype=float).tobytes() for a in axes)
 
     def grid_fields(self, xs, ys) -> dict:
-        key = (np.asarray(xs, dtype=float).tobytes(), np.asarray(ys, dtype=float).tobytes())
+        key = self._key((xs, ys))
         if key not in self._kept:
             self._kept[key] = self._sf.grid_fields(xs, ys)
         return self._kept[key]
@@ -292,7 +311,7 @@ def equilibrium_residual(
 ) -> tuple[ResidualReport, ResidualReport]:
     """Central-difference residuals of the two force-balance equations
     d(sigma_x)/dx + d(tau_xy)/dy and d(tau_xy)/dx + d(sigma_y)/dy."""
-    return _meter(sf, grid, refined, exclusion_margin, picks=(0, 1))
+    return _meter(sf, grid, refined, exclusion_margin, _equilibrium_terms)
 
 
 def constitutive_residual(
@@ -308,7 +327,7 @@ def constitutive_residual(
     ``material`` overrides the constants used by the check only (negative
     control: a perturbed Poisson ratio must leave a visible residual).
     """
-    return _meter(sf, grid, refined, exclusion_margin, picks=(2, 3, 4),
+    return _meter(sf, grid, refined, exclusion_margin, _constitutive_terms,
                   material=material)
 
 

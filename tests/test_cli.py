@@ -75,6 +75,8 @@ verify = true
 SMALL_VERIFY = MINIMAL.replace("modes = 64", "modes = 16") \
     .replace("grid = 41x41", "grid = 13x11") + "verify = true\n"
 
+DESK_VERIFY = MINIMAL + "verify = true\n"
+
 THICK_VERIFY = MINIMAL.replace("h = 1", "h = 20").replace("nu = 0.3", "nu = 0.2") \
     .replace("grid = 41x41", "grid = 21x21") + "verify = true\n"
 
@@ -195,18 +197,38 @@ class TestRun:
     @pytest.mark.parametrize("text", [SMALL_VERIFY, SMALL_VERIFY + "path = all\n"],
                              ids=["verify", "path-all"])
     def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch, text):
-        # the output grid, then the coarse and the fine residual grid that
-        # both meters share
+        # one profile pass for the output grid and the coarse and fine
+        # residual grids that both meters share; grid_fields goes through
+        # grid_fields_many, so any other grid evaluation would be recorded
         calls = []
-        original = SeriesField.grid_fields
+        original = SeriesField.grid_fields_many
 
-        def counted(sf, xs, ys):
-            calls.append((len(xs), len(ys)))
-            return original(sf, xs, ys)
+        def counted(sf, grids):
+            calls.append([(len(xs), len(ys)) for xs, ys in grids])
+            return original(sf, grids)
 
-        monkeypatch.setattr(SeriesField, "grid_fields", counted)
+        monkeypatch.setattr(SeriesField, "grid_fields_many", counted)
         run(parse_config(text), output_dir=tmp_path / "out")
-        assert calls == [(13, 11), (15, 13), (27, 23)]
+        assert calls == [[(13, 11), (15, 13), (27, 23)]]
+
+    @pytest.mark.parametrize("text", [DESK_VERIFY, DESK_VERIFY + "path = all\n"],
+                             ids=["verify", "path-all"])
+    def test_prefilled_and_lazy_shared_grids_write_same_bytes(self, tmp_path, monkeypatch,
+                                                              text):
+        # the one-pass evaluation and one evaluation per grid on first use
+        # give the same artifacts
+        run(parse_config(text), output_dir=tmp_path / "prefilled")
+
+        class Lazy(SharedGridFields):
+            def __init__(self, sf, axes=()):
+                super().__init__(sf)
+
+        monkeypatch.setattr(cli, "SharedGridFields", Lazy)
+        run(parse_config(text), output_dir=tmp_path / "lazy")
+        names = ["field_grid.csv", "pressure_profile.csv", "summary.txt", "report.txt"]
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "prefilled", tmp_path / "lazy",
+                                                   names, shallow=False)
+        assert match == names, (mismatch, errors)
 
     def test_verified_run_matches_independent_meters(self, tmp_path):
         cfg = parse_config(SMALL_VERIFY)
@@ -229,8 +251,8 @@ class TestRun:
         made = []
 
         class Recorded(SharedGridFields):
-            def __init__(self, sf):
-                super().__init__(sf)
+            def __init__(self, sf, axes=()):
+                super().__init__(sf, axes)
                 made.append(weakref.ref(self))
 
         monkeypatch.setattr(cli, "SharedGridFields", Recorded)
@@ -265,6 +287,24 @@ class TestRun:
                            env=env, check=True, timeout=300)
             grids.append((out / "field_grid.csv").read_bytes())
         assert grids[0] == grids[1]
+
+    def test_field_grid_rows_format_like_17g(self):
+        # "%.17g" per row must give the digits of format(v, ".17g") on
+        # signed zero, subnormals, huge values and integral floats
+        xs = np.array([0.0, -0.0, 2.0])
+        ys = np.array([5e-324, 1.0])
+        values = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 0.1, 1e16, 2.0**60, -1e-300,
+                           7.0, 1.0 / 3.0, -5e-324])
+        names = ("u", "v", "sigma_x", "sigma_y", "tau_xy")
+        fields = {name: np.roll(values, 2 * i)[:6].reshape(2, 3)
+                  for i, name in enumerate(names)}
+        want = "".join(
+            ",".join(format(float(v), ".17g")
+                     for v in (x, y, *(fields[name][j, i] for name in names))) + "\n"
+            for j, y in enumerate(ys) for i, x in enumerate(xs))
+        rows = list(cli._field_grid_rows(xs, ys, fields))
+        assert len(rows) == len(ys)
+        assert "".join(rows) == want
 
     def test_tabulated_stamp_bad_values(self):
         text = MINIMAL.replace(

@@ -32,7 +32,6 @@ from platestamp.strip_solution import (
     FIELD_NAMES,
     block_profiles,
     closed_profiles,
-    delta_factor,
     initial_amplitudes,
     initial_profiles,
     mode_columns,
@@ -83,10 +82,6 @@ class TestPathB:
         # face reduces to k (coth b + b/sh(b)^2) / (1-nu); frozen above
         prof = mode_fields_blocks(ModeIndex.for_mode(1, geom), geom, mat)
         assert float(prof.Y(1.0)) == pytest.approx(Y1_FACE_MODE1, rel=1e-13)
-
-    def test_delta_factor_value(self, geom, mat):
-        assert delta_factor(ModeIndex.for_mode(1, geom), mat) == pytest.approx(
-            DELTA_MODE1, rel=1e-14)
 
     def test_profiles_finite_for_extreme_modes(self, geom, mat):
         etas = np.linspace(0, 1, 11)
@@ -334,6 +329,27 @@ class TestAssembly:
         for key, ref in want.items():
             assert got[key].shape == ref.shape
             assert np.max(np.abs(got[key] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
+
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_grid_fields_many_equals_separate_calls(self, geom, mat, path):
+        # one profile pass over the eta rows of all grids gives each grid
+        # the bits of its own call; a zero coefficient is skipped in both
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        coeffs = sine_coefficients(profile, geom, 24)
+        coeffs[3] = 0.0
+        sf = assemble_series(coeffs, geom, mat, path=path)
+        grids = [(np.linspace(0, geom.l, 37), np.linspace(0, geom.h, 29)),
+                 (np.array([0.3]), np.linspace(0, geom.h, 5)),
+                 (np.linspace(0, geom.l, 8), np.array([geom.h])),
+                 (np.array([1.1]), np.array([0.4]))]
+        many = sf.grid_fields_many(grids)
+        assert len(many) == len(grids)
+        for (xs, ys), got in zip(grids, many):
+            want = sf.grid_fields(xs, ys)
+            assert list(got) == list(want)
+            for key, ref in want.items():
+                assert got[key].shape == ref.shape == (len(ys), len(xs))
+                assert got[key].tobytes() == ref.tobytes(), key
 
     def test_rejects_empty_coefficients(self, geom, mat):
         with pytest.raises(DomainError):
