@@ -24,13 +24,9 @@ from .core import (
     SingularRatioError,
 )
 from .modal_calculus import (
-    ModalValue,
     OperatorId,
     RatioKind,
-    apply_parity,
-    building_block,
     stable_ratio,
-    vlasov_operator,
 )
 from .harmonic_rect import (
     DirichletData,
@@ -38,7 +34,6 @@ from .harmonic_rect import (
     QuadratureSpec,
     evaluate_harmonic,
     solve_dirichlet,
-    stamp_block_coefficients,
 )
 from .strip_solution import (
     ModeFieldCoeffs,

@@ -80,9 +80,6 @@ class Parity(Enum):
     SINE = "sine"
     COSINE = "cosine"
 
-    def flipped(self) -> "Parity":
-        return Parity.COSINE if self is Parity.SINE else Parity.SINE
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -148,11 +145,6 @@ class ModeIndex:
     def for_mode(cls, n: int, geom: Geometry) -> "ModeIndex":
         k = n * math.pi / geom.l
         return cls(n=n, k=k, beta=k * geom.h)
-
-    @property
-    def h(self) -> float:
-        """Plate height recovered from beta = k*h."""
-        return self.beta / self.k
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,8 @@ __all__ = [
     "DirichletData",
     "HarmonicSeries",
     "sine_transform",
-    "ramp_transform",
     "solve_dirichlet",
     "evaluate_harmonic",
-    "stamp_block_coefficients",
 ]
 
 _EDGES = ("f1", "f2", "f3", "f4")
@@ -127,13 +125,6 @@ def sine_transform(f: Callable, length: float, ns: np.ndarray,
     return (2.0 / length) * total
 
 
-def ramp_transform(value: float, ns: np.ndarray) -> np.ndarray:
-    """Raw transform of the linear ramp t/length scaled by ``value``:
-    (2/length) * integral (t/length) sin(n pi t/length) dt = -2 (-1)^n /(n pi)."""
-    sign = np.where(ns % 2 == 0, 1.0, -1.0)
-    return -2.0 * sign * value / (ns * np.pi)
-
-
 def solve_dirichlet(
     data: DirichletData,
     geom: Geometry,
@@ -191,32 +182,3 @@ def evaluate_harmonic(series: HarmonicSeries, x, y):
         return float(total)
     return total
 
-
-def stamp_block_coefficients(vh0: float, vhl: float, profile, geom: Geometry,
-                             N: int, quad: QuadratureSpec | None = None) -> HarmonicSeries:
-    """Dirichlet data of the face-displacement block: linear ramps
-    (y/h) * V_h(edge) on the vertical edges, zero on the bottom, the
-    stamp profile on top.
-
-    The vertical-edge data is exactly linear because the edge value of
-    V_h is a constant there, so its transform is closed-form.  With
-    vh0 = vhl = 0 (clamped corners) only the top-edge series survives.
-
-    ``profile`` must provide ``evaluate(x, geom)``, ``breakpoints(geom)``
-    and ``exact_transform(ns, geom)`` (returning None when it has no
-    closed form) -- see :class:`platestamp.stamp_problem.BoundaryProfile`.
-    """
-    if N < 1:
-        raise DomainError(f"truncation order must be >= 1, got {N}")
-    quad = quad or QuadratureSpec()
-    ns = np.arange(1, N + 1)
-    a = ramp_transform(vh0, ns) if vh0 != 0.0 else np.zeros(N)
-    b = ramp_transform(vhl, ns) if vhl != 0.0 else np.zeros(N)
-    d = profile.exact_transform(ns, geom)
-    if d is None:
-        d = sine_transform(lambda t: profile.evaluate(t, geom), geom.l, ns,
-                           quad.subintervals(N), profile.breakpoints(geom))
-    if not np.all(np.isfinite(d)):
-        raise QuadratureError("f4", "non-finite transform coefficients")
-    return HarmonicSeries(A=a, B=b, C=np.zeros(N), D=np.asarray(d, dtype=float),
-                          geom=geom, N=N)

@@ -1,4 +1,4 @@
-"""Per-mode evaluation of the strip operators and harmonic building blocks.
+"""Hyperbolic ratios and transfer operators shared by the strip solution.
 
 The strip solution writes every field as trig-of-derivative operators
 (functions of a = d/dx) acting on boundary data.  On a single Fourier
@@ -8,41 +8,32 @@ mode the substitution rules
     cos(y a) sin(k x) = ch(y k) sin(k x)
     a sin(k x)        = k cos(k x)
 
-turn every operator into a real hyperbolic multiplier together with a
-parity flag: operators even in a preserve the x-parity of the mode,
-odd operators flip it.  A ``ModalValue`` records the multiplier and the
-output parity for a sin(k x) input; :func:`apply_parity` extends this to
-cos(k x) inputs (odd operators pick up a sign there).
+turn every operator into a real hyperbolic multiplier of the mode.
+Operators even in a keep the x-parity of the mode; odd operators flip it
+and, since a cos(k x) = -k sin(k x), change the sign of their multiplier
+on a cos(k x) mode.
 
-Hyperbolic ratios are evaluated in exponential form (:func:`stable_ratio`)
-so that no intermediate sh/ch is ever formed for large arguments.
+This module is the one source of those formulas: :func:`stable_ratio`
+gives the hyperbolic ratios from which path B's building blocks are
+formed (:func:`platestamp.strip_solution.block_profiles`), and
+``_operator_multiplier`` gives each transfer operator's multiplier on a
+sin(k x) mode, which path A's boundary solve and profiles evaluate
+(:func:`platestamp.strip_solution.initial_amplitudes`).  Hyperbolic
+ratios are evaluated in exponential form, so that no intermediate sh/ch
+is ever formed for large arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    Geometry,
-    Material,
-    ModeIndex,
-    Parity,
-    SingularRatioError,
-)
+from .core import DomainError, SingularRatioError
 
 __all__ = [
     "RatioKind",
     "OperatorId",
-    "ModalValue",
     "stable_ratio",
-    "building_block",
-    "vlasov_operator",
-    "apply_parity",
-    "BLOCK_IDS",
-    "VLASOV_IDS",
 ]
 
 
@@ -53,21 +44,14 @@ class RatioKind(Enum):
 
 
 class OperatorId(Enum):
-    """Closed set of operator tags.
+    """Tags of the transfer operators of path A.
 
-    B10..B17 are the eight harmonic building blocks of the strip
-    solution; the L/A tags are the sixteen transfer operators plus the
-    four horizontal-stress operators.
+    L_FG is the entry of the operator matrix that carries the initial
+    function G (U, V, Y or X at y = 0) into the field F at height y; A_G
+    carries G into the horizontal stress.  ``_operator_multiplier`` gives
+    each one's multiplier on a sin(k x) mode.
     """
 
-    B10 = "sin(ya)/sin(ha)"
-    B11 = "cos(ya)/sin(ha)"
-    B12 = "a sin(ya)/sin(ha)"
-    B13 = "a cos(ya)/sin(ha)"
-    B14 = "a^2 sin(ya)/sin(ha)"
-    B15 = "a^2 cos(ya)/sin(ha)"
-    B16 = "a cos(ha)cos(ya)/sin(ha)^2"
-    B17 = "a^2 cos(ha)cos(ya)/sin(ha)^2"
     L_UU = "L_UU"
     L_UV = "L_UV"
     L_UY = "L_UY"
@@ -88,38 +72,6 @@ class OperatorId(Enum):
     A_V = "A_V"
     A_Y = "A_Y"
     A_X = "A_X"
-
-
-BLOCK_IDS = tuple(op for op in OperatorId if op.name.startswith("B"))
-VLASOV_IDS = tuple(op for op in OperatorId if not op.name.startswith("B"))
-
-
-@dataclass(frozen=True)
-class ModalValue:
-    """Result of applying one operator to a sin(k x) mode.
-
-    ``multiplier`` scales the mode; ``parity`` is the x-dependence of
-    the output (COSINE means the operator is odd in a and flipped the
-    input parity).
-    """
-
-    multiplier: float
-    parity: Parity
-
-
-def apply_parity(value: ModalValue, input_parity: Parity) -> tuple[float, Parity]:
-    """Multiplier and output parity when the operator acts on a mode of
-    ``input_parity``.
-
-    Even operators (value.parity == SINE) use the same multiplier on
-    both parities.  Odd operators map sin -> +m cos but cos -> -m sin,
-    mirroring a sin(kx) = k cos(kx) versus a cos(kx) = -k sin(kx).
-    """
-    if value.parity is Parity.SINE:
-        return value.multiplier, input_parity
-    if input_parity is Parity.SINE:
-        return value.multiplier, Parity.COSINE
-    return -value.multiplier, Parity.SINE
 
 
 # ---------------------------------------------------------------------------
@@ -157,58 +109,6 @@ def stable_ratio(kind: RatioKind, a, b):
     return out
 
 
-def _coth(b):
-    return stable_ratio(RatioKind.CH_SH, b, b)
-
-
-# ---------------------------------------------------------------------------
-# building blocks
-# ---------------------------------------------------------------------------
-
-# per-mode forms on a sin(kx) input, normalised by sh(kh):
-#   B10  sh(ky)/sh(kh)                 SINE
-#   B11 -ch(ky)/sh(kh)                 COSINE
-#   B12  k sh(ky)/sh(kh)               COSINE
-#   B13  k ch(ky)/sh(kh)               SINE
-#   B14 -k^2 sh(ky)/sh(kh)             SINE
-#   B15  k^2 ch(ky)/sh(kh)             COSINE
-#   B16 -k ch(ky)ch(kh)/sh(kh)^2       COSINE
-#   B17  k^2 ch(ky)ch(kh)/sh(kh)^2     SINE
-
-def _block_value(op: OperatorId, k, ky, beta):
-    if op is OperatorId.B10:
-        return stable_ratio(RatioKind.SH_SH, ky, beta), Parity.SINE
-    if op is OperatorId.B11:
-        return -stable_ratio(RatioKind.CH_SH, ky, beta), Parity.COSINE
-    if op is OperatorId.B12:
-        return k * stable_ratio(RatioKind.SH_SH, ky, beta), Parity.COSINE
-    if op is OperatorId.B13:
-        return k * stable_ratio(RatioKind.CH_SH, ky, beta), Parity.SINE
-    if op is OperatorId.B14:
-        return -(k * k) * stable_ratio(RatioKind.SH_SH, ky, beta), Parity.SINE
-    if op is OperatorId.B15:
-        return (k * k) * stable_ratio(RatioKind.CH_SH, ky, beta), Parity.COSINE
-    if op is OperatorId.B16:
-        return -k * stable_ratio(RatioKind.CHCH_SHSH, ky, beta), Parity.COSINE
-    if op is OperatorId.B17:
-        return (k * k) * stable_ratio(RatioKind.CHCH_SHSH, ky, beta), Parity.SINE
-    raise DomainError(f"{op} is not a building block")
-
-
-def building_block(op: OperatorId, mode: ModeIndex, y: float, geom: Geometry) -> ModalValue:
-    """Evaluate one harmonic building block at height y for one mode.
-
-    Returns the multiplier m and parity p such that the block applied to
-    sin(k x) yields m sin(k x) (p = SINE) or m cos(k x) (p = COSINE).
-    """
-    if op not in BLOCK_IDS:
-        raise DomainError(f"{op} is not a building-block id")
-    if not (0.0 <= y <= geom.h):
-        raise DomainError(f"height y={y} outside plate [0, {geom.h}]")
-    value, parity = _block_value(op, mode.k, mode.k * y, mode.beta)
-    return ModalValue(float(value), parity)
-
-
 # ---------------------------------------------------------------------------
 # transfer operators
 # ---------------------------------------------------------------------------
@@ -221,12 +121,6 @@ def building_block(op: OperatorId, mode: ModeIndex, y: float, geom: Geometry) ->
 # table's symmetry pairs: the cos(ya) term of L_UX enters with +, and
 # L_YV carries an overall minus, L_YV = -(a/(1-nu)) (sin(ya) - a y cos(ya)).
 # Both are exercised by the transfer-ODE test.
-
-_ODD_OPERATORS = frozenset({
-    OperatorId.L_UV, OperatorId.L_UY, OperatorId.L_VU, OperatorId.L_VX,
-    OperatorId.L_YU, OperatorId.L_YX, OperatorId.L_XV, OperatorId.L_XY,
-    OperatorId.A_U, OperatorId.A_X,
-})
 
 _OPERATOR_ALIASES = {
     OperatorId.L_VX: OperatorId.L_UY,
@@ -276,35 +170,3 @@ def _operator_multiplier(op: OperatorId, k, y, s, c, nu):
         return ((3.0 - 2.0 * nu) * s + ky * c) / d2
     raise DomainError(f"{op} is not a transfer operator")
 
-
-def vlasov_operator(
-    op: OperatorId,
-    mode: ModeIndex,
-    y: float,
-    mat: Material,
-    denominator_power: int = 0,
-) -> ModalValue:
-    """Evaluate one transfer operator at height y for one mode.
-
-    With ``denominator_power = 0`` the raw table value is returned; it
-    grows like e^(k y) and is representable for k*y below ~700.  With
-    ``denominator_power = 1`` the value is divided by sh(k h), evaluated
-    in exponential form throughout, and stays bounded for every mode;
-    the per-mode boundary solve uses that scaling.
-    """
-    if op not in VLASOV_IDS:
-        raise DomainError(f"{op} is not a transfer-operator id")
-    h = mode.h
-    if not (0.0 <= y <= h * (1.0 + 1e-12)):
-        raise DomainError(f"height y={y} outside plate [0, {h}]")
-    ky = mode.k * y
-    if denominator_power == 0:
-        s, c = np.sinh(ky), np.cosh(ky)
-    elif denominator_power == 1:
-        s = stable_ratio(RatioKind.SH_SH, ky, mode.beta)
-        c = stable_ratio(RatioKind.CH_SH, ky, mode.beta)
-    else:
-        raise DomainError(f"denominator_power must be 0 or 1, got {denominator_power}")
-    m = _operator_multiplier(op, mode.k, y, s, c, mat.nu)
-    parity = Parity.COSINE if op in _ODD_OPERATORS else Parity.SINE
-    return ModalValue(float(m), parity)

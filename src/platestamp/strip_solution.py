@@ -90,6 +90,10 @@ _COND_LIMIT = 1e12
 #: calibration acceptance for the closed-form amplitude ratio
 _CALIBRATION_TOL = 1e-10
 
+#: the mode and the number of uniform eta samples of that calibration
+_CALIBRATION_MODE = 1
+_CALIBRATION_SAMPLES = 33
+
 
 class SolutionPath(Enum):
     A = "A"  # boundary solve on the operator table
@@ -373,22 +377,17 @@ def mode_fields_closed(
                  delta_ratio, uncorrected_shear=uncorrected_shear)
 
 
-def calibrate_delta_ratio(
-    geom: Geometry,
-    mat: Material,
-    n: int = 1,
-    n_samples: int = 33,
-) -> float:
+def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
     """Scalar ratio between the closed-form amplitude and the sine
     coefficient, fixed by least-squares matching the closed V-profile to
-    the building-block V-profile for one mode.
+    the building-block V-profile of mode 1 at 33 uniform eta samples.
 
     The scaled residual must drop below 1e-10 of the profile scale, which
     pins the ratio at 1 to roundoff; a larger residual means the two
     routes genuinely disagree and raises :class:`PathDivergenceError`.
     """
-    mode = ModeIndex.for_mode(n, geom)
-    etas = np.linspace(0.0, 1.0, n_samples)
+    mode = ModeIndex.for_mode(_CALIBRATION_MODE, geom)
+    etas = np.linspace(0.0, 1.0, _CALIBRATION_SAMPLES)
     vb = mode_fields_blocks(mode, geom, mat).V(etas)
     vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(etas)
     rho = float(np.dot(vc, vb) / np.dot(vc, vc))
@@ -495,7 +494,6 @@ def assemble_series(
     geom: Geometry,
     mat: Material,
     path: SolutionPath | str = SolutionPath.B,
-    uncorrected_shear: bool = False,
 ) -> SeriesField:
     """Pair sine coefficients c_1..c_N of V_h with per-mode profiles."""
     path = SolutionPath(path) if not isinstance(path, SolutionPath) else path
@@ -505,8 +503,6 @@ def assemble_series(
     extra = {}
     if path is SolutionPath.C:
         extra["delta_ratio"] = calibrate_delta_ratio(geom, mat)
-        if uncorrected_shear:
-            extra["uncorrected_shear"] = True
     builder = _MODE_BUILDERS[path]
     modes = []
     for i, c in enumerate(coeffs, start=1):

@@ -278,29 +278,23 @@ class SharedGridFields:
     Forwards ``geometry`` and ``material``.  The ``(xs, ys)`` pairs of
     ``axes`` are evaluated up front by one ``grid_fields_many`` call of the
     wrapped field, which evaluates each mode's profiles once for all of
-    them; any other pair of axes is evaluated by the wrapped field's
-    ``grid_fields`` on first use.  Later calls with equal axes return the
-    kept fields, which callers must not modify.  It holds every grid it
-    has evaluated, so it is meant to live for one run.
+    them.  ``grid_fields`` returns the kept fields of equal axes, which
+    callers must not modify, and raises :class:`KeyError` for axes that
+    were not given.  It holds every grid it was given, so it is meant to
+    live for one run.
     """
 
-    def __init__(self, sf, axes=()):
+    def __init__(self, sf, axes):
         self.geometry = sf.geometry
         self.material = sf.material
-        self._sf = sf
-        self._kept: dict = {}
-        if axes:
-            self._kept = dict(zip(map(self._key, axes), sf.grid_fields_many(axes)))
+        self._kept = dict(zip(map(self._key, axes), sf.grid_fields_many(axes)))
 
     @staticmethod
     def _key(axes) -> tuple:
         return tuple(np.asarray(a, dtype=float).tobytes() for a in axes)
 
     def grid_fields(self, xs, ys) -> dict:
-        key = self._key((xs, ys))
-        if key not in self._kept:
-            self._kept[key] = self._sf.grid_fields(xs, ys)
-        return self._kept[key]
+        return self._kept[self._key((xs, ys))]
 
 
 def equilibrium_residual(

@@ -17,7 +17,6 @@ from platestamp import (
     ModeIndex,
     QuadratureSpec,
     assemble_series,
-    building_block,
     calibrate_delta_ratio,
     constitutive_residual,
     equilibrium_residual,
@@ -33,9 +32,8 @@ from platestamp import (
     solve_dirichlet,
     total_force,
 )
-from platestamp.core import Parity
-from platestamp.modal_calculus import BLOCK_IDS
 from platestamp.stamp_problem import contact_pressure
+from platestamp.strip_solution import _ratios
 from platestamp.verification import path_profile_difference
 
 L, H, E_MOD, NU, N_MODES = 2.0, 1.0, 1.0, 0.3, 64
@@ -163,24 +161,24 @@ def test_criterion_3_physics_residuals(raised_cosine_series):
 
 
 def test_criterion_4_harmonic_layer():
-    """Every building block passes the discrete-Laplacian O(step^2) test;
-    the Dirichlet solver matches the FD oracle at O(step^2) and the
-    single-mode exact solution within 1e-9 for any N >= 1."""
+    """Each of the four ratio profiles path B's building blocks are made
+    of, times sin(k x) or cos(k x), passes the discrete-Laplacian
+    O(step^2) test; the Dirichlet solver matches the FD oracle at
+    O(step^2) and the single-mode exact solution within 1e-9 for any
+    N >= 1."""
     ok = True
-    # blocks as full fields m(y) trig(k x)
+    # every block is a ratio profile times a power of +-k, so these fields
+    # cover all eight blocks and the two sh(ky)-companions
     mode = ModeIndex.for_mode(2, GEOM)
-    for op in BLOCK_IDS:
-        def field(X, Y, op=op):
-            out = np.empty_like(X)
-            for j in range(X.shape[0]):
-                mv = building_block(op, mode, float(Y[j, 0]), GEOM)
-                trig = np.sin if mv.parity is Parity.SINE else np.cos
-                out[j] = mv.multiplier * trig(mode.k * X[j])
-            return out
+    for ratio in range(4):
+        for trig in (np.sin, np.cos):
+            def field(X, Y, ratio=ratio, trig=trig):
+                profile = _ratios(mode.beta, Y[:, :1] / H)[1 + ratio]
+                return profile * trig(mode.k * X)
 
-        rep = laplacian_residual(field, GEOM, GridSpec(31, 31),
-                                 refined=GridSpec(63, 63))
-        ok &= rep.observed_order >= 1.9
+            rep = laplacian_residual(field, GEOM, GridSpec(31, 31),
+                                     refined=GridSpec(63, 63))
+            ok &= rep.observed_order >= 1.9
 
     # Dirichlet solver vs the FD oracle, O(step^2) interior agreement
     data = DirichletData(

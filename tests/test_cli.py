@@ -215,13 +215,16 @@ class TestRun:
                              ids=["verify", "path-all"])
     def test_prefilled_and_lazy_shared_grids_write_same_bytes(self, tmp_path, monkeypatch,
                                                               text):
-        # the one-pass evaluation and one evaluation per grid on first use
-        # give the same artifacts
+        # the one-pass evaluation and a stand-in that makes one grid_fields
+        # call for each grid a reader asks for give the same artifacts
         run(parse_config(text), output_dir=tmp_path / "prefilled")
 
-        class Lazy(SharedGridFields):
-            def __init__(self, sf, axes=()):
-                super().__init__(sf)
+        class Lazy:
+            def __init__(self, sf, axes):
+                self.geometry, self.material, self._sf = sf.geometry, sf.material, sf
+
+            def grid_fields(self, xs, ys):
+                return self._sf.grid_fields(xs, ys)
 
         monkeypatch.setattr(cli, "SharedGridFields", Lazy)
         run(parse_config(text), output_dir=tmp_path / "lazy")
@@ -251,7 +254,7 @@ class TestRun:
         made = []
 
         class Recorded(SharedGridFields):
-            def __init__(self, sf, axes=()):
+            def __init__(self, sf, axes):
                 super().__init__(sf, axes)
                 made.append(weakref.ref(self))
 

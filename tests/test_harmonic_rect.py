@@ -13,10 +13,9 @@ from platestamp import (
     evaluate_harmonic,
     sine_coefficients,
     solve_dirichlet,
-    stamp_block_coefficients,
 )
 from platestamp.core import DomainError
-from platestamp.harmonic_rect import ramp_transform, sine_transform
+from platestamp.harmonic_rect import sine_transform
 
 mp.mp.dps = 40
 
@@ -53,14 +52,13 @@ class TestCoefficients:
         assert evaluate_harmonic(series, 1.0, 0.5) == 0.0
 
     def test_linear_ramp_edge_transform(self, geom):
-        # left-edge data f1(y) = y/h: raw transforms -2(-1)^n/(n pi);
-        # a_1 = 2/pi, checked against Simpson quadrature
+        # left-edge data f1(y) = y/h: raw transforms -2(-1)^n/(n pi), with
+        # a_1 = 2/pi
         h = geom.h
         ns = np.arange(1, 33)
-        closed = ramp_transform(1.0, ns)
-        assert closed[0] == pytest.approx(float(2 / mp.pi), rel=1e-15)
+        closed = -2.0 * np.where(ns % 2 == 0, 1.0, -1.0) / (ns * np.pi)
         quad = sine_transform(lambda t: t / h, h, ns, subintervals=8192)
-        assert abs(closed[0] - quad[0]) < 1e-12
+        assert quad[0] == pytest.approx(float(2 / mp.pi), abs=1e-12)
         assert np.max(np.abs(closed - quad)) < 1e-10
 
     def test_non_finite_quadrature_reports_edge(self, geom):
@@ -145,32 +143,49 @@ class TestEvaluation:
         assert math.log2(r1 / r2) > 1.9
 
 
+def _stamp_face_data(profile, geom, exact=False, **edges):
+    """Dirichlet data of the stamp's face block: the profile on the top
+    edge, split at its breakpoints, optionally with its closed-form
+    transform; ``edges`` adds data on other edges."""
+    extra = {"exact": {"f4": lambda ns: profile.exact_transform(ns, geom)}} if exact else {}
+    return DirichletData(f4=lambda t: profile.evaluate(t, geom),
+                         breakpoints={"f4": profile.breakpoints(geom)}, **edges, **extra)
+
+
 class TestStampBlockCoefficients:
+    """The stamp's face displacement as Dirichlet data on the rectangle."""
+
     def test_clamped_corners_kill_three_series(self, geom):
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
-        series = stamp_block_coefficients(0.0, 0.0, profile, geom, N=32)
+        series = solve_dirichlet(_stamp_face_data(profile, geom), geom, N=32)
         assert np.all(series.A == 0.0)
         assert np.all(series.B == 0.0)
         assert np.all(series.C == 0.0)
         assert np.any(series.D != 0.0)
 
     def test_single_mode_profile(self, geom):
+        # the profile's closed-form transform serves as the edge's exact one
         profile = BoundaryProfile.single_mode(1, depth=1.0)
-        series = stamp_block_coefficients(0.0, 0.0, profile, geom, N=8)
+        series = solve_dirichlet(_stamp_face_data(profile, geom, exact=True), geom, N=8)
         assert series.D[0] == 1.0
         assert np.all(series.D[1:] == 0.0)
 
     def test_matches_sine_coefficients(self, geom):
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
-        series = stamp_block_coefficients(0.0, 0.0, profile, geom, N=64)
+        series = solve_dirichlet(_stamp_face_data(profile, geom), geom, N=64)
         direct = sine_coefficients(profile, geom, N=64)
         assert np.max(np.abs(series.D - direct)) < 1e-12
 
     def test_ramp_edges_present_when_corners_loaded(self, geom):
+        # corner values 0.25 and -0.5 carried down the lateral edges as
+        # linear ramps (y/h) * value
         profile = BoundaryProfile.single_mode(1, depth=1.0)
-        series = stamp_block_coefficients(0.25, -0.5, profile, geom, N=8)
-        assert series.A[0] == pytest.approx(0.25 * 2 / math.pi, rel=1e-14)
-        assert series.B[0] == pytest.approx(-0.5 * 2 / math.pi, rel=1e-14)
+        data = _stamp_face_data(profile, geom, exact=True,
+                                f1=lambda y: 0.25 * y / geom.h,
+                                f2=lambda y: -0.5 * y / geom.h)
+        series = solve_dirichlet(data, geom, N=8, quad=QuadratureSpec(panels=8192))
+        assert series.A[0] == pytest.approx(0.25 * 2 / math.pi, rel=1e-10)
+        assert series.B[0] == pytest.approx(-0.5 * 2 / math.pi, rel=1e-10)
         # the reproduced edge data is the linear ramp (y/h) * corner value
         ys = np.linspace(0, geom.h, 9)
         ns = np.arange(1, 9)

@@ -1,6 +1,12 @@
-"""Tests for the per-mode operator calculus.
+"""Tests for the per-mode formulas the solution paths run.
 
-The transfer operators are checked against two independent oracles:
+The building blocks are evaluated from the ratio profiles of path B's
+kernel (``strip_solution._ratios``) and checked against mpmath reference
+forms, their y- and h-derivative identities and a discrete Laplacian.
+The transfer operators are evaluated by path A's multiplier table
+(``modal_calculus._operator_multiplier``, raw from sinh/cosh or scaled by
+sh(k h) through ``strip_solution._scaled_ops``) and checked against two
+independent oracles:
 
 * a truncated power-series application of each operator to sin(k x),
   using only alpha^p sin(kx) = k^p sin(kx + p pi/2) (plain calculus, no
@@ -8,6 +14,8 @@ The transfer operators are checked against two independent oracles:
 * the first-order ODE system in y that the operator matrix is the
   propagator of, via central differences (this pins the two sign
   corrections baked into the table).
+
+The x-parity of each block and operator is oracle data kept here.
 """
 import math
 
@@ -23,12 +31,10 @@ from platestamp import (
     ModeIndex,
     Parity,
     SingularRatioError,
-    apply_parity,
-    building_block,
     stable_ratio,
-    vlasov_operator,
 )
-from platestamp.modal_calculus import BLOCK_IDS, VLASOV_IDS, OperatorId, RatioKind
+from platestamp.modal_calculus import OperatorId, RatioKind, _operator_multiplier
+from platestamp.strip_solution import FIELD_PARITIES, _INITIAL_ROWS, _ratios, _scaled_ops
 
 mp.mp.dps = 40
 
@@ -86,19 +92,42 @@ class TestStableRatio:
 # building blocks
 # ---------------------------------------------------------------------------
 
-# per-mode forms b(k, y, h) and parities used as the reference here
-_BLOCK_REFERENCE = {
-    OperatorId.B10: (lambda k, y, h: mp.sinh(k * y) / mp.sinh(k * h), Parity.SINE),
-    OperatorId.B11: (lambda k, y, h: -mp.cosh(k * y) / mp.sinh(k * h), Parity.COSINE),
-    OperatorId.B12: (lambda k, y, h: k * mp.sinh(k * y) / mp.sinh(k * h), Parity.COSINE),
-    OperatorId.B13: (lambda k, y, h: k * mp.cosh(k * y) / mp.sinh(k * h), Parity.SINE),
-    OperatorId.B14: (lambda k, y, h: -k**2 * mp.sinh(k * y) / mp.sinh(k * h), Parity.SINE),
-    OperatorId.B15: (lambda k, y, h: k**2 * mp.cosh(k * y) / mp.sinh(k * h), Parity.COSINE),
-    OperatorId.B16: (lambda k, y, h: -k * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2,
-                     Parity.COSINE),
-    OperatorId.B17: (lambda k, y, h: k**2 * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2,
-                     Parity.SINE),
+#: the ratio profiles of ``_ratios`` after beta*eta, in its order
+_RATIO_NAMES = ("sh/sh", "ch/sh", "chch/sh2", "shch/sh2")
+
+# Each building block of path B is one of the ratio profiles times a
+# power of +-k: (ratio, sign, power of k, x-parity, reference form b(k, y, h)).
+_BLOCKS = {
+    "b10": ("sh/sh", 1, 0, Parity.SINE,
+            lambda k, y, h: mp.sinh(k * y) / mp.sinh(k * h)),
+    "b11": ("ch/sh", -1, 0, Parity.COSINE,
+            lambda k, y, h: -mp.cosh(k * y) / mp.sinh(k * h)),
+    "b12": ("sh/sh", 1, 1, Parity.COSINE,
+            lambda k, y, h: k * mp.sinh(k * y) / mp.sinh(k * h)),
+    "b13": ("ch/sh", 1, 1, Parity.SINE,
+            lambda k, y, h: k * mp.cosh(k * y) / mp.sinh(k * h)),
+    "b14": ("sh/sh", -1, 2, Parity.SINE,
+            lambda k, y, h: -k**2 * mp.sinh(k * y) / mp.sinh(k * h)),
+    "b15": ("ch/sh", 1, 2, Parity.COSINE,
+            lambda k, y, h: k**2 * mp.cosh(k * y) / mp.sinh(k * h)),
+    "b16": ("chch/sh2", -1, 1, Parity.COSINE,
+            lambda k, y, h: -k * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2),
+    "b17": ("chch/sh2", 1, 2, Parity.SINE,
+            lambda k, y, h: k**2 * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2),
 }
+
+
+def _block_ids(name):
+    # the ids these tests have always been collected under
+    return f"OperatorId.{name.upper()}"
+
+
+def _block(name, k, beta, eta):
+    """Block ``name`` of the mode (k, beta) at eta = y/h, from the kernel's
+    ratio profiles."""
+    ratio, sign, power, _, _ = _BLOCKS[name]
+    _, *ratios = _ratios(beta, eta)
+    return sign * k**power * dict(zip(_RATIO_NAMES, ratios))[ratio]
 
 
 class TestBuildingBlocks:
@@ -106,39 +135,34 @@ class TestBuildingBlocks:
     def test_face_value_is_identity(self, geom, n):
         # the block reproducing the prescribed face data: value 1 at y=h...
         mode = ModeIndex.for_mode(n, geom)
-        top = building_block(OperatorId.B10, mode, geom.h, geom)
-        assert top.multiplier == 1.0
-        assert top.parity is Parity.SINE
+        assert _block("b10", mode.k, mode.beta, 1.0) == 1.0
         # ...and 0 on the clamped face
-        bottom = building_block(OperatorId.B10, mode, 0.0, geom)
-        assert bottom.multiplier == 0.0
+        assert _block("b10", mode.k, mode.beta, 0.0) == 0.0
 
     def test_b11_reference_value(self):
         # l=pi, h=1, n=1, y=0: -ch(0)/sh(1)
-        geom = Geometry(l=math.pi, h=1.0)
-        mode = ModeIndex.for_mode(1, geom)
-        v = building_block(OperatorId.B11, mode, 0.0, geom)
-        assert v.parity is Parity.COSINE
-        assert v.multiplier == pytest.approx(float(-1 / mp.sinh(1)), rel=1e-14)
+        mode = ModeIndex.for_mode(1, Geometry(l=math.pi, h=1.0))
+        assert _block("b11", mode.k, mode.beta, 0.0) == pytest.approx(
+            float(-1 / mp.sinh(1)), rel=1e-14)
 
-    @pytest.mark.parametrize("op", BLOCK_IDS)
+    @pytest.mark.parametrize("op", _BLOCKS, ids=_block_ids)
     @pytest.mark.parametrize("n,y", [(1, 0.25), (3, 0.8), (7, 1.0)])
     def test_against_reference_forms(self, geom, op, n, y):
         mode = ModeIndex.for_mode(n, geom)
-        ref_fn, ref_parity = _BLOCK_REFERENCE[op]
-        got = building_block(op, mode, y, geom)
-        assert got.parity is ref_parity
-        assert got.multiplier == pytest.approx(float(ref_fn(mp.mpf(mode.k), mp.mpf(y), 1)),
-                                               rel=1e-12)
+        ref_fn = _BLOCKS[op][4]
+        got = _block(op, mode.k, mode.beta, y / geom.h)
+        assert got == pytest.approx(float(ref_fn(mp.mpf(mode.k), mp.mpf(y), mp.mpf(geom.h))),
+                                    rel=1e-12)
 
-    def test_b12_is_k_times_b10_with_flip(self, geom):
-        for n in (1, 4, 9):
-            mode = ModeIndex.for_mode(n, geom)
-            for y in (0.0, 0.3, 1.0):
-                b10 = building_block(OperatorId.B10, mode, y, geom)
-                b12 = building_block(OperatorId.B12, mode, y, geom)
-                assert b12.multiplier == pytest.approx(mode.k * b10.multiplier, abs=1e-300)
-                assert b12.parity is b10.parity.flipped()
+    @pytest.mark.parametrize("n,y", [(1, 0.0), (3, 0.25), (7, 0.8), (40, 1.0)])
+    def test_companion_ratio_reference(self, geom, n, y):
+        # sh(ky)ch(kh)/sh(kh)^2, the ratio of the sh(ky)-companions of b16
+        # and b17 in the V and X profiles
+        mode = ModeIndex.for_mode(n, geom)
+        k, yy, h = mp.mpf(mode.k), mp.mpf(y), mp.mpf(geom.h)
+        expected = float(mp.sinh(k * yy) * mp.cosh(k * h) / mp.sinh(k * h) ** 2)
+        assert _ratios(mode.beta, y / geom.h)[4] == pytest.approx(expected, rel=1e-12,
+                                                                  abs=1e-300)
 
     def test_y_derivative_identities(self, geom):
         # d/dy of the face block equals its gradient companions:
@@ -146,15 +170,15 @@ class TestBuildingBlocks:
         delta = 1e-5 * geom.h
         for n in (1, 3, 8):
             mode = ModeIndex.for_mode(n, geom)
+            k, beta = mode.k, mode.beta
             for y in (0.2, 0.5, 0.9):
-                dd = (building_block(OperatorId.B10, mode, y + delta, geom).multiplier
-                      - building_block(OperatorId.B10, mode, y - delta, geom).multiplier
-                      ) / (2 * delta)
-                b13 = building_block(OperatorId.B13, mode, y, geom).multiplier
-                b11 = building_block(OperatorId.B11, mode, y, geom).multiplier
+                dd = (_block("b10", k, beta, (y + delta) / geom.h)
+                      - _block("b10", k, beta, (y - delta) / geom.h)) / (2 * delta)
+                b13 = _block("b13", k, beta, y / geom.h)
+                b11 = _block("b11", k, beta, y / geom.h)
                 scale = abs(b13) + 1.0
                 assert dd == pytest.approx(b13, abs=1e-7 * scale)
-                assert dd == pytest.approx(-mode.k * b11, abs=1e-7 * scale)
+                assert dd == pytest.approx(-k * b11, abs=1e-7 * scale)
 
     def test_h_derivative_identity(self, geom):
         # -d/dh of b11 equals the b16 multiplier (the height-gradient block)
@@ -163,28 +187,26 @@ class TestBuildingBlocks:
             for y in (0.0, 0.4, 0.85):
                 vals = []
                 for h_pert in (geom.h + delta, geom.h - delta):
-                    g = Geometry(l=geom.l, h=h_pert)
-                    mode = ModeIndex.for_mode(n, g)
-                    vals.append(building_block(OperatorId.B11, mode, y, g).multiplier)
+                    mode = ModeIndex.for_mode(n, Geometry(l=geom.l, h=h_pert))
+                    vals.append(_block("b11", mode.k, mode.beta, y / h_pert))
                 dd = -(vals[0] - vals[1]) / (2 * delta)
                 mode = ModeIndex.for_mode(n, geom)
-                b16 = building_block(OperatorId.B16, mode, y, geom).multiplier
+                b16 = _block("b16", mode.k, mode.beta, y / geom.h)
                 assert dd == pytest.approx(b16, rel=1e-6)
 
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("op", BLOCK_IDS)
+    @pytest.mark.parametrize("op", _BLOCKS, ids=_block_ids)
     def test_harmonicity(self, geom, op, n):
-        # 5-point Laplacian of multiplier(y) * trig(k x) shrinks at O(h^2)
+        # 5-point Laplacian of block(y) * trig(k x) shrinks at O(h^2)
         mode = ModeIndex.for_mode(n, geom)
+        trig = np.sin if _BLOCKS[op][3] is Parity.SINE else np.cos
 
         def field(step):
             xs = np.arange(0.3, 0.3 + 5 * step, step)[:5]
             ys = np.arange(0.4, 0.4 + 5 * step, step)[:5]
             vals = np.empty((5, 5))
             for j, y in enumerate(ys):
-                mv = building_block(op, mode, y, geom)
-                trig = np.sin if mv.parity is Parity.SINE else np.cos
-                vals[j] = mv.multiplier * trig(mode.k * xs)
+                vals[j] = _block(op, mode.k, mode.beta, y / geom.h) * trig(mode.k * xs)
             lap = (vals[2, 3] + vals[2, 1] + vals[3, 2] + vals[1, 2] - 4 * vals[2, 2]) / step**2
             return abs(lap), np.max(np.abs(vals))
 
@@ -198,15 +220,11 @@ class TestBuildingBlocks:
         assert order > 1.9
 
     def test_domain_errors(self, geom):
-        mode = ModeIndex.for_mode(1, geom)
+        # the ratio profiles reject a height below the plate; modes start at 1
         with pytest.raises(DomainError):
-            building_block(OperatorId.B10, mode, -0.1, geom)
-        with pytest.raises(DomainError):
-            building_block(OperatorId.B10, mode, geom.h * 1.5, geom)
+            _ratios(ModeIndex.for_mode(1, geom).beta, -0.1)
         with pytest.raises(DomainError):
             ModeIndex.for_mode(0, geom)
-        with pytest.raises(DomainError):
-            building_block(OperatorId.L_UU, mode, 0.5, geom)  # not a block id
 
 
 # ---------------------------------------------------------------------------
@@ -265,35 +283,53 @@ def _apply_power_series(op, k, y, x, nu, n_terms=18):
     return float(total)
 
 
+#: transfer operators odd in a = d/dx: they flip the x-parity of a mode,
+#: and on a cos(k x) mode their multiplier changes sign
+_ODD = frozenset({
+    OperatorId.L_UV, OperatorId.L_UY, OperatorId.L_VU, OperatorId.L_VX,
+    OperatorId.L_YU, OperatorId.L_YX, OperatorId.L_XV, OperatorId.L_XY,
+    OperatorId.A_U, OperatorId.A_X,
+})
+
+
+def _on_mode(op, m, parity):
+    """Multiplier and output parity of operator ``op``, whose multiplier on
+    sin(k x) is ``m``, acting on a mode of ``parity``."""
+    if op not in _ODD:
+        return m, parity
+    if parity is Parity.SINE:
+        return m, Parity.COSINE
+    return -m, Parity.SINE
+
+
+def _raw(op, k, y, nu):
+    """Raw multiplier of ``op`` on sin(k x) at height y."""
+    return _operator_multiplier(op, k, y, np.sinh(k * y), np.cosh(k * y), nu)
+
+
 class TestVlasovOperators:
     def test_identity_values_at_zero(self, geom, mat):
         mode = ModeIndex.for_mode(3, geom)
-        vv = vlasov_operator(OperatorId.L_VV, mode, 0.0, mat)
-        assert vv.multiplier == 1.0
-        assert vv.parity is Parity.SINE
-        uy = vlasov_operator(OperatorId.L_UY, mode, 0.0, mat)
-        assert uy.multiplier == 0.0
+        assert _raw(OperatorId.L_VV, mode.k, 0.0, mat.nu) == 1.0
+        assert _raw(OperatorId.L_UY, mode.k, 0.0, mat.nu) == 0.0
 
     def test_sigma_y_from_u0_value(self):
         # k=1 (l=pi, n=1), nu=0.3, y=0.5: -(k^2 y/(1-nu)) sh(k y)
-        geom = Geometry(l=math.pi, h=1.0)
-        mat = Material(E=1.0, nu=0.3)
-        mode = ModeIndex.for_mode(1, geom)
-        got = vlasov_operator(OperatorId.L_YU, mode, 0.5, mat)
+        mode = ModeIndex.for_mode(1, Geometry(l=math.pi, h=1.0))
+        got = _raw(OperatorId.L_YU, mode.k, 0.5, 0.3)
         expected = float(-(mp.mpf("0.5") / mp.mpf("0.7")) * mp.sinh(mp.mpf("0.5")))
-        assert got.parity is Parity.COSINE
-        assert got.multiplier == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("op", VLASOV_IDS)
+    @pytest.mark.parametrize("op", tuple(OperatorId))
     @pytest.mark.parametrize("n,l", [(1, 2.0), (2, 4.0), (3, 4.0)])  # beta <= 3
     def test_power_series_oracle(self, mat, op, n, l):
         geom = Geometry(l=l, h=1.0)
         mode = ModeIndex.for_mode(n, geom)
         y, x = 0.7, 0.37 * geom.l
-        mv = vlasov_operator(op, mode, y, mat)
+        m, parity = _on_mode(op, _raw(op, mode.k, y, mat.nu), Parity.SINE)
         series_val = _apply_power_series(op, mp.pi * n / l, y, x, mat.nu)
-        trig = math.sin if mv.parity is Parity.SINE else math.cos
-        expected = mv.multiplier * trig(mode.k * x)
+        trig = math.sin if parity is Parity.SINE else math.cos
+        expected = m * trig(mode.k * x)
         assert series_val == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("column,parity_in", [
@@ -320,12 +356,9 @@ class TestVlasovOperators:
         }[column]
 
         def state(y):
-            out = []
-            for op in ops_for:
-                mv = vlasov_operator(op, mode, y, mat)
-                coef, _ = apply_parity(mv, parity_in)
-                out.append(coef)
-            return np.array(out)  # (fU, fV, fY, fX) coefficients
+            # (fU, fV, fY, fX) coefficients
+            return np.array([_on_mode(op, _raw(op, k, y, nu), parity_in)[0]
+                             for op in ops_for])
 
         delta = 1e-5 * geom.h
         for y in (0.15, 0.5, 0.85):
@@ -356,9 +389,9 @@ class TestVlasovOperators:
             "X": (OperatorId.A_X, OperatorId.L_UX, OperatorId.L_YX),
         }[column]
         for y in (0.0, 0.3, 0.77, 1.0):
-            fa, _ = apply_parity(vlasov_operator(a_op, mode, y, mat), parity_in)
-            fu, pu = apply_parity(vlasov_operator(u_op, mode, y, mat), parity_in)
-            fy, _ = apply_parity(vlasov_operator(y_op, mode, y, mat), parity_in)
+            fa, _ = _on_mode(a_op, _raw(a_op, k, y, nu), parity_in)
+            fu, pu = _on_mode(u_op, _raw(u_op, k, y, nu), parity_in)
+            fy, _ = _on_mode(y_op, _raw(y_op, k, y, nu), parity_in)
             # alpha on the U state: cos -> -k sin, sin -> +k cos; the U state
             # here is cos-like exactly when the input parity makes it so
             du = -k * fu if pu is Parity.COSINE else k * fu
@@ -366,21 +399,24 @@ class TestVlasovOperators:
             assert fa == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_scaled_evaluation_consistency(self, geom, mat):
-        # denominator_power=1 equals the raw value divided by sh(k h)
+        # the sh(k h)-scaled table path A runs on equals the raw value
+        # divided by sh(k h)
+        ops = (OperatorId.L_UU, OperatorId.L_VU, OperatorId.A_U)
         for n in (1, 5, 20):
             mode = ModeIndex.for_mode(n, geom)
             sh = math.sinh(mode.beta)
-            for op in (OperatorId.L_UU, OperatorId.L_VU, OperatorId.A_U):
-                raw = vlasov_operator(op, mode, 0.6, mat).multiplier
-                scaled = vlasov_operator(op, mode, 0.6, mat, denominator_power=1).multiplier
-                assert scaled == pytest.approx(raw / sh, rel=1e-12)
+            scaled = _scaled_ops(mode.k, mode.beta, 0.6 / geom.h, mat.nu, ops)
+            for op in ops:
+                raw = _raw(op, mode.k, 0.6, mat.nu)
+                assert scaled[op] == pytest.approx(raw / sh, rel=1e-12)
 
     def test_scaled_evaluation_large_mode_finite(self, geom, mat):
         # beta ~ 3100: raw sh/ch would overflow, the scaled table must not
         mode = ModeIndex.for_mode(2000, geom)
-        for op in VLASOV_IDS:
-            v = vlasov_operator(op, mode, geom.h, mat, denominator_power=1)
-            assert np.isfinite(v.multiplier)
+        scaled = _scaled_ops(mode.k, mode.beta, 1.0, mat.nu, tuple(OperatorId))
+        assert len(scaled) == len(OperatorId)
+        for op, v in scaled.items():
+            assert np.isfinite(v), op
 
     def test_material_validation(self):
         with pytest.raises(MaterialError):
@@ -391,30 +427,21 @@ class TestVlasovOperators:
             Material(E=0.0, nu=0.3)
 
     def test_domain_errors(self, geom, mat):
+        # a tag that is not a transfer operator is refused, and the scaled
+        # table rejects a height below the plate
         mode = ModeIndex.for_mode(1, geom)
         with pytest.raises(DomainError):
-            vlasov_operator(OperatorId.L_UU, mode, -0.2, mat)
+            _operator_multiplier(RatioKind.SH_SH, mode.k, 0.5, 0.1, 1.0, mat.nu)
         with pytest.raises(DomainError):
-            vlasov_operator(OperatorId.L_UU, mode, 2.0 * geom.h, mat)
-        with pytest.raises(DomainError):
-            vlasov_operator(OperatorId.B10, mode, 0.5, mat)  # not a transfer op
-        with pytest.raises(DomainError):
-            vlasov_operator(OperatorId.L_UU, mode, 0.5, mat, denominator_power=2)
+            _scaled_ops(mode.k, mode.beta, -0.2, mat.nu, (OperatorId.L_UU,))
 
-    def test_parity_algebra(self, geom, mat):
-        mode = ModeIndex.for_mode(1, geom)
-        odd = vlasov_operator(OperatorId.L_YU, mode, 0.5, mat)
-        even = vlasov_operator(OperatorId.L_UU, mode, 0.5, mat)
-        # even: same multiplier on both parities
-        for p in Parity:
-            m, pout = apply_parity(even, p)
-            assert m == even.multiplier and pout is p
-        # odd: flips parity, negates on cosine input
-        m, pout = apply_parity(odd, Parity.SINE)
-        assert m == odd.multiplier and pout is Parity.COSINE
-        m, pout = apply_parity(odd, Parity.COSINE)
-        assert m == -odd.multiplier and pout is Parity.SINE
-        # odd composed with odd lands back on SINE
-        _, p1 = apply_parity(odd, Parity.SINE)
-        _, p2 = apply_parity(odd, p1)
-        assert p2 is Parity.SINE
+    def test_parity_algebra(self):
+        """Path A folds the action of each operator on its amplitude's mode
+        into a sign: the u0 column is a cos(k x) mode, on which an odd
+        operator changes sign, and the y0 column a sin(k x) mode.  Both
+        land on the field's own x-parity."""
+        for field, ((op_u, sign_u), (op_y, sign_y)) in _INITIAL_ROWS.items():
+            coef_u, parity_u = _on_mode(op_u, 1, Parity.COSINE)
+            coef_y, parity_y = _on_mode(op_y, 1, Parity.SINE)
+            assert (sign_u, sign_y) == (coef_u, coef_y), field
+            assert parity_u is parity_y is FIELD_PARITIES[field], field

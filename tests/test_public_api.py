@@ -1,0 +1,65 @@
+"""The public API: every exported name resolves, and names that were
+removed stay unreachable."""
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import platestamp
+from platestamp import ModeIndex, OperatorId, Parity
+from platestamp.strip_solution import assemble_series, calibrate_delta_ratio
+from platestamp.verification import SharedGridFields
+
+MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp.__path__)
+                 if m.name != "__main__")
+
+#: names removed from the package, by the module that held them
+REMOVED = {
+    "platestamp.modal_calculus": (
+        "ModalValue", "apply_parity", "building_block", "_block_value",
+        "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
+    ),
+    "platestamp.harmonic_rect": ("stamp_block_coefficients", "ramp_transform"),
+}
+REMOVED_MEMBERS = [(OperatorId, f"B{i}") for i in range(10, 18)] + [
+    (Parity, "flipped"),
+    (ModeIndex, "h"),
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.__all__ lists missing name {name!r}"
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(getattr(mod, "__all__", ())) <= set(namespace)
+
+
+def test_package_star_import():
+    namespace = {}
+    exec("from platestamp import *", namespace)
+    assert "assemble_series" in namespace
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_unreachable(module):
+    mod = importlib.import_module(module)
+    for names in REMOVED.values():
+        for name in names:
+            assert not hasattr(platestamp, name), name
+            assert not hasattr(mod, name), f"{module}.{name}"
+
+
+def test_removed_members_unreachable():
+    for owner, name in REMOVED_MEMBERS:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def test_removed_parameters():
+    assert "uncorrected_shear" not in inspect.signature(assemble_series).parameters
+    assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
+    axes = inspect.signature(SharedGridFields).parameters["axes"]
+    assert axes.default is inspect.Parameter.empty

@@ -191,14 +191,18 @@ class TestPhysicsMeters:
         class Counted:
             geometry, material = geom, mat
 
-            def grid_fields(self, xs, ys):
-                calls.append((len(xs), len(ys)))
-                return raised_cosine_field.grid_fields(xs, ys)
+            def grid_fields_many(self, grids):
+                calls.append([(len(xs), len(ys)) for xs, ys in grids])
+                return raised_cosine_field.grid_fields_many(grids)
 
-        shared = SharedGridFields(Counted())
+        shared = SharedGridFields(Counted(), [grid.axes(geom), refined.axes(geom)])
         eq = equilibrium_residual(shared, grid, refined=refined, exclusion_margin=margin)
         con = constitutive_residual(shared, grid, refined=refined, exclusion_margin=margin)
-        assert calls == [(43, 43), (83, 83)]
+        assert calls == [[(43, 43), (83, 83)]]
+        # axes that were not given are not evaluated on demand
+        with pytest.raises(KeyError):
+            shared.grid_fields(*GridSpec(21, 21).axes(geom))
+        assert len(calls) == 1
         assert eq == equilibrium_residual(raised_cosine_field, grid, refined=refined,
                                           exclusion_margin=margin)
         assert con == constitutive_residual(raised_cosine_field, grid, refined=refined,
@@ -212,7 +216,7 @@ class TestPhysicsMeters:
         grid = GridSpec(41, 41)
         xs, ys = grid.axes(geom)
         scale = float(np.max(np.abs(raised_cosine_field.grid_fields(xs, ys)["sigma_x"])))
-        shared = SharedGridFields(raised_cosine_field)
+        shared = SharedGridFields(raised_cosine_field, [grid.axes(geom)])
         right = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h)
         reps = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h,
                                      material=wrong)
