@@ -217,16 +217,19 @@ def contact_pressure(sf: SeriesField, x):
     """Normal stress sigma_y on the stamp face y = h; scalar or array x.
 
     Sums c_n Y_n(1) sin(k_n x) over the modes in order, from the face
-    value of the normal-stress profile alone.
+    value of the normal-stress profile alone.  Any 0-d ``x`` (a Python or
+    NumPy scalar, or a 0-d array) gives a float.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xa)):
+        raise DomainError("pressure requested at a non-finite x")
     if np.any(xa < 0.0) or np.any(xa > sf.geometry.l):
         raise DomainError("pressure requested outside the face [0, l]")
     out = np.zeros(xa.shape)
     for mode, c, prof in sf.modes:
         if c != 0.0:
             out += c * (prof.Y(1.0) * np.sin(mode.k * xa))
-    if np.isscalar(x):
+    if np.ndim(x) == 0:
         return float(out[0])
     return out
 

@@ -26,8 +26,12 @@ profiles:
 Each route's formulas live in one module-level kernel that broadcasts
 over (N, 1) columns of mode wavenumbers (:func:`mode_columns`) against a
 row of eta samples, so all modes are evaluated, and path A's 2x2 systems
-solved, in one array pass.  ``mode_fields_*`` bind one mode to the same
-kernels, so a per-mode profile equals its row of the batch bit for bit.
+solved, in one array pass.  :func:`assemble_series` computes the kernel
+arguments of all modes once, and :meth:`SeriesField.grid_fields_many`
+evaluates each field of a grid with one kernel call.  ``mode_fields_*``
+bind one mode to the same kernels, so a per-mode profile equals its row
+of the batch bit for bit; these per-mode closures now serve only the
+per-mode readers (the face pressure and force, and the path checks).
 All hyperbolics are evaluated in overflow-safe exponential form, so the
 routes stay finite for arbitrarily high modes.  Kernels are pure
 functions and profiles and assembled series are frozen value objects;
@@ -36,7 +40,7 @@ they can be evaluated from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -138,10 +142,10 @@ def mode_columns(ns: Sequence[int], geom: Geometry):
 def _bind(mode: ModeIndex, path: SolutionPath, kernel, *args, **options) -> ModeFieldCoeffs:
     """Profiles of one mode: each field evaluates ``kernel`` for itself alone."""
 
-    def field(name):
+    def profile(name):
         return lambda eta: kernel(*args, eta, fields=(name,), **options)[0]
 
-    return ModeFieldCoeffs(mode=mode, path=path, **{f: field(f) for f in FIELD_NAMES})
+    return ModeFieldCoeffs(mode=mode, path=path, **{f: profile(f) for f in FIELD_NAMES})
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +409,42 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
 # assembly and evaluation
 # ---------------------------------------------------------------------------
 
-_MODE_BUILDERS = {
-    SolutionPath.A: mode_fields_initial,
-    SolutionPath.B: mode_fields_blocks,
-    SolutionPath.C: mode_fields_closed,
-}
-
-
 @dataclass(frozen=True)
 class SeriesField:
-    """Truncated modal solution: (mode, coefficient, profiles) triples."""
+    """Truncated modal solution: (mode, coefficient, profiles) triples,
+    plus the path's kernel arguments of modes 1..N, computed once by
+    :func:`assemble_series`."""
 
     modes: tuple
     material: Material
     geometry: Geometry
     N: int
     path: SolutionPath
+    #: (N, 1) columns of the sine coefficients, wavenumbers and beta
+    _c: np.ndarray = field(repr=False, compare=False)
+    _k: np.ndarray = field(repr=False, compare=False)
+    _beta: np.ndarray = field(repr=False, compare=False)
+    #: path A: the (N, 1) amplitude columns (u0 sh, y0 sh); path C: (rho,)
+    _path_args: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         ns = [m.n for m, _, _ in self.modes]
         if ns != list(range(1, self.N + 1)):
             raise DomainError("mode indices must run 1..N without gaps")
+
+    def _profiles(self, rows, name: str, eta) -> np.ndarray:
+        """Profile ``name`` of the modes ``rows`` on the eta row: one call
+        of the path's kernel, shape (len(rows), len(eta))."""
+        k, beta, nu = self._k[rows], self._beta[rows], self.material.nu
+        if self.path is SolutionPath.B:
+            (out,) = block_profiles(k, beta, nu, eta, fields=(name,))
+        elif self.path is SolutionPath.A:
+            u0, y0 = (a[rows] for a in self._path_args)
+            (out,) = initial_profiles(k, beta, nu, u0, y0, eta, fields=(name,))
+        else:
+            (rho,) = self._path_args
+            (out,) = closed_profiles(beta, nu, self.geometry.h, rho, eta, fields=(name,))
+        return out
 
     def grid_fields(self, xs, ys) -> dict:
         """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs))."""
@@ -434,38 +453,28 @@ class SeriesField:
     def grid_fields_many(self, grids) -> list:
         """:meth:`grid_fields` of each ``(xs, ys)`` pair of ``grids``, in order.
 
-        Each field's profiles are evaluated once, for all modes, on the eta
-        rows of every grid together; each grid is then summed from its own
-        columns of that block, so its fields equal a separate
-        :meth:`grid_fields` call bit for bit.
+        Each field of each grid is one kernel call over the modes with a
+        nonzero coefficient, on that grid's eta row, contracted with one
+        fixed-order sum over modes.  The kernels are elementwise, so a grid
+        gets the same bits here as from a separate :meth:`grid_fields`
+        call, and the same as summing the per-mode profiles of
+        :attr:`modes`, whose closures this pass does not call.
         """
-        axes = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        axes = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float) / self.geometry.h)
                 for xs, ys in grids]
-        eta = np.concatenate([ys for _, ys in axes]) / self.geometry.h
-        splits = np.cumsum([ys.size for _, ys in axes])[:-1]
-        active = [(mode, c, prof) for mode, c, prof in self.modes if c != 0.0]
-        c = np.array([c for _, c, _ in active]).reshape(-1, 1)
-        k = [mode.k for mode, _, _ in active]
-
-        def profile_blocks(name):
-            # one field's profiles, all modes by the eta rows of all grids,
-            # split into each grid's columns
-            profiles = np.empty((len(active), eta.size))
-            for row, (_, _, prof) in zip(profiles, active):
-                row[:] = getattr(prof, name)(eta)
-            return np.split(profiles, splits, axis=1)
+        rows = np.flatnonzero(self._c != 0.0)
+        c, k = self._c[rows], self._k[rows]
 
         totals = [{} for _ in axes]
         # one parity's weights and one field's profile block alive at a time
         for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
             weighted = [c * trig(np.outer(k, xs)) for xs, _ in axes]
             for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
-                # one fixed-order sum over modes; einsum without optimisation
-                # never hands it to BLAS, so the result does not depend on
-                # the BLAS thread count.  The contiguous copy gives each grid
-                # the operand layout of a single-grid call.
-                for total, block, w in zip(totals, profile_blocks(name), weighted):
-                    total[name] = np.einsum("nj,ni->ji", np.ascontiguousarray(block), w,
+                for total, (_, eta), w in zip(totals, axes, weighted):
+                    # one fixed-order sum over modes; einsum without
+                    # optimisation never hands it to BLAS, so the result
+                    # does not depend on the BLAS thread count
+                    total[name] = np.einsum("nj,ni->ji", self._profiles(rows, name, eta), w,
                                             optimize=False)
             del weighted
 
@@ -495,31 +504,41 @@ def assemble_series(
     mat: Material,
     path: SolutionPath | str = SolutionPath.B,
 ) -> SeriesField:
-    """Pair sine coefficients c_1..c_N of V_h with per-mode profiles."""
+    """Pair sine coefficients c_1..c_N of V_h with per-mode profiles.
+
+    The path's kernel arguments are computed for all modes at once; path A
+    solves every mode's boundary system in one batch, and each mode's
+    profiles are bound to its row of that batch.
+    """
     path = SolutionPath(path) if not isinstance(path, SolutionPath) else path
-    coeffs = [float(c) for c in coeffs]
-    if len(coeffs) < 1:
+    c = np.array([float(c) for c in coeffs]).reshape(-1, 1)
+    if c.size < 1:
         raise DomainError("need at least one sine coefficient")
-    extra = {}
-    if path is SolutionPath.C:
-        extra["delta_ratio"] = calibrate_delta_ratio(geom, mat)
-    builder = _MODE_BUILDERS[path]
+    bad = ~np.isfinite(c)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(f"sine coefficient of mode {i + 1} is not finite: {c[i, 0]}")
+    ns, k, beta = mode_columns(range(1, c.size + 1), geom)
+    if path is SolutionPath.A:
+        path_args = initial_amplitudes(ns, k, beta, mat.nu)
+    elif path is SolutionPath.C:
+        path_args = (calibrate_delta_ratio(geom, mat),)
+    else:
+        path_args = ()
+
     modes = []
-    for i, c in enumerate(coeffs, start=1):
-        mode = ModeIndex.for_mode(i, geom)
-        try:
-            prof = builder(mode, geom, mat, **extra)
-        except ModeDegeneracyError:
-            raise                      # already carries the mode number
-        except PlateStampError as exc:
-            try:
-                wrapped = type(exc)(f"mode {i}: {exc}")
-            except TypeError:
-                raise
-            raise wrapped from exc
-        modes.append((mode, c, prof))
-    return SeriesField(modes=tuple(modes), material=mat, geometry=geom,
-                       N=len(coeffs), path=path)
+    for i, ci in enumerate(c[:, 0].tolist()):
+        mode = ModeIndex.for_mode(i + 1, geom)
+        if path is SolutionPath.A:
+            u0, y0 = (a[i, 0] for a in path_args)
+            prof = _bind(mode, path, initial_profiles, mode.k, mode.beta, mat.nu, u0, y0)
+        elif path is SolutionPath.C:
+            prof = mode_fields_closed(mode, geom, mat, delta_ratio=path_args[0])
+        else:
+            prof = mode_fields_blocks(mode, geom, mat)
+        modes.append((mode, ci, prof))
+    return SeriesField(modes=tuple(modes), material=mat, geometry=geom, N=c.size,
+                       path=path, _c=c, _k=k, _beta=beta, _path_args=path_args)
 
 
 def evaluate_fields(sf: SeriesField, x: float, y: float) -> FieldSample:

@@ -275,21 +275,25 @@ class TestRun:
         assert bundle.summary["total_force"] != 0.0
 
     def test_field_grid_independent_of_blas_threads(self, tmp_path):
-        # the mode sum must come out the same whatever BLAS thread count
-        # the process runs with
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(MINIMAL.replace("modes = 64", "modes = 256")
-                       .replace("grid = 41x41", "grid = 101x101"))
+        # the mode sums must come out the same whatever BLAS thread count
+        # the process runs with; a verified run also sums the residual
+        # meters' grids in the same pass.  All four artifacts are compared.
         code = ("import sys; from platestamp import cli; "
                 "cli.run(cli.parse_config(open(sys.argv[1]).read()), sys.argv[2])")
-        grids = []
-        for threads in ("1", "2"):
-            env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads)
-            out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
-                           env=env, check=True, timeout=300)
-            grids.append((out / "field_grid.csv").read_bytes())
-        assert grids[0] == grids[1]
+        for extra in ("", "verify = true\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(MINIMAL.replace("modes = 64", "modes = 256")
+                           .replace("grid = 41x41", "grid = 101x101") + extra)
+            artifacts = []
+            for threads in ("1", "2"):
+                env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads)
+                out = tmp_path / f"verify{bool(extra)}-threads{threads}"
+                subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
+                               env=env, check=True, timeout=300)
+                artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert sorted(artifacts[0]) == ["field_grid.csv", "pressure_profile.csv",
+                                            "report.txt", "summary.txt"]
+            assert artifacts[0] == artifacts[1], extra
 
     def test_field_grid_rows_format_like_17g(self):
         # "%.17g" per row must give the digits of format(v, ".17g") on

@@ -135,6 +135,20 @@ class TestContactPressure:
         with pytest.raises(DomainError):
             contact_pressure(sf, geom.l + 0.1)
 
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], np.array(np.nan), np.inf])
+    def test_non_finite_x_rejected(self, geom, mat, x):
+        # NaN fails both range comparisons, so it needs its own check
+        sf = assemble_series([1.0], geom, mat)
+        with pytest.raises(DomainError, match="non-finite"):
+            contact_pressure(sf, x)
+
+    @pytest.mark.parametrize("x", [0.7, np.float64(0.7), np.array(0.7)])
+    def test_zero_dim_input_returns_float(self, geom, mat, x):
+        sf = assemble_series([1.0, 0.5], geom, mat)
+        p = contact_pressure(sf, x)
+        assert type(p) is float
+        assert p == contact_pressure(sf, np.array([0.7]))[0]
+
 
 class TestTotalForce:
     def test_zero_profile(self, geom, mat):

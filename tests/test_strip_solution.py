@@ -18,6 +18,7 @@ from platestamp import (
     Material,
     ModeDegeneracyError,
     ModeIndex,
+    PlateStampError,
     SolutionPath,
     assemble_series,
     calibrate_delta_ratio,
@@ -36,6 +37,7 @@ from platestamp.strip_solution import (
     initial_profiles,
     mode_columns,
 )
+from platestamp.modal_calculus import OperatorId
 from platestamp.verification import path_profile_difference
 
 mp.mp.dps = 40
@@ -348,6 +350,37 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_series([], geom, mat)
 
+    @pytest.mark.parametrize("coeffs,bad_mode", [([1.0, np.nan], 2),
+                                                 ([0.5, 1.0, np.inf, np.nan], 3),
+                                                 ([-np.inf], 1)])
+    def test_rejects_non_finite_coefficients(self, geom, mat, coeffs, bad_mode):
+        with pytest.raises(DomainError, match=f"mode {bad_mode} "):
+            assemble_series(coeffs, geom, mat)
+
+    def test_path_a_degeneracy_names_lowest_mode(self, mat):
+        # mode 1 solves; every mode from 2 on is too ill-conditioned
+        geom = Geometry(l=1e-5, h=1.0)
+        mode_fields_initial(ModeIndex.for_mode(1, geom), geom, mat)
+        with pytest.raises(ModeDegeneracyError) as err:
+            assemble_series([1.0, 0.0, 1.0, 1.0], geom, mat, path="A")
+        assert err.value.n == 2
+
+    def test_path_a_identity_row_failure_names_mode(self, geom, mat, monkeypatch):
+        import platestamp.strip_solution as ss
+
+        orig = ss._operator_multiplier
+
+        def broken(op, k, y, s, c, nu):
+            # L_XX enters only the y = 0 identity rows; break it from mode 3
+            value = orig(op, k, y, s, c, nu)
+            if op is OperatorId.L_XX:
+                return np.where(k > 2.0 * math.pi / geom.l, 0.5, value)
+            return value
+
+        monkeypatch.setattr(ss, "_operator_multiplier", broken)
+        with pytest.raises(PlateStampError, match="L_XX .*mode n=3"):
+            assemble_series([1.0] * 5, geom, mat, path="A")
+
     def test_outside_domain_raises(self, geom, mat):
         sf = assemble_series([1.0], geom, mat)
         with pytest.raises(DomainError):
@@ -367,3 +400,92 @@ class TestAssembly:
         f2 = assemble_series(2.0 * coeffs, geom, mat).grid_fields(xs, ys)
         for key in f1:
             assert np.array_equal(f2[key], 2.0 * f1[key])
+
+
+def per_mode_grid_fields(sf, xs, ys, rho):
+    """Reference for SeriesField.grid_fields_many, one mode at a time.
+    Each active mode's row of a field's block is filled from
+    the mode's own ``mode_fields_*`` profiles, then contracted with the
+    same fixed-order einsum."""
+    geom, mat = sf.geometry, sf.material
+    eta = ys / geom.h
+    active = [(mode, c) for mode, c, _ in sf.modes if c != 0.0]
+    builders = {
+        SolutionPath.A: lambda m: mode_fields_initial(m, geom, mat),
+        SolutionPath.B: lambda m: mode_fields_blocks(m, geom, mat),
+        SolutionPath.C: lambda m: mode_fields_closed(m, geom, mat, delta_ratio=rho),
+    }
+    profs = [builders[sf.path](mode) for mode, _ in active]
+    c = np.array([c for _, c in active]).reshape(-1, 1)
+    k = [mode.k for mode, _ in active]
+    total = {}
+    for f in FIELD_NAMES:
+        block = np.empty((len(active), eta.size))
+        for row, prof in zip(block, profs):
+            row[:] = getattr(prof, f)(eta)
+        trig = np.cos if f in ("U", "X") else np.sin
+        total[f] = np.einsum("nj,ni->ji", block, c * trig(np.outer(k, xs)), optimize=False)
+    G = mat.G
+    return {"u": total["U"] / G, "v": total["V"] / G, "sigma_x": total["SX"],
+            "sigma_y": total["Y"], "tau_xy": total["X"]}
+
+
+class TestGridPass:
+    """grid_fields_many evaluates each field of each grid with one call of
+    the path's kernel over all active modes."""
+
+    KERNELS = {"A": "initial_profiles", "B": "block_profiles", "C": "closed_profiles"}
+
+    @staticmethod
+    def grids(geom):
+        return [(np.linspace(0, geom.l, 13), np.linspace(0, geom.h, 29)),
+                (np.array([0.3]), np.linspace(0, geom.h, 5)),
+                (np.linspace(0, geom.l, 8), np.array([geom.h])),
+                (np.array([1.1]), np.array([0.4]))]
+
+    @staticmethod
+    def series(geom, mat, path, N):
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        coeffs = sine_coefficients(profile, geom, N)
+        coeffs[3] = 0.0
+        return assemble_series(coeffs, geom, mat, path=path)
+
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_one_kernel_call_per_field_per_grid(self, geom, mat, path, monkeypatch):
+        import platestamp.strip_solution as ss
+
+        calls = []
+
+        def counting(kernel):
+            def counted(*args, fields, **options):
+                calls.append(fields)
+                return kernel(*args, fields=fields, **options)
+            return counted
+
+        for name in self.KERNELS.values():
+            monkeypatch.setattr(ss, name, counting(getattr(ss, name)))
+        solves = []
+        amplitudes = ss.initial_amplitudes
+        monkeypatch.setattr(ss, "initial_amplitudes",
+                            lambda *args: solves.append(args) or amplitudes(*args))
+        # patched before assembly, so the per-mode closures call the
+        # counting kernel too: any closure call would show in the count
+        sf = self.series(geom, mat, path, 37)
+        assert len(solves) == (1 if path == "A" else 0)
+        calls.clear()
+        grids = self.grids(geom)
+        sf.grid_fields_many(grids)
+        assert sorted(calls) == sorted([(f,) for f in FIELD_NAMES] * len(grids))
+
+    @pytest.mark.parametrize("N", [37, 256])
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_equals_per_mode_reference(self, geom, mat, path, N):
+        sf = self.series(geom, mat, path, N)
+        rho = calibrate_delta_ratio(geom, mat)
+        grids = self.grids(geom)
+        for (xs, ys), got in zip(grids, sf.grid_fields_many(grids)):
+            want = per_mode_grid_fields(sf, xs, ys, rho)
+            assert list(got) == list(want)
+            for key, ref in want.items():
+                assert got[key].shape == ref.shape == (len(ys), len(xs))
+                assert got[key].tobytes() == ref.tobytes(), key
