@@ -36,15 +36,11 @@ from .harmonic_rect import (
     solve_dirichlet,
 )
 from .strip_solution import (
-    ModeFieldCoeffs,
     SeriesField,
     SolutionPath,
     assemble_series,
     calibrate_delta_ratio,
     evaluate_fields,
-    mode_fields_blocks,
-    mode_fields_closed,
-    mode_fields_initial,
 )
 from .stamp_problem import (
     BoundaryProfile,

@@ -327,7 +327,7 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         grid = GridSpec(config.grid_nx, config.grid_ny)
         refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
         # the output grid and the coarse and fine grids that both residual
-        # meters read: one profile pass evaluates all three
+        # meters read, each evaluated once
         shared = SharedGridFields(sf, [(xs, ys), grid.axes(geom), refined.axes(geom)])
         fields = shared.grid_fields(xs, ys)
     else:
@@ -467,7 +467,13 @@ def main(argv=None) -> int:
         if args.verify:
             config.verify = True
         _check_combination(config)
-        run(config, output_dir=args.output)
+        try:
+            run(config, output_dir=args.output)
+        except OSError as exc:
+            # the same precedence as run() applies to the three sources
+            source = ("--output" if args.output else
+                      "[output] directory" if config.output_dir else "./platestamp_out")
+            raise ConfigError(f"cannot write the artifacts to {source}: {exc}") from exc
     except (ConfigError, BoundaryCompatibilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

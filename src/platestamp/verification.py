@@ -15,8 +15,7 @@ meaningful only outside it.  Observed orders are computed from the l2
 (root-mean-square) residual of a grid pair.  The meters read only
 ``geometry``, ``material`` and ``grid_fields`` of the field they are
 given; wrapped in :class:`SharedGridFields`, one series field serves both
-meters with one evaluation per grid, and one profile pass can serve all
-of a run's grids.
+meters, and the rest of a run, with one evaluation per grid.
 """
 from __future__ import annotations
 
@@ -275,19 +274,18 @@ class SharedGridFields:
     """A series field whose grid evaluations are kept, so that the residual
     meters, given the same instance, evaluate each grid once between them.
 
-    Forwards ``geometry`` and ``material``.  The ``(xs, ys)`` pairs of
-    ``axes`` are evaluated up front by one ``grid_fields_many`` call of the
-    wrapped field, which evaluates each mode's profiles once for all of
-    them.  ``grid_fields`` returns the kept fields of equal axes, which
-    callers must not modify, and raises :class:`KeyError` for axes that
-    were not given.  It holds every grid it was given, so it is meant to
-    live for one run.
+    Forwards ``geometry`` and ``material``.  Each ``(xs, ys)`` pair of
+    ``axes`` is evaluated up front by one ``grid_fields`` call of the
+    wrapped field.  ``grid_fields`` returns the kept fields of equal axes,
+    which callers must not modify, and raises :class:`KeyError` for axes
+    that were not given.  It holds every grid it was given, so it is meant
+    to live for one run.
     """
 
     def __init__(self, sf, axes):
         self.geometry = sf.geometry
         self.material = sf.material
-        self._kept = dict(zip(map(self._key, axes), sf.grid_fields_many(axes)))
+        self._kept = {self._key(a): sf.grid_fields(*a) for a in axes}
 
     @staticmethod
     def _key(axes) -> tuple:
@@ -404,20 +402,23 @@ def _relative_difference(a, b, scale) -> np.ndarray:
     return np.max(np.abs(a - b) / scale, axis=(0, 2))
 
 
-def path_profile_difference(pa, pb) -> float:
-    """Max over fields/samples of |pa - pb| / max_eta |pb|.
+def path_profile_difference(pa, pb, beta: float) -> float:
+    """Max over fields/samples of |pa - pb| / max_eta |pb| for one mode.
 
+    ``pa`` and ``pb`` are two routes' kernels bound to the mode's scalar
+    arguments, e.g. ``functools.partial(block_profiles, k, beta, nu)``:
+    called on a row of eta samples, each returns the five profiles.
     The scale is the profile's max over a fine uniform eta grid and over
-    samples of the face boundary layer (:func:`_layer_etas`): the coarse
-    comparison samples can miss the boundary layer of a high mode
-    entirely, and so can the uniform ones once beta is large, which would
-    turn roundoff into a spurious relative error.
+    samples of the face boundary layer (:func:`_layer_etas` of ``beta``):
+    the coarse comparison samples can miss the boundary layer of a high
+    mode entirely, and so can the uniform ones once beta is large, which
+    would turn roundoff into a spurious relative error.
     """
-    a = pa.profile_matrix(_CMP_ETAS)[:, None, :]
-    b = pb.profile_matrix(_CMP_ETAS)[:, None, :]
-    scale = _profile_scale(pb.profile_matrix(_SCALE_ETAS)[:, None, :],
-                           pb.profile_matrix(_layer_etas(pb.mode.beta))[:, None, :])
-    return float(_relative_difference(a, b, scale)[0])
+    def stack(p, etas):
+        return np.stack(p(etas))[:, None, :]
+
+    scale = _profile_scale(stack(pb, _SCALE_ETAS), stack(pb, _layer_etas(beta)))
+    return float(_relative_difference(stack(pa, _CMP_ETAS), stack(pb, _CMP_ETAS), scale)[0])
 
 
 def discrepancy_report(geom: Geometry, mat: Material,
@@ -425,8 +426,8 @@ def discrepancy_report(geom: Geometry, mat: Material,
     """Run the three per-mode routes against each other.
 
     Every route evaluates all modes at once; each row equals what the
-    per-mode profiles of :mod:`platestamp.strip_solution` give for that
-    mode through :func:`path_profile_difference`.
+    kernels give for that mode alone, on its scalar arguments, through
+    :func:`path_profile_difference`.
 
     Path disagreements are report content, with one exception: a
     boundary-solve vs blocks divergence beyond 1e-8 means the solver

@@ -23,9 +23,6 @@ from platestamp import (
     evaluate_harmonic,
     fd_laplace_solve,
     laplacian_residual,
-    mode_fields_blocks,
-    mode_fields_closed,
-    mode_fields_initial,
     parse_config,
     run,
     sine_coefficients,
@@ -35,6 +32,8 @@ from platestamp import (
 from platestamp.stamp_problem import contact_pressure
 from platestamp.strip_solution import _ratios
 from platestamp.verification import path_profile_difference
+
+from conftest import mode_kernel
 
 L, H, E_MOD, NU, N_MODES = 2.0, 1.0, 1.0, 0.3, 64
 GEOM = Geometry(L, H)
@@ -66,12 +65,11 @@ def all_paths_per_mode():
     rho = calibrate_delta_ratio(GEOM, MAT)
     out = []
     for n in range(1, N_MODES + 1):
-        mode = ModeIndex.for_mode(n, GEOM)
         out.append((
-            mode,
-            mode_fields_initial(mode, GEOM, MAT),
-            mode_fields_blocks(mode, GEOM, MAT),
-            mode_fields_closed(mode, GEOM, MAT, delta_ratio=rho),
+            ModeIndex.for_mode(n, GEOM),
+            mode_kernel("A", n, GEOM, MAT),
+            mode_kernel("B", n, GEOM, MAT),
+            mode_kernel("C", n, GEOM, MAT, rho=rho),
         ))
     return out
 
@@ -80,9 +78,9 @@ def test_criterion_1_three_path_equivalence(all_paths_per_mode):
     """Paths A, B, C agree to 1e-10 relative on all five profiles,
     modes 1..64, 11 eta samples (scale: per-profile max over eta)."""
     worst = 0.0
-    for _, pa, pb, pc in all_paths_per_mode:
-        worst = max(worst, path_profile_difference(pa, pb),
-                    path_profile_difference(pc, pb))
+    for mode, pa, pb, pc in all_paths_per_mode:
+        worst = max(worst, path_profile_difference(pa, pb, mode.beta),
+                    path_profile_difference(pc, pb, mode.beta))
     print(f"  worst three-path relative difference: {worst:.3e}")
     _report(1, "three-path equivalence", worst <= 1e-10)
 
@@ -95,12 +93,13 @@ def test_criterion_2_boundary_conditions(all_paths_per_mode, raised_cosine_serie
     # per-mode: V(0), X(0), X(1) for every path
     for mode, pa, pb, pc in all_paths_per_mode:
         for prof in (pa, pb, pc):
-            scales = np.max(np.abs(prof.profile_matrix(ETAS_FINE)), axis=1)
+            scales = np.max(np.abs(prof(ETAS_FINE)), axis=1)
             v_scale = max(scales[1], 1e-300)
             x_scale = max(scales[3], 1e-300)
-            ok &= abs(prof.V(0.0)) <= 1e-12 * v_scale
-            ok &= abs(prof.X(0.0)) <= 1e-12 * x_scale
-            ok &= abs(prof.X(1.0)) <= 1e-12 * x_scale
+            (v0, x0), (x1,) = prof(0.0, fields=("V", "X")), prof(1.0, fields=("X",))
+            ok &= abs(v0) <= 1e-12 * v_scale
+            ok &= abs(x0) <= 1e-12 * x_scale
+            ok &= abs(x1) <= 1e-12 * x_scale
 
     profile, coeffs, sf = raised_cosine_series
     # lateral conditions at x = 0 and x = l
@@ -220,16 +219,14 @@ def test_criterion_5_shear_typo_regression():
     ok = True
     worst = 0.0
     for n in range(1, N_MODES + 1):
-        mode = ModeIndex.for_mode(n, GEOM)
-        unfixed = mode_fields_closed(mode, GEOM, MAT, delta_ratio=1.0,
-                                     uncorrected_shear=True)
-        corrected = mode_fields_closed(mode, GEOM, MAT, delta_ratio=1.0)
-        b = mode.beta
-        bracket = float(unfixed.X(1.0)) * H * (1 - NU) * math.sinh(b) ** 2 / b**2
+        (unfixed,) = mode_kernel("C", n, GEOM, MAT, uncorrected_shear=True)(1.0, fields=("X",))
+        (corrected,) = mode_kernel("C", n, GEOM, MAT)(1.0, fields=("X",))
+        b = ModeIndex.for_mode(n, GEOM).beta
+        bracket = float(unfixed) * H * (1 - NU) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0    # sh(b)(ch(b) - sh(b))
         worst = max(worst, abs(bracket - reference))
         ok &= abs(bracket - reference) <= 1e-12
-        ok &= corrected.X(1.0) == 0.0
+        ok &= corrected == 0.0
     print(f"  worst bracket deviation from sh(b)(ch(b)-sh(b)): {worst:.3e}")
     _report(5, "shear-formula typo regression", ok)
 

@@ -197,19 +197,18 @@ class TestRun:
     @pytest.mark.parametrize("text", [SMALL_VERIFY, SMALL_VERIFY + "path = all\n"],
                              ids=["verify", "path-all"])
     def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch, text):
-        # one profile pass for the output grid and the coarse and fine
-        # residual grids that both meters share; grid_fields goes through
-        # grid_fields_many, so any other grid evaluation would be recorded
+        # one evaluation each of the output grid and of the coarse and fine
+        # residual grids that both meters share
         calls = []
-        original = SeriesField.grid_fields_many
+        original = SeriesField.grid_fields
 
-        def counted(sf, grids):
-            calls.append([(len(xs), len(ys)) for xs, ys in grids])
-            return original(sf, grids)
+        def counted(sf, xs, ys):
+            calls.append((len(xs), len(ys)))
+            return original(sf, xs, ys)
 
-        monkeypatch.setattr(SeriesField, "grid_fields_many", counted)
+        monkeypatch.setattr(SeriesField, "grid_fields", counted)
         run(parse_config(text), output_dir=tmp_path / "out")
-        assert calls == [[(13, 11), (15, 13), (27, 23)]]
+        assert calls == [(13, 11), (15, 13), (27, 23)]
 
     @pytest.mark.parametrize("text", [DESK_VERIFY, DESK_VERIFY + "path = all\n"],
                              ids=["verify", "path-all"])
@@ -341,6 +340,21 @@ class TestMain:
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("source", ["--output", "[output] directory"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, source):
+        # a directory below a regular file cannot be created
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "x"
+        text = MINIMAL.replace("modes = 64", "modes = 4").replace("grid = 41x41", "grid = 5x5")
+        args = []
+        if source == "--output":
+            args = ["--output", str(target)]
+        else:
+            text += f"\n[output]\ndirectory = {target}\n"
+        assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and source in err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # a strip with beta_1 ~ 3e7 makes the per-mode boundary system

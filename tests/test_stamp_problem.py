@@ -1,4 +1,6 @@
 """Tests for stamp profiles, their sine coefficients, pressure and force."""
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,12 +9,16 @@ from platestamp import (
     BoundaryCompatibilityError,
     BoundaryProfile,
     DomainError,
+    ModeIndex,
     QuadratureSpec,
     assemble_series,
+    calibrate_delta_ratio,
     contact_pressure,
     sine_coefficients,
     total_force,
 )
+
+from conftest import mode_kernel
 
 mp.mp.dps = 40
 
@@ -107,7 +113,7 @@ class TestContactPressure:
         sf = assemble_series([1.0], geom, mat)
         xs = np.linspace(0, geom.l, 21)
         p = contact_pressure(sf, xs)
-        y1 = sf.modes[0][2].Y(1.0)
+        (y1,) = mode_kernel("B", 1, geom, mat)(1.0, fields=("Y",))
         assert np.allclose(p, y1 * np.sin(np.pi * xs / geom.l), rtol=1e-13, atol=1e-13)
 
     def test_matches_face_row_of_grid(self, geom, mat):
@@ -177,6 +183,36 @@ class TestTotalForce:
         assert quad == pytest.approx(analytic, rel=1e-8)
 
 
+def per_mode_face_sums(sf, xs):
+    """Pressure at ``xs`` and total force summed mode by mode in mode order,
+    each mode's face value Y(1) from its own kernel call."""
+    geom, mat = sf.geometry, sf.material
+    rho = calibrate_delta_ratio(geom, mat)
+    pressure, force = np.zeros(xs.shape), 0.0
+    for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
+        if c == 0.0:
+            continue
+        (y1,) = mode_kernel(sf.path.value, n, geom, mat, rho=rho)(1.0, fields=("Y",))
+        pressure += c * (float(y1) * np.sin(ModeIndex.for_mode(n, geom).k * xs))
+        if n % 2:
+            force += c * float(y1) * 2.0 * geom.l / (n * math.pi)
+    return pressure, force
+
+
+class TestFaceReaders:
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_equal_per_mode_kernel_sum(self, geom, mat, path):
+        # bit for bit, with a zero coefficient among the odd modes
+        coeffs = sine_coefficients(BoundaryProfile.raised_cosine(0.9, 0.4, 0.01), geom, 37)
+        coeffs[4] = 0.0
+        sf = assemble_series(coeffs, geom, mat, path=path)
+        xs = np.linspace(0.0, geom.l, 29)
+        pressure, force = per_mode_face_sums(sf, xs)
+        assert contact_pressure(sf, xs).tobytes() == pressure.tobytes()
+        assert total_force(sf) == force
+        assert force != 0.0
+
+
 class TestFieldStructure:
     def test_displacement_reproduction_bounded_by_truncation(self, geom, mat):
         # |v(x,h) - V_h(x)/G| is bounded by the measured sine-truncation error
@@ -211,3 +247,23 @@ class TestFieldStructure:
             BoundaryProfile.single_mode(0)
         with pytest.raises(DomainError):
             BoundaryProfile.tabulated([0.0, 0.0, 1.0], [0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("factory,args,name", [
+        ("single_mode", {"mode": 1, "depth": 1.0}, "mode"),
+        ("single_mode", {"mode": 1, "depth": 1.0}, "depth"),
+        *((kind, {"center": 1.0, "half_width": 0.5, "depth": 0.01}, name)
+          for kind in ("raised_cosine", "parabolic_bump", "flat_stamp")
+          for name in ("center", "half_width", "depth")),
+        ("tabulated", {"xs": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}, "xs"),
+        ("tabulated", {"xs": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}, "values"),
+    ])
+    def test_factories_reject_non_finite(self, factory, args, name, bad):
+        # a NaN slips past every ordering check and solved to an all-zero field
+        args = dict(args)
+        if isinstance(args[name], list):
+            args[name] = [args[name][0], bad, args[name][2]]
+        else:
+            args[name] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            getattr(BoundaryProfile, factory)(**args)

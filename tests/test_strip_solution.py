@@ -23,9 +23,6 @@ from platestamp import (
     assemble_series,
     calibrate_delta_ratio,
     evaluate_fields,
-    mode_fields_blocks,
-    mode_fields_closed,
-    mode_fields_initial,
     sine_coefficients,
     BoundaryProfile,
 )
@@ -39,6 +36,8 @@ from platestamp.strip_solution import (
 )
 from platestamp.modal_calculus import OperatorId
 from platestamp.verification import path_profile_difference
+
+from conftest import mode_kernel
 
 mp.mp.dps = 40
 
@@ -66,22 +65,23 @@ def test_frozen_constants_match_high_precision():
 class TestPathB:
     def test_boundary_conditions_exact(self, geom, mat):
         for n in (1, 7, 33, 64):
-            prof = mode_fields_blocks(ModeIndex.for_mode(n, geom), geom, mat)
-            assert prof.V(0.0) == 0.0
-            assert prof.X(0.0) == 0.0
-            assert prof.X(1.0) == 0.0
-            assert prof.V(1.0) == 1.0
+            prof = mode_kernel("B", n, geom, mat)
+            _, v0, _, x0, _ = prof(0.0)
+            _, v1, _, x1, _ = prof(1.0)
+            assert v0 == 0.0
+            assert x0 == 0.0
+            assert x1 == 0.0
+            assert v1 == 1.0
 
     def test_face_normal_stress_mode1(self, geom, mat):
         # independent oracle: the three-block combination evaluated at the
         # face reduces to k (coth b + b/sh(b)^2) / (1-nu); frozen above
-        prof = mode_fields_blocks(ModeIndex.for_mode(1, geom), geom, mat)
-        assert float(prof.Y(1.0)) == pytest.approx(Y1_FACE_MODE1, rel=1e-13)
+        (y1,) = mode_kernel("B", 1, geom, mat)(1.0, fields=("Y",))
+        assert float(y1) == pytest.approx(Y1_FACE_MODE1, rel=1e-13)
 
     def test_profiles_finite_for_extreme_modes(self, geom, mat):
         etas = np.linspace(0, 1, 11)
-        prof = mode_fields_blocks(ModeIndex.for_mode(5000, geom), geom, mat)
-        assert np.all(np.isfinite(prof.profile_matrix(etas)))
+        assert np.all(np.isfinite(mode_kernel("B", 5000, geom, mat)(etas)))
 
 
 class TestPathEquivalence:
@@ -89,28 +89,29 @@ class TestPathEquivalence:
         rho = calibrate_delta_ratio(geom, mat)
         worst_ab = worst_cb = 0.0
         for n in range(1, 65):
-            mode = ModeIndex.for_mode(n, geom)
-            pb = mode_fields_blocks(mode, geom, mat)
-            pa = mode_fields_initial(mode, geom, mat)
-            pc = mode_fields_closed(mode, geom, mat, delta_ratio=rho)
-            worst_ab = max(worst_ab, path_profile_difference(pa, pb))
-            worst_cb = max(worst_cb, path_profile_difference(pc, pb))
+            beta = ModeIndex.for_mode(n, geom).beta
+            pb = mode_kernel("B", n, geom, mat)
+            pa = mode_kernel("A", n, geom, mat)
+            pc = mode_kernel("C", n, geom, mat, rho=rho)
+            worst_ab = max(worst_ab, path_profile_difference(pa, pb, beta))
+            worst_cb = max(worst_cb, path_profile_difference(pc, pb, beta))
         assert worst_ab < 1e-10
         assert worst_cb < 1e-10
 
     def test_path_a_boundary_conditions(self, geom, mat):
         for n in (1, 16, 64):
-            prof = mode_fields_initial(ModeIndex.for_mode(n, geom), geom, mat)
-            scale = np.max(np.abs(prof.profile_matrix(np.linspace(0, 1, 101))), axis=1)
-            assert prof.V(0.0) == 0.0          # pinned by the exact reduction
-            assert prof.X(0.0) == 0.0
-            assert abs(prof.X(1.0)) <= 1e-12 * scale[3]
-            assert abs(prof.V(1.0) - 1.0) <= 1e-12 * max(scale[1], 1.0)
+            prof = mode_kernel("A", n, geom, mat)
+            scale = np.max(np.abs(prof(np.linspace(0, 1, 101))), axis=1)
+            _, v0, _, x0, _ = prof(0.0)
+            _, v1, _, x1, _ = prof(1.0)
+            assert v0 == 0.0          # pinned by the exact reduction
+            assert x0 == 0.0
+            assert abs(x1) <= 1e-12 * scale[3]
+            assert abs(v1 - 1.0) <= 1e-12 * max(scale[1], 1.0)
 
     def test_path_a_large_mode_stable(self, geom, mat):
         etas = np.linspace(0, 1, 11)
-        prof = mode_fields_initial(ModeIndex.for_mode(200, geom), geom, mat)
-        assert np.all(np.isfinite(prof.profile_matrix(etas)))
+        assert np.all(np.isfinite(mode_kernel("A", 200, geom, mat)(etas)))
 
     @pytest.mark.parametrize("l,h", [(1.0, 3.0), (10.0, 0.5), (0.7, 0.7)])
     @pytest.mark.parametrize("nu", [0.0, 0.45, 0.499])
@@ -120,17 +121,17 @@ class TestPathEquivalence:
         rho = calibrate_delta_ratio(geom, mat)
         assert rho == pytest.approx(1.0, abs=1e-12)
         for n in (1, 5, 40):
-            mode = ModeIndex.for_mode(n, geom)
-            pb = mode_fields_blocks(mode, geom, mat)
-            assert path_profile_difference(mode_fields_initial(mode, geom, mat), pb) < 1e-10
+            beta = ModeIndex.for_mode(n, geom).beta
+            pb = mode_kernel("B", n, geom, mat)
+            assert path_profile_difference(mode_kernel("A", n, geom, mat), pb, beta) < 1e-10
             assert path_profile_difference(
-                mode_fields_closed(mode, geom, mat, delta_ratio=rho), pb) < 1e-10
+                mode_kernel("C", n, geom, mat, rho=rho), pb, beta) < 1e-10
 
     def test_mode_degeneracy_error(self, mat):
         # beta ~ 3e7 drives the scaled 2x2 condition number past 1e12
         geom = Geometry(l=1e-7, h=1.0)
         with pytest.raises(ModeDegeneracyError) as err:
-            mode_fields_initial(ModeIndex.for_mode(1, geom), geom, mat)
+            mode_kernel("A", 1, geom, mat)
         assert err.value.n == 1
         assert err.value.cond > 1e12
 
@@ -144,61 +145,53 @@ class TestPathC:
         # the same scalar works mode by mode (checked through V-profile fits)
         etas = np.linspace(0, 1, 101)
         for n in (1, 2, 9, 40, 64):
-            mode = ModeIndex.for_mode(n, geom)
-            vb = mode_fields_blocks(mode, geom, mat).V(etas)
-            vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(etas)
+            (vb,) = mode_kernel("B", n, geom, mat)(etas, fields=("V",))
+            (vc,) = mode_kernel("C", n, geom, mat)(etas, fields=("V",))
             rho_n = float(np.dot(vc, vb) / np.dot(vc, vc))
             assert rho_n == pytest.approx(1.0, abs=1e-12)
 
     def test_clamped_face_value_zero(self, geom, mat):
         for n in (1, 10, 64):
-            prof = mode_fields_closed(ModeIndex.for_mode(n, geom), geom, mat,
-                                      delta_ratio=1.0)
-            assert prof.V(0.0) == 0.0
-            assert prof.X(0.0) == 0.0
+            _, v0, _, x0, _ = mode_kernel("C", n, geom, mat)(0.0)
+            assert v0 == 0.0
+            assert x0 == 0.0
 
     @pytest.mark.parametrize("n", [1, 5, 64])
     def test_uncorrected_shear_violates_face_condition(self, geom, mat, n):
         """The uncorrected shear factor leaves tau(h) != 0; in bracket units
         the violation equals sh(b)(ch(b) - sh(b)), computed stably as
         (1 - e^(-2b))/2.  The corrected factor cancels exactly."""
-        mode = ModeIndex.for_mode(n, geom)
-        unfixed = mode_fields_closed(mode, geom, mat, delta_ratio=1.0,
-                                     uncorrected_shear=True)
-        corrected = mode_fields_closed(mode, geom, mat, delta_ratio=1.0)
-        b = mode.beta
+        (unfixed,) = mode_kernel("C", n, geom, mat, uncorrected_shear=True)(1.0, fields=("X",))
+        (corrected,) = mode_kernel("C", n, geom, mat)(1.0, fields=("X",))
+        b = ModeIndex.for_mode(n, geom).beta
         # back out the bracket value: X(1) * h * Delta / beta^2
-        bracket = float(unfixed.X(1.0)) * geom.h * (1 - mat.nu) * math.sinh(b) ** 2 / b**2
+        bracket = float(unfixed) * geom.h * (1 - mat.nu) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0   # sh(b)(ch(b)-sh(b))
         assert abs(bracket - reference) < 1e-12
-        assert corrected.X(1.0) == 0.0
+        assert corrected == 0.0
 
-    def test_bad_closed_form_fails_calibration(self, geom, mat):
+    def test_bad_closed_form_fails_calibration(self, geom, mat, monkeypatch):
         # sanity: the calibration residual check has teeth; a profile pair
         # that differs by more than a scalar cannot be least-squares matched
         from platestamp import PathDivergenceError
         import platestamp.strip_solution as ss
 
-        orig = ss.mode_fields_blocks
+        orig = ss.block_profiles
 
-        def broken(mode, geom_, mat_):
-            prof = orig(mode, geom_, mat_)
-            return type(prof)(mode=prof.mode, path=prof.path,
-                              U=prof.U, V=lambda eta: prof.V(eta) + 0.05 * np.asarray(eta),
-                              Y=prof.Y, X=prof.X, SX=prof.SX)
+        def broken(k, beta, nu, eta, *, fields=FIELD_NAMES):
+            prof = dict(zip(fields, orig(k, beta, nu, eta, fields=fields)))
+            if "V" in prof:
+                prof["V"] = prof["V"] + 0.05 * np.asarray(eta)
+            return tuple(prof[f] for f in fields)
 
-        ss.mode_fields_blocks = broken
-        try:
-            with pytest.raises(PathDivergenceError):
-                calibrate_delta_ratio(geom, mat)
-        finally:
-            ss.mode_fields_blocks = orig
+        monkeypatch.setattr(ss, "block_profiles", broken)
+        with pytest.raises(PathDivergenceError):
+            calibrate_delta_ratio(geom, mat)
 
 
 class TestBatchKernels:
-    """The kernels evaluate all modes at once; each row must be the
-    per-mode profile bit for bit, since the per-mode builders bind one
-    mode to the same kernels."""
+    """The kernels evaluate all modes at once; each row must equal the
+    kernel evaluated on that mode's scalar arguments alone, bit for bit."""
 
     NS = (1, 2, 7, 33, 64, 200)
     ETAS = np.linspace(0.0, 1.0, 33)
@@ -219,15 +212,9 @@ class TestBatchKernels:
         for i, n in enumerate(self.NS):
             mode = ModeIndex.for_mode(n, geom)
             assert (k[i, 0], beta[i, 0]) == (mode.k, mode.beta)
-            if path == "A":
-                prof = mode_fields_initial(mode, geom, mat)
-            elif path == "B":
-                prof = mode_fields_blocks(mode, geom, mat)
-            else:
-                prof = mode_fields_closed(mode, geom, mat, delta_ratio=rho,
-                                          uncorrected_shear=uncorrected)
-            for f, rows in zip(FIELD_NAMES, batch):
-                assert np.array_equal(rows[i], getattr(prof, f)(self.ETAS)), (n, f)
+            prof = mode_kernel(path[0], n, geom, mat, rho=rho, uncorrected_shear=uncorrected)
+            for f, rows, row in zip(FIELD_NAMES, batch, prof(self.ETAS)):
+                assert np.array_equal(rows[i], row), (n, f)
 
     def test_field_subset_in_requested_order(self, geom, mat):
         _, k, beta = mode_columns(range(1, 5), geom)
@@ -238,14 +225,17 @@ class TestBatchKernels:
 
 def outer_product_fields(sf, xs, ys):
     """Reference for SeriesField.grid_fields: the mode-by-mode sum of
-    outer products, accumulated in mode order."""
-    eta = ys / sf.geometry.h
+    outer products of each mode's own profiles, accumulated in mode order."""
+    geom, mat = sf.geometry, sf.material
+    rho = calibrate_delta_ratio(geom, mat)
+    eta = ys / geom.h
     acc = {f: np.zeros((ys.size, xs.size)) for f in FIELD_NAMES}
-    for mode, c, prof in sf.modes:
-        for f in FIELD_NAMES:
+    for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
+        k = ModeIndex.for_mode(n, geom).k
+        for f, prof in zip(FIELD_NAMES, mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta)):
             trig = np.cos if f in ("U", "X") else np.sin
-            acc[f] += c * np.outer(getattr(prof, f)(eta), trig(mode.k * xs))
-    G = sf.material.G
+            acc[f] += c * np.outer(prof, trig(k * xs))
+    G = mat.G
     return {"u": acc["U"] / G, "v": acc["V"] / G, "sigma_x": acc["SX"],
             "sigma_y": acc["Y"], "tau_xy": acc["X"]}
 
@@ -253,7 +243,7 @@ def outer_product_fields(sf, xs, ys):
 class TestAssembly:
     def test_single_mode_series(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="B")
-        assert sf.N == 1 and len(sf.modes) == 1
+        assert sf.N == 1 and sf.c.shape == sf.k.shape == sf.beta.shape == (1, 1)
         sample = evaluate_fields(sf, 0.5, 0.5)
         assert np.isfinite(sample.v)
 
@@ -325,27 +315,6 @@ class TestAssembly:
             assert got[key].shape == ref.shape
             assert np.max(np.abs(got[key] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
 
-    @pytest.mark.parametrize("path", ["A", "B", "C"])
-    def test_grid_fields_many_equals_separate_calls(self, geom, mat, path):
-        # one profile pass over the eta rows of all grids gives each grid
-        # the bits of its own call; a zero coefficient is skipped in both
-        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
-        coeffs = sine_coefficients(profile, geom, 24)
-        coeffs[3] = 0.0
-        sf = assemble_series(coeffs, geom, mat, path=path)
-        grids = [(np.linspace(0, geom.l, 37), np.linspace(0, geom.h, 29)),
-                 (np.array([0.3]), np.linspace(0, geom.h, 5)),
-                 (np.linspace(0, geom.l, 8), np.array([geom.h])),
-                 (np.array([1.1]), np.array([0.4]))]
-        many = sf.grid_fields_many(grids)
-        assert len(many) == len(grids)
-        for (xs, ys), got in zip(grids, many):
-            want = sf.grid_fields(xs, ys)
-            assert list(got) == list(want)
-            for key, ref in want.items():
-                assert got[key].shape == ref.shape == (len(ys), len(xs))
-                assert got[key].tobytes() == ref.tobytes(), key
-
     def test_rejects_empty_coefficients(self, geom, mat):
         with pytest.raises(DomainError):
             assemble_series([], geom, mat)
@@ -360,7 +329,7 @@ class TestAssembly:
     def test_path_a_degeneracy_names_lowest_mode(self, mat):
         # mode 1 solves; every mode from 2 on is too ill-conditioned
         geom = Geometry(l=1e-5, h=1.0)
-        mode_fields_initial(ModeIndex.for_mode(1, geom), geom, mat)
+        mode_kernel("A", 1, geom, mat)
         with pytest.raises(ModeDegeneracyError) as err:
             assemble_series([1.0, 0.0, 1.0, 1.0], geom, mat, path="A")
         assert err.value.n == 2
@@ -402,27 +371,21 @@ class TestAssembly:
             assert np.array_equal(f2[key], 2.0 * f1[key])
 
 
-def per_mode_grid_fields(sf, xs, ys, rho):
-    """Reference for SeriesField.grid_fields_many, one mode at a time.
-    Each active mode's row of a field's block is filled from
-    the mode's own ``mode_fields_*`` profiles, then contracted with the
+def per_mode_grid_fields(sf, xs, ys):
+    """Reference for SeriesField.grid_fields, one mode at a time.
+    Each active mode's row of a field's block is filled from the mode's
+    own kernel call on its scalar arguments, then contracted with the
     same fixed-order einsum."""
     geom, mat = sf.geometry, sf.material
+    rho = calibrate_delta_ratio(geom, mat)
     eta = ys / geom.h
-    active = [(mode, c) for mode, c, _ in sf.modes if c != 0.0]
-    builders = {
-        SolutionPath.A: lambda m: mode_fields_initial(m, geom, mat),
-        SolutionPath.B: lambda m: mode_fields_blocks(m, geom, mat),
-        SolutionPath.C: lambda m: mode_fields_closed(m, geom, mat, delta_ratio=rho),
-    }
-    profs = [builders[sf.path](mode) for mode, _ in active]
+    active = [(n, c) for n, c in enumerate(sf.c[:, 0].tolist(), start=1) if c != 0.0]
+    profs = [mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta) for n, _ in active]
     c = np.array([c for _, c in active]).reshape(-1, 1)
-    k = [mode.k for mode, _ in active]
+    k = [ModeIndex.for_mode(n, geom).k for n, _ in active]
     total = {}
-    for f in FIELD_NAMES:
-        block = np.empty((len(active), eta.size))
-        for row, prof in zip(block, profs):
-            row[:] = getattr(prof, f)(eta)
+    for i, f in enumerate(FIELD_NAMES):
+        block = np.array([prof[i] for prof in profs])
         trig = np.cos if f in ("U", "X") else np.sin
         total[f] = np.einsum("nj,ni->ji", block, c * trig(np.outer(k, xs)), optimize=False)
     G = mat.G
@@ -431,8 +394,8 @@ def per_mode_grid_fields(sf, xs, ys, rho):
 
 
 class TestGridPass:
-    """grid_fields_many evaluates each field of each grid with one call of
-    the path's kernel over all active modes."""
+    """grid_fields evaluates each field of a grid with one call of the
+    path's kernel over all active modes."""
 
     KERNELS = {"A": "initial_profiles", "B": "block_profiles", "C": "closed_profiles"}
 
@@ -468,23 +431,21 @@ class TestGridPass:
         amplitudes = ss.initial_amplitudes
         monkeypatch.setattr(ss, "initial_amplitudes",
                             lambda *args: solves.append(args) or amplitudes(*args))
-        # patched before assembly, so the per-mode closures call the
-        # counting kernel too: any closure call would show in the count
         sf = self.series(geom, mat, path, 37)
         assert len(solves) == (1 if path == "A" else 0)
-        calls.clear()
+        calls.clear()   # path C's calibration calls two kernels
         grids = self.grids(geom)
-        sf.grid_fields_many(grids)
+        for xs, ys in grids:
+            sf.grid_fields(xs, ys)
         assert sorted(calls) == sorted([(f,) for f in FIELD_NAMES] * len(grids))
 
     @pytest.mark.parametrize("N", [37, 256])
     @pytest.mark.parametrize("path", ["A", "B", "C"])
     def test_equals_per_mode_reference(self, geom, mat, path, N):
         sf = self.series(geom, mat, path, N)
-        rho = calibrate_delta_ratio(geom, mat)
-        grids = self.grids(geom)
-        for (xs, ys), got in zip(grids, sf.grid_fields_many(grids)):
-            want = per_mode_grid_fields(sf, xs, ys, rho)
+        for xs, ys in self.grids(geom):
+            got = sf.grid_fields(xs, ys)
+            want = per_mode_grid_fields(sf, xs, ys)
             assert list(got) == list(want)
             for key, ref in want.items():
                 assert got[key].shape == ref.shape == (len(ys), len(xs))

@@ -18,14 +18,13 @@ from platestamp import (
     equilibrium_residual,
     fd_laplace_solve,
     laplacian_residual,
-    mode_fields_blocks,
-    mode_fields_closed,
-    mode_fields_initial,
     sine_coefficients,
     solve_dirichlet,
     evaluate_harmonic,
 )
 from platestamp.verification import SharedGridFields, path_profile_difference
+
+from conftest import mode_kernel
 
 
 @pytest.fixture(scope="module")
@@ -191,18 +190,18 @@ class TestPhysicsMeters:
         class Counted:
             geometry, material = geom, mat
 
-            def grid_fields_many(self, grids):
-                calls.append([(len(xs), len(ys)) for xs, ys in grids])
-                return raised_cosine_field.grid_fields_many(grids)
+            def grid_fields(self, xs, ys):
+                calls.append((len(xs), len(ys)))
+                return raised_cosine_field.grid_fields(xs, ys)
 
         shared = SharedGridFields(Counted(), [grid.axes(geom), refined.axes(geom)])
         eq = equilibrium_residual(shared, grid, refined=refined, exclusion_margin=margin)
         con = constitutive_residual(shared, grid, refined=refined, exclusion_margin=margin)
-        assert calls == [[(43, 43), (83, 83)]]
+        assert calls == [(43, 43), (83, 83)]
         # axes that were not given are not evaluated on demand
         with pytest.raises(KeyError):
             shared.grid_fields(*GridSpec(21, 21).axes(geom))
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert eq == equilibrium_residual(raised_cosine_field, grid, refined=refined,
                                           exclusion_margin=margin)
         assert con == constitutive_residual(raised_cosine_field, grid, refined=refined,
@@ -308,20 +307,19 @@ class TestDiscrepancyReport:
         assert [row.n for row in rep.rows] == list(range(1, 65))
         for row in rep.rows:
             mode = ModeIndex.for_mode(row.n, geom)
-            pb = mode_fields_blocks(mode, geom, mat)
-            pc = mode_fields_closed(mode, geom, mat, delta_ratio=rho)
-            unfixed = mode_fields_closed(mode, geom, mat, delta_ratio=rho,
-                                         uncorrected_shear=True)
-            vc = mode_fields_closed(mode, geom, mat, delta_ratio=1.0).V(etas)
-            vb = pb.V(etas)
+            pb = mode_kernel("B", row.n, geom, mat)
+            pc = mode_kernel("C", row.n, geom, mat, rho=rho)
+            unfixed = mode_kernel("C", row.n, geom, mat, rho=rho, uncorrected_shear=True)
+            (vc,) = mode_kernel("C", row.n, geom, mat)(etas, fields=("V",))
+            (vb,) = pb(etas, fields=("V",))
             assert row.beta == mode.beta
             assert row.rel_diff_ab == path_profile_difference(
-                mode_fields_initial(mode, geom, mat), pb)
-            assert row.rel_diff_cb == path_profile_difference(pc, pb)
+                mode_kernel("A", row.n, geom, mat), pb, mode.beta)
+            assert row.rel_diff_cb == path_profile_difference(pc, pb, mode.beta)
             assert row.delta_ratio == pytest.approx(
                 np.dot(vc, vb) / np.dot(vc, vc), rel=0, abs=1e-15)
-            assert row.uncorrected_shear_face == float(unfixed.X(1.0))
-            assert row.corrected_shear_face == float(pc.X(1.0))
+            assert row.uncorrected_shear_face == float(unfixed(1.0, fields=("X",))[0])
+            assert row.corrected_shear_face == float(pc(1.0, fields=("X",))[0])
 
     def test_thick_plate_no_false_divergence(self):
         # at h=20 the top modes have beta ~ 2e3, and their shear profile
@@ -329,9 +327,11 @@ class TestDiscrepancyReport:
         # eta sample; scaling by the uniform samples alone read 3.5e-6 here
         geom, mat = Geometry(2.0, 20.0), Material(E=1.0, nu=0.2)
         top = ModeIndex.for_mode(64, geom)
-        pb = mode_fields_blocks(top, geom, mat)
-        peak = float(np.max(np.abs(pb.X(np.linspace(1.0 - 10.0 / top.beta, 1.0, 2001)))))
-        uniform = float(np.max(np.abs(pb.X(np.linspace(0.0, 1.0, 101)))))
+        pb = mode_kernel("B", 64, geom, mat)
+        (layer,) = pb(np.linspace(1.0 - 10.0 / top.beta, 1.0, 2001), fields=("X",))
+        (coarse,) = pb(np.linspace(0.0, 1.0, 101), fields=("X",))
+        peak = float(np.max(np.abs(layer)))
+        uniform = float(np.max(np.abs(coarse)))
         assert peak > 1e6 * uniform
         rep = discrepancy_report(geom, mat, range(1, 65))
         assert rep.max_rel_ab < 1e-8
@@ -342,7 +342,7 @@ class TestDiscrepancyReport:
         geom = Geometry(l=1e-5, h=1.0)
         with pytest.raises(ModeDegeneracyError) as per_mode:
             for n in range(1, 5):
-                mode_fields_initial(ModeIndex.for_mode(n, geom), geom, mat)
+                mode_kernel("A", n, geom, mat)
         with pytest.raises(ModeDegeneracyError) as batched:
             discrepancy_report(geom, mat, range(1, 5))
         assert per_mode.value.n == batched.value.n == 2
