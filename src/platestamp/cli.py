@@ -28,7 +28,7 @@ from .core import (
 from .stamp_problem import (
     BoundaryProfile,
     ProfileKind,
-    contact_pressure,
+    contact_pressure,  # run() reads the face row; perfbench/spans.py wraps this name
     sine_coefficients,
     total_force,
 )
@@ -332,7 +332,9 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         fields = shared.grid_fields(xs, ys)
     else:
         fields = sf.grid_fields(xs, ys)
-    pressure = contact_pressure(sf, xs)
+    # the face row y = h of the output grid (linspace ends exactly at h),
+    # copied so that the bundle's pressure is not a view into its sigma_y
+    pressure = fields["sigma_y"][-1].copy()
     force = total_force(sf)
 
     summary = {

@@ -100,7 +100,8 @@ class HarmonicSeries:
 def sine_transform(f: Callable, length: float, ns: np.ndarray,
                    subintervals: int, breakpoints: tuple = ()) -> np.ndarray:
     """Raw transforms (2/length) * integral f(t) sin(n pi t / length) dt
-    by composite Simpson, split at the breakpoints."""
+    by composite Simpson, split at the breakpoints; a piece where f is
+    zero at every sample is skipped."""
     pts = sorted({0.0, float(length), *(float(b) for b in breakpoints
                                         if 0.0 < float(b) < length)})
     total = np.zeros(len(ns))
@@ -120,6 +121,10 @@ def sine_transform(f: Callable, length: float, ns: np.ndarray,
         ft = np.asarray(f(t_eval), dtype=float)
         if ft.shape != t.shape:
             ft = np.broadcast_to(ft, t.shape)
+        if not ft.any():
+            # a piece outside the data's support adds only signed zeros,
+            # which leave ``total`` (never -0.0) unchanged
+            continue
         total += np.einsum("p,np->n", ft * w,
                            np.sin(np.outer(ns, t) * np.pi / length))
     return (2.0 / length) * total

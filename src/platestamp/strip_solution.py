@@ -30,10 +30,11 @@ solved, in one array pass; given scalar arguments, a kernel evaluates one
 mode, with the bits of that mode's row of the batch.  Besides the plate
 and the path, a :class:`SeriesField` holds only such columns:
 :func:`assemble_series` computes the kernel arguments of all modes once,
-and :meth:`SeriesField.grid_fields` evaluates each field of a grid with
-one kernel call.  The face readers of :mod:`platestamp.stamp_problem`
+and :meth:`SeriesField.grid_fields` evaluates all five fields of a grid
+with one kernel call.  The face readers of :mod:`platestamp.stamp_problem`
 take one mode at a time from the same columns
-(:meth:`SeriesField.face_normal_stress`).
+(:meth:`SeriesField.face_normal_stress`, the ``Y``-only case of the same
+call).
 All hyperbolics are evaluated in overflow-safe exponential form, so the
 routes stay finite for arbitrarily high modes.  Kernels are pure
 functions and assembled series are frozen value objects; they can be
@@ -361,52 +362,55 @@ class SeriesField:
     #: path A: the (N, 1) amplitude columns (u0 sh, y0 sh); path C: (rho,)
     _path_args: tuple = field(repr=False, compare=False)
 
-    def _profiles(self, index, name: str, eta):
-        """Profile ``name`` on ``eta`` from one call of the path's kernel.
+    def _profiles(self, index, fields, eta) -> tuple:
+        """The profiles of ``fields`` on ``eta``, in that order, from one
+        call of the path's kernel.
 
         ``index`` selects from the columns: an array of rows gives those
-        modes, shape (len(index), len(eta)); ``(i, 0)`` gives mode i + 1
-        alone, from scalar arguments.
+        modes, each profile of shape (len(index), len(eta)); ``(i, 0)``
+        gives mode i + 1 alone, from scalar arguments.
         """
         k, beta, nu = self.k[index], self.beta[index], self.material.nu
         if self.path is SolutionPath.B:
-            (out,) = block_profiles(k, beta, nu, eta, fields=(name,))
-        elif self.path is SolutionPath.A:
+            return block_profiles(k, beta, nu, eta, fields=fields)
+        if self.path is SolutionPath.A:
             u0, y0 = (a[index] for a in self._path_args)
-            (out,) = initial_profiles(k, beta, nu, u0, y0, eta, fields=(name,))
-        else:
-            (rho,) = self._path_args
-            (out,) = closed_profiles(beta, nu, self.geometry.h, rho, eta, fields=(name,))
-        return out
+            return initial_profiles(k, beta, nu, u0, y0, eta, fields=fields)
+        (rho,) = self._path_args
+        return closed_profiles(beta, nu, self.geometry.h, rho, eta, fields=fields)
 
     def face_normal_stress(self, i: int) -> float:
         """Face value Y(1) of the normal-stress profile of mode i + 1, per
         unit sine coefficient: one kernel call on that mode's scalar
         arguments."""
-        return float(self._profiles((i, 0), "Y", 1.0))
+        (y,) = self._profiles((i, 0), ("Y",), 1.0)
+        return float(y)
 
     def grid_fields(self, xs, ys) -> dict:
         """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs)).
 
-        Each field is one kernel call over the modes with a nonzero
-        coefficient on the grid's eta row, contracted with one fixed-order
-        sum over modes.  The kernels are elementwise, so each mode's row
-        has the bits of that mode evaluated alone.
+        One kernel call gives all five profile blocks of the modes with a
+        nonzero coefficient on the grid's eta row; each block is then
+        contracted with one fixed-order sum over modes.  The kernels are
+        elementwise, so each mode's row has the bits of that mode
+        evaluated alone, whichever fields share the call.
         """
         xs = np.asarray(xs, dtype=float)
         eta = np.asarray(ys, dtype=float) / self.geometry.h
         rows = np.flatnonzero(self.c != 0.0)
         c, k = self.c[rows], self.k[rows]
+        profiles = dict(zip(FIELD_NAMES, self._profiles(rows, FIELD_NAMES, eta)))
 
         total = {}
-        # one parity's weights and one field's profile block alive at a time
+        # one parity's weights alive at a time; each profile block is
+        # released once it is summed
         for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
             weighted = c * trig(np.outer(k, xs))
             for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
                 # one fixed-order sum over modes; einsum without optimisation
                 # never hands it to BLAS, so the result does not depend on
                 # the BLAS thread count
-                total[name] = np.einsum("nj,ni->ji", self._profiles(rows, name, eta), weighted,
+                total[name] = np.einsum("nj,ni->ji", profiles.pop(name), weighted,
                                         optimize=False)
             del weighted
 

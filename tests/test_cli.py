@@ -18,6 +18,7 @@ from platestamp import (
     assemble_series,
     cli,
     constitutive_residual,
+    contact_pressure,
     equilibrium_residual,
     parse_config,
     run,
@@ -262,6 +263,30 @@ class TestRun:
         gc.collect()
         assert len(made) == 1 and made[0]() is None
         assert "equilibrium_order_x" in bundle.summary
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_pressure_is_face_row_of_field_grid(self, tmp_path, path, verify):
+        text = (MINIMAL.replace("modes = 64", "modes = 37").replace("grid = 41x41", "grid = 13x29")
+                + f"path = {path}\n" + f"verify = {str(verify).lower()}\n")
+        cfg = parse_config(text)
+        bundle = run(cfg, output_dir=tmp_path / "out")
+        # pressure_profile.csv repeats the x and sigma_y cells of the y = h
+        # row of field_grid.csv, as text
+        grid_rows = [line.split(",") for line in
+                     (tmp_path / "out" / "field_grid.csv").read_text().splitlines()[1:]]
+        face = [row for row in grid_rows if float(row[1]) == cfg.geometry.h]
+        pressure_rows = [line.split(",") for line in
+                         (tmp_path / "out" / "pressure_profile.csv").read_text().splitlines()[1:]]
+        assert len(face) == len(pressure_rows) == 13
+        assert [(row[0], row[5]) for row in face] == [tuple(row) for row in pressure_rows]
+        # the library's per-mode face reader agrees to roundoff
+        geom = cfg.geometry
+        sf = assemble_series(sine_coefficients(cfg.profile, geom, cfg.modes), geom,
+                             cfg.material, path=path)
+        ref = contact_pressure(sf, bundle.xs)
+        assert np.max(np.abs(bundle.pressure - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert not np.shares_memory(bundle.pressure, bundle.fields["sigma_y"])
 
     def test_tabulated_stamp_from_config(self, tmp_path):
         text = MINIMAL.replace(

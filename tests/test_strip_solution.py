@@ -394,7 +394,7 @@ def per_mode_grid_fields(sf, xs, ys):
 
 
 class TestGridPass:
-    """grid_fields evaluates each field of a grid with one call of the
+    """grid_fields evaluates all fields of a grid with one call of the
     path's kernel over all active modes."""
 
     KERNELS = {"A": "initial_profiles", "B": "block_profiles", "C": "closed_profiles"}
@@ -414,7 +414,7 @@ class TestGridPass:
         return assemble_series(coeffs, geom, mat, path=path)
 
     @pytest.mark.parametrize("path", ["A", "B", "C"])
-    def test_one_kernel_call_per_field_per_grid(self, geom, mat, path, monkeypatch):
+    def test_one_kernel_call_per_grid(self, geom, mat, path, monkeypatch):
         import platestamp.strip_solution as ss
 
         calls = []
@@ -437,7 +437,7 @@ class TestGridPass:
         grids = self.grids(geom)
         for xs, ys in grids:
             sf.grid_fields(xs, ys)
-        assert sorted(calls) == sorted([(f,) for f in FIELD_NAMES] * len(grids))
+        assert calls == [FIELD_NAMES] * len(grids)
 
     @pytest.mark.parametrize("N", [37, 256])
     @pytest.mark.parametrize("path", ["A", "B", "C"])
