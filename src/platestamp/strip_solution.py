@@ -31,7 +31,11 @@ mode, with the bits of that mode's row of the batch.  Besides the plate
 and the path, a :class:`SeriesField` holds only such columns:
 :func:`assemble_series` computes the kernel arguments of all modes once,
 and :meth:`SeriesField.grid_fields` evaluates all five fields of a grid
-with one kernel call.  The face readers of :mod:`platestamp.stamp_problem`
+with one kernel call.  On the uniform x axes from 0 to l that every grid
+of a run uses, its sums over modes are one real FFT per field, of the
+modes folded by ``n mod 2M``; on other abscissae they are one fixed-order
+einsum per field.  Neither uses BLAS, so the grids' bits do not depend on
+the BLAS thread count.  The face readers of :mod:`platestamp.stamp_problem`
 take one mode at a time from the same columns
 (:meth:`SeriesField.face_normal_stress`, the ``Y``-only case of the same
 call).
@@ -345,6 +349,50 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
 # assembly and evaluation
 # ---------------------------------------------------------------------------
 
+def _mode_sums(c, k, profiles: dict, xs) -> dict:
+    """The x-sums of the profile blocks ``profiles`` (popped by field name)
+    on arbitrary abscissae ``xs``: one fixed-order sum over modes per
+    field.  einsum without optimisation never hands the sum to BLAS."""
+    total = {}
+    # one parity's weights alive at a time; each profile block is released
+    # once it is summed
+    for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
+        weighted = c * trig(np.outer(k, xs))
+        for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
+            total[name] = np.einsum("nj,ni->ji", profiles.pop(name), weighted,
+                                    optimize=False)
+        del weighted
+    return total
+
+
+def _uniform_x_sums(n, c, profiles: dict, M: int, N: int) -> dict:
+    """The x-sums of the profile blocks ``profiles`` (popped by field name)
+    of the modes ``n`` (an array of mode numbers, each <= N) on
+    ``x_i = i l / M``, i = 0..M.
+
+    There ``sin(k_n x_i) = sin(2 pi n i / 2M)``, which repeats in n with
+    period 2M.  So the weighted rows are folded by ``n mod 2M`` (zero-padded
+    to whole periods, reshaped, summed over the periods), and one real FFT
+    of length 2M gives all M + 1 columns: the cosine fields are its real
+    part, the sine fields minus its imaginary part.
+    """
+    period = 2 * M
+    total = {}
+    for name in FIELD_NAMES:
+        block = profiles.pop(name)
+        padded = np.zeros((-(-(N + 1) // period) * period, block.shape[1]))
+        padded[n] = c * block
+        spectrum = np.fft.rfft(padded.reshape(-1, period, block.shape[1]).sum(axis=0),
+                               axis=0)
+        if FIELD_PARITIES[name] is Parity.SINE:
+            # 0 - imag rather than -imag: the DC and Nyquist bins (x = 0 and
+            # x = l) carry signed zeros, which must come out as +0.0
+            total[name] = np.subtract(0.0, spectrum.imag.T, order="C")
+        else:
+            total[name] = np.ascontiguousarray(spectrum.real.T)
+    return total
+
+
 @dataclass(frozen=True)
 class SeriesField:
     """Truncated modal solution of modes 1..N: the sine coefficients and
@@ -390,29 +438,26 @@ class SeriesField:
         """Physical fields on the tensor grid ys x xs; arrays (len(ys), len(xs)).
 
         One kernel call gives all five profile blocks of the modes with a
-        nonzero coefficient on the grid's eta row; each block is then
-        contracted with one fixed-order sum over modes.  The kernels are
+        nonzero coefficient on the grid's eta row.  The kernels are
         elementwise, so each mode's row has the bits of that mode
         evaluated alone, whichever fields share the call.
+
+        When ``xs`` is bit for bit ``np.linspace(0, l, M + 1)`` with
+        M >= 1, ``sin(k_n x_i)`` is ``sin(pi n i / M)``, so each field is
+        a sine or cosine transform of length 2M of its blocks, folded
+        over ``n mod 2M`` (:func:`_uniform_x_sums`); the sine fields are
+        exactly zero at ``x = 0`` and ``x = l``.  Any other ``xs`` gets
+        one fixed-order sum over modes per field.  Neither route uses
+        BLAS, so the result does not depend on the BLAS thread count.
         """
         xs = np.asarray(xs, dtype=float)
         eta = np.asarray(ys, dtype=float) / self.geometry.h
         rows = np.flatnonzero(self.c != 0.0)
-        c, k = self.c[rows], self.k[rows]
         profiles = dict(zip(FIELD_NAMES, self._profiles(rows, FIELD_NAMES, eta)))
-
-        total = {}
-        # one parity's weights alive at a time; each profile block is
-        # released once it is summed
-        for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
-            weighted = c * trig(np.outer(k, xs))
-            for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
-                # one fixed-order sum over modes; einsum without optimisation
-                # never hands it to BLAS, so the result does not depend on
-                # the BLAS thread count
-                total[name] = np.einsum("nj,ni->ji", profiles.pop(name), weighted,
-                                        optimize=False)
-            del weighted
+        if xs.size >= 2 and xs.tobytes() == np.linspace(0.0, self.geometry.l, xs.size).tobytes():
+            total = _uniform_x_sums(rows + 1, self.c[rows], profiles, xs.size - 1, self.N)
+        else:
+            total = _mode_sums(self.c[rows], self.k[rows], profiles, xs)
 
         G = self.material.G
         return {

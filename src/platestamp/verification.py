@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import (
     DomainError,
@@ -140,6 +138,11 @@ def fd_laplace_solve(data: DirichletData, geom: Geometry, grid: GridSpec) -> np.
     against 1e-11 relative to the data scale and a failure raises
     :class:`FdSolveError`.  Deterministic for fixed inputs.
     """
+    # imported here: only this oracle uses scipy, and importing scipy.sparse
+    # would double the package's import time
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.spacing(geom)
     xs, ys = grid.axes(geom)

@@ -23,6 +23,7 @@ from platestamp import (
     parse_config,
     run,
     sine_coefficients,
+    total_force,
 )
 from platestamp.cli import FIELD_GRID_HEADER, PRESSURE_HEADER, main
 from platestamp.stamp_problem import ProfileKind
@@ -318,6 +319,56 @@ class TestRun:
             assert sorted(artifacts[0]) == ["field_grid.csv", "pressure_profile.csv",
                                             "report.txt", "summary.txt"]
             assert artifacts[0] == artifacts[1], extra
+
+    def test_grids_take_the_transform(self, tmp_path, monkeypatch):
+        # every grid of a verified run, and of a library sweep solve (N=64
+        # on a 41x41 grid, path B, plus the face readers), is on uniform
+        # axes from 0 to l, so none of them reaches the per-mode einsum
+        callers = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals.get("__name__"))
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        bundle = run(parse_config(SMALL_VERIFY), output_dir=tmp_path / "out")
+        assert "equilibrium_order_x" in bundle.summary
+        cfg = parse_config(MINIMAL.replace("h = 1", "h = 0.37"))
+        sf = assemble_series(sine_coefficients(cfg.profile, cfg.geometry, 64),
+                             cfg.geometry, cfg.material, path="B")
+        xs = np.linspace(0.0, cfg.geometry.l, 41)
+        sf.grid_fields(xs, np.linspace(0.0, cfg.geometry.h, 41))
+        contact_pressure(sf, xs)
+        total_force(sf)
+        assert "platestamp.strip_solution" not in callers
+        # the spy does see the per-mode sum, off uniform axes
+        sf.sample(0.3, 0.1)
+        assert callers[-1] == "platestamp.strip_solution"
+
+    def test_field_grid_has_no_negative_zero_cells(self, tmp_path):
+        # the sine fields (v, sigma_x, sigma_y) vanish at x = 0 and x = l as
+        # +0.0, and no cell of the grid prints as "-0"
+        run(parse_config(MINIMAL), output_dir=tmp_path / "out")
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "field_grid.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 41 * 41
+        assert not any(cell == "-0" for row in rows for cell in row)
+        edges = [row for row in rows if float(row[0]) in (0.0, 2.0)]
+        assert len(edges) == 2 * 41
+        assert all(row[i] == "0" for row in edges for i in (3, 4, 5))
+
+    def test_scipy_sparse_not_imported(self, tmp_path):
+        # only the finite-difference oracle uses scipy.sparse; importing the
+        # package and making a verified run must not load it
+        code = ("import sys; import platestamp; from platestamp import cli; "
+                "cli.run(cli.parse_config(sys.argv[1]), sys.argv[2]); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        proc = subprocess.run([sys.executable, "-c", code, SMALL_VERIFY, str(tmp_path / "out")],
+                              env=_env_with_src(), capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "summary.txt").read_text().count("equilibrium_order_x=") == 1
 
     def test_field_grid_rows_format_like_17g(self):
         # "%.17g" per row must give the digits of format(v, ".17g") on

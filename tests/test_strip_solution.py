@@ -393,6 +393,41 @@ def per_mode_grid_fields(sf, xs, ys):
             "sigma_y": total["Y"], "tau_xy": total["X"]}
 
 
+def exact_uniform_grid_fields(sf, xs, ys):
+    """Reference for SeriesField.grid_fields on uniform ``xs = i l / M``:
+    the same float profiles (one mode at a time) and coefficients, summed
+    at 40 digits with sin(pi n i / M) and cos(pi n i / M); rounded once."""
+    geom, mat = sf.geometry, sf.material
+    M = len(xs) - 1
+    rho = calibrate_delta_ratio(geom, mat)
+    eta = ys / geom.h
+    active = [(n, c) for n, c in enumerate(sf.c[:, 0].tolist(), start=1) if c != 0.0]
+    profs = [mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta) for n, _ in active]
+    with mp.workdps(40):
+        trig = {}
+        for parity, fn in (("sin", mp.sin), ("cos", mp.cos)):
+            # one entry per residue n mod 2M, each sum term looks it up
+            table = [[fn(mp.pi * r * i / M) for i in range(M + 1)] for r in range(2 * M)]
+            trig[parity] = [[table[n % (2 * M)][i] for n, _ in active] for i in range(M + 1)]
+        total = {}
+        for f_i, f in enumerate(FIELD_NAMES):
+            cols = trig["cos" if f in ("U", "X") else "sin"]
+            out = np.empty((len(ys), len(xs)))
+            for j in range(len(ys)):
+                weights = [mp.mpf(c) * mp.mpf(float(prof[f_i][j]))
+                           for (_, c), prof in zip(active, profs)]
+                for i in range(M + 1):
+                    out[j, i] = float(mp.fdot(weights, cols[i]))
+            total[f] = out
+    G = mat.G
+    return {"u": total["U"] / G, "v": total["V"] / G, "sigma_x": total["SX"],
+            "sigma_y": total["Y"], "tau_xy": total["X"]}
+
+
+def is_uniform(geom, xs):
+    return xs.size >= 2 and xs.tobytes() == np.linspace(0.0, geom.l, xs.size).tobytes()
+
+
 class TestGridPass:
     """grid_fields evaluates all fields of a grid with one call of the
     path's kernel over all active modes."""
@@ -401,10 +436,13 @@ class TestGridPass:
 
     @staticmethod
     def grids(geom):
+        """Two grids on uniform axes from 0 to l (the transform route) and
+        three on other abscissae (the per-mode sum)."""
         return [(np.linspace(0, geom.l, 13), np.linspace(0, geom.h, 29)),
                 (np.array([0.3]), np.linspace(0, geom.h, 5)),
                 (np.linspace(0, geom.l, 8), np.array([geom.h])),
-                (np.array([1.1]), np.array([0.4]))]
+                (np.array([1.1]), np.array([0.4])),
+                (geom.l * np.array([0.0, 0.05, 0.3, 0.55, 1.0]), np.linspace(0, geom.h, 7))]
 
     @staticmethod
     def series(geom, mat, path, N):
@@ -442,11 +480,47 @@ class TestGridPass:
     @pytest.mark.parametrize("N", [37, 256])
     @pytest.mark.parametrize("path", ["A", "B", "C"])
     def test_equals_per_mode_reference(self, geom, mat, path, N):
+        # off uniform axes, the bits of the per-mode einsum
         sf = self.series(geom, mat, path, N)
-        for xs, ys in self.grids(geom):
+        grids = [(xs, ys) for xs, ys in self.grids(geom) if not is_uniform(geom, xs)]
+        assert len(grids) == 3
+        for xs, ys in grids:
             got = sf.grid_fields(xs, ys)
             want = per_mode_grid_fields(sf, xs, ys)
             assert list(got) == list(want)
             for key, ref in want.items():
                 assert got[key].shape == ref.shape == (len(ys), len(xs))
                 assert got[key].tobytes() == ref.tobytes(), key
+
+    @pytest.mark.parametrize("N", [37, 256])
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_uniform_axes_match_exact_sum(self, geom, mat, path, N):
+        # on uniform axes the transform agrees with the exactly summed
+        # series to 1e-14 of each field's scale
+        sf = self.series(geom, mat, path, N)
+        grids = [(xs, ys) for xs, ys in self.grids(geom) if is_uniform(geom, xs)]
+        assert len(grids) == 2
+        for xs, ys in grids:
+            got = sf.grid_fields(xs, ys)
+            want = exact_uniform_grid_fields(sf, xs, ys)
+            assert list(got) == list(want)
+            for key, ref in want.items():
+                assert got[key].shape == ref.shape == (len(ys), len(xs))
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got[key] - ref)) <= 1e-14 * scale, key
+
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_sine_fields_positive_zero_at_lateral_edges(self, geom, mat, path):
+        sf = self.series(geom, mat, path, 256)
+        f = sf.grid_fields(np.linspace(0, geom.l, 101), np.linspace(0, geom.h, 11))
+        for key in ("v", "sigma_y", "sigma_x"):
+            edges = f[key][:, [0, -1]]
+            assert np.all(edges == 0.0) and not np.any(np.signbit(edges)), key
+
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_zero_coefficients_all_positive_zero(self, geom, mat, path):
+        sf = assemble_series(np.zeros(16), geom, mat, path=path)
+        for xs, ys in self.grids(geom):
+            for key, arr in sf.grid_fields(xs, ys).items():
+                assert arr.shape == (len(ys), len(xs))
+                assert np.all(arr == 0.0) and not np.any(np.signbit(arr)), key
