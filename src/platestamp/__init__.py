@@ -16,7 +16,6 @@ from .core import (
     Material,
     MaterialError,
     ModeDegeneracyError,
-    ModeIndex,
     Parity,
     PathDivergenceError,
     PlateStampError,

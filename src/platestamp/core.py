@@ -125,29 +125,6 @@ class Material:
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """One Fourier mode of the sine expansion along x.
-
-    k = n*pi/l is the wavenumber and beta = k*h the dimensionless height.
-    """
-
-    n: int
-    k: float
-    beta: float
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"mode number must be a positive integer, got n={self.n}")
-        if not (self.k > 0):
-            raise DomainError(f"wavenumber must be positive, got k={self.k}")
-
-    @classmethod
-    def for_mode(cls, n: int, geom: Geometry) -> "ModeIndex":
-        k = n * math.pi / geom.l
-        return cls(n=n, k=k, beta=k * geom.h)
-
-
-@dataclass(frozen=True)
 class FieldSample:
     """Physical displacements and stresses at one point."""
 

@@ -59,7 +59,6 @@ from .core import (
     Geometry,
     Material,
     ModeDegeneracyError,
-    ModeIndex,
     Parity,
     PathDivergenceError,
     PlateStampError,
@@ -109,10 +108,15 @@ class SolutionPath(Enum):
 
 
 def mode_columns(ns: Sequence[int], geom: Geometry):
-    """Mode numbers, wavenumbers and beta of the modes ``ns`` as (N, 1)
-    columns, computed as :meth:`ModeIndex.for_mode` computes them, so each
-    entry equals the per-mode value bit for bit."""
-    n = np.asarray(ns, dtype=int).reshape(-1, 1)
+    """Mode numbers, wavenumbers k = n pi / l and beta = k h of the modes
+    ``ns`` as (N, 1) columns.  Each entry has the bits of the same
+    arithmetic on that mode alone.  A mode number that is not an integer,
+    or is below 1, raises :class:`DomainError`."""
+    n = np.asarray(ns).reshape(-1, 1)
+    integral = n.dtype.kind in "iu"
+    if n.size and not (integral and n.min() >= 1):
+        bad = n.flat[np.argmax(n < 1)] if integral else n.flat[0]
+        raise DomainError(f"mode number must be a positive integer, got n={bad}")
     k = n * math.pi / geom.l
     return n, k, k * geom.h
 
@@ -330,10 +334,10 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
     pins the ratio at 1 to roundoff; a larger residual means the two
     routes genuinely disagree and raises :class:`PathDivergenceError`.
     """
-    mode = ModeIndex.for_mode(_CALIBRATION_MODE, geom)
+    _, k, beta = (a.item() for a in mode_columns([_CALIBRATION_MODE], geom))
     etas = np.linspace(0.0, 1.0, _CALIBRATION_SAMPLES)
-    (vb,) = block_profiles(mode.k, mode.beta, mat.nu, etas, fields=("V",))
-    (vc,) = closed_profiles(mode.beta, mat.nu, geom.h, 1.0, etas, fields=("V",))
+    (vb,) = block_profiles(k, beta, mat.nu, etas, fields=("V",))
+    (vc,) = closed_profiles(beta, mat.nu, geom.h, 1.0, etas, fields=("V",))
     rho = float(np.dot(vc, vb) / np.dot(vc, vc))
     scale = float(np.max(np.abs(vb)))
     residual = float(np.max(np.abs(rho * vc - vb)))
@@ -468,16 +472,6 @@ class SeriesField:
             "tau_xy": total["X"],
         }
 
-    def sample(self, x: float, y: float) -> FieldSample:
-        f = self.grid_fields(np.array([x]), np.array([y]))
-        return FieldSample(
-            x=x, y=y,
-            u=float(f["u"][0, 0]), v=float(f["v"][0, 0]),
-            sigma_x=float(f["sigma_x"][0, 0]),
-            sigma_y=float(f["sigma_y"][0, 0]),
-            tau_xy=float(f["tau_xy"][0, 0]),
-        )
-
 
 def assemble_series(
     coeffs: Sequence[float],
@@ -514,4 +508,5 @@ def evaluate_fields(sf: SeriesField, x: float, y: float) -> FieldSample:
     if not (0.0 <= x <= geom.l) or not (0.0 <= y <= geom.h):
         raise DomainError(f"point ({x}, {y}) outside plate "
                           f"[0, {geom.l}] x [0, {geom.h}]")
-    return sf.sample(x, y)
+    f = sf.grid_fields(np.array([x]), np.array([y]))
+    return FieldSample(x=x, y=y, **{name: float(a[0, 0]) for name, a in f.items()})

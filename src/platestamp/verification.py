@@ -1,10 +1,14 @@
 """Independent oracles and residual meters.
 
 A 5-point finite-difference Laplace solver cross-checks the harmonic
-series layer; central-difference residual meters check that assembled
-fields satisfy force balance and the plane-strain stress-strain law;
-the discrepancy report runs the three per-mode solution routes against
-each other and documents the closed-form corrections.
+series layer.  It shares no code with the series solvers, and solves its
+linear system by DST-I along both axes (through ``numpy.fft``); the
+5-point stencil of :func:`laplacian_residual` forms its right-hand side
+and its residual.  Central-difference residual meters check that
+assembled fields satisfy force balance and the plane-strain
+stress-strain law; the discrepancy report runs the three per-mode
+solution routes against each other and documents the closed-form
+corrections.
 
 Residual meters evaluate on the interior of a uniform grid (one cell
 from the boundary so the central stencils stay valid) and can exclude a
@@ -130,19 +134,37 @@ def _order(l2_coarse: float, l2_fine: float, dx_coarse: float, dx_fine: float) -
 # finite-difference Laplace oracle
 # ---------------------------------------------------------------------------
 
+def _five_point(F: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    """5-point discrete Laplacian of the grid values ``F`` on its interior."""
+    return ((F[1:-1, 2:] - 2 * F[1:-1, 1:-1] + F[1:-1, :-2]) / dx**2
+            + (F[2:, 1:-1] - 2 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / dy**2)
+
+
+def _dst2(a: np.ndarray) -> np.ndarray:
+    """DST-I of ``a`` along both axes, sum_j a_j sin(pi p j / (n + 1)) for
+    p, j = 1..n on each: per axis, minus the imaginary part of a real FFT
+    of length 2(n + 1) of the data with one leading zero."""
+    for _ in range(2):
+        n = a.shape[1]
+        padded = np.zeros((a.shape[0], 2 * (n + 1)))
+        padded[:, 1:n + 1] = a
+        a = -np.fft.rfft(padded, axis=1).imag[:, 1:n + 1].T
+    return a
+
+
 def fd_laplace_solve(data: DirichletData, geom: Geometry, grid: GridSpec) -> np.ndarray:
     """Solve the 5-point discrete Laplace system for the given Dirichlet
     data; returns the full (ny+2, nx+2) grid including the boundary ring.
 
-    A sparse direct solve is used; the algebraic residual is checked
-    against 1e-11 relative to the data scale and a failure raises
-    :class:`FdSolveError`.  Deterministic for fixed inputs.
+    The right-hand side is the 5-point stencil of the boundary ring.  The
+    Dirichlet 5-point Laplacian is diagonalised by DST-I along each axis,
+    so the solve is a transform of the right-hand side, a division by the
+    eigenvalue sums and the inverse transform (the fast Poisson solver of
+    Hockney and of Buzbee, Golub and Nielson).  The algebraic residual,
+    the stencil of the solved grid, is checked against 1e-11 relative to
+    the right-hand side's scale; a failure raises :class:`FdSolveError`.
+    Deterministic for fixed inputs.
     """
-    # imported here: only this oracle uses scipy, and importing scipy.sparse
-    # would double the package's import time
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.spacing(geom)
     xs, ys = grid.axes(geom)
@@ -153,34 +175,24 @@ def fd_laplace_solve(data: DirichletData, geom: Geometry, grid: GridSpec) -> np.
         vals = np.asarray(f(pts), dtype=float)
         return np.broadcast_to(vals, pts.shape).astype(float)
 
-    g1 = edge(data.f1, ys)   # x = 0
-    g2 = edge(data.f2, ys)   # x = l
-    g3 = edge(data.f3, xs)   # y = 0
-    g4 = edge(data.f4, xs)   # y = h
+    full = np.zeros((ny + 2, nx + 2))
+    full[:, 0] = edge(data.f1, ys)    # x = 0
+    full[:, -1] = edge(data.f2, ys)   # x = l
+    full[0, :] = edge(data.f3, xs)    # y = 0
+    full[-1, :] = edge(data.f4, xs)   # y = h
+    b = -_five_point(full, dx, dy)
 
-    Tx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nx, nx)) / dx**2
-    Ty = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny)) / dy**2
-    A = (sp.kron(sp.identity(ny), Tx) + sp.kron(Ty, sp.identity(nx))).tocsr()
+    # eigenvalues of the 1-D second differences, sin(p pi j/(n+1)) in j
+    lam_x = -4.0 / dx**2 * np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1)))**2
+    lam_y = -4.0 / dy**2 * np.sin(np.arange(1, ny + 1) * np.pi / (2 * (ny + 1)))**2
+    spectrum = _dst2(b) / (lam_y[:, None] + lam_x)
+    full[1:-1, 1:-1] = _dst2(spectrum) * (4.0 / ((nx + 1) * (ny + 1)))
 
-    b = np.zeros((ny, nx))
-    b[0, :] -= g3[1:-1] / dy**2
-    b[-1, :] -= g4[1:-1] / dy**2
-    b[:, 0] -= g1[1:-1] / dx**2
-    b[:, -1] -= g2[1:-1] / dx**2
-
-    u = spla.spsolve(A, b.ravel())
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    residual = float(np.max(np.abs(A @ u - b.ravel()))) / scale
+    scale = max(1.0, float(np.max(np.abs(b))))
+    residual = float(np.max(np.abs(_five_point(full, dx, dy)))) / scale
     if not np.isfinite(residual) or residual > _FD_RESIDUAL_TOL:
         raise FdSolveError(
-            f"direct solve residual {residual:.3e} exceeds {_FD_RESIDUAL_TOL:g}")
-
-    full = np.zeros((ny + 2, nx + 2))
-    full[1:-1, 1:-1] = u.reshape(ny, nx)
-    full[:, 0] = g1
-    full[:, -1] = g2
-    full[0, :] = g3
-    full[-1, :] = g4
+            f"fast Poisson solve residual {residual:.3e} exceeds {_FD_RESIDUAL_TOL:g}")
     return full
 
 
@@ -200,9 +212,7 @@ def laplacian_residual(
         dx, dy = g.spacing(geom)
         xs, ys = g.axes(geom)
         X, Y = np.meshgrid(xs, ys)
-        F = np.asarray(field(X, Y), dtype=float)
-        lap = ((F[1:-1, 2:] - 2 * F[1:-1, 1:-1] + F[1:-1, :-2]) / dx**2
-               + (F[2:, 1:-1] - 2 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / dy**2)
+        lap = _five_point(np.asarray(field(X, Y), dtype=float), dx, dy)
         XI, YI, mask = _interior_mask(geom, xs[1:-1], ys[1:-1], exclusion_margin)
         return _stats(lap, XI, YI, mask), dx
 

@@ -14,7 +14,6 @@ from platestamp import (
     Geometry,
     GridSpec,
     Material,
-    ModeIndex,
     QuadratureSpec,
     assemble_series,
     calibrate_delta_ratio,
@@ -33,7 +32,7 @@ from platestamp.stamp_problem import contact_pressure
 from platestamp.strip_solution import _ratios
 from platestamp.verification import path_profile_difference
 
-from conftest import mode_kernel
+from conftest import mode_kernel, mode_scalars
 
 L, H, E_MOD, NU, N_MODES = 2.0, 1.0, 1.0, 0.3, 64
 GEOM = Geometry(L, H)
@@ -66,7 +65,7 @@ def all_paths_per_mode():
     out = []
     for n in range(1, N_MODES + 1):
         out.append((
-            ModeIndex.for_mode(n, GEOM),
+            mode_scalars(n, GEOM)[1],
             mode_kernel("A", n, GEOM, MAT),
             mode_kernel("B", n, GEOM, MAT),
             mode_kernel("C", n, GEOM, MAT, rho=rho),
@@ -78,9 +77,9 @@ def test_criterion_1_three_path_equivalence(all_paths_per_mode):
     """Paths A, B, C agree to 1e-10 relative on all five profiles,
     modes 1..64, 11 eta samples (scale: per-profile max over eta)."""
     worst = 0.0
-    for mode, pa, pb, pc in all_paths_per_mode:
-        worst = max(worst, path_profile_difference(pa, pb, mode.beta),
-                    path_profile_difference(pc, pb, mode.beta))
+    for beta, pa, pb, pc in all_paths_per_mode:
+        worst = max(worst, path_profile_difference(pa, pb, beta),
+                    path_profile_difference(pc, pb, beta))
     print(f"  worst three-path relative difference: {worst:.3e}")
     _report(1, "three-path equivalence", worst <= 1e-10)
 
@@ -91,7 +90,7 @@ def test_criterion_2_boundary_conditions(all_paths_per_mode, raised_cosine_serie
     sine reconstruction within 1e-9."""
     ok = True
     # per-mode: V(0), X(0), X(1) for every path
-    for mode, pa, pb, pc in all_paths_per_mode:
+    for _, pa, pb, pc in all_paths_per_mode:
         for prof in (pa, pb, pc):
             scales = np.max(np.abs(prof(ETAS_FINE)), axis=1)
             v_scale = max(scales[1], 1e-300)
@@ -168,12 +167,12 @@ def test_criterion_4_harmonic_layer():
     ok = True
     # every block is a ratio profile times a power of +-k, so these fields
     # cover all eight blocks and the two sh(ky)-companions
-    mode = ModeIndex.for_mode(2, GEOM)
+    k, beta = mode_scalars(2, GEOM)
     for ratio in range(4):
         for trig in (np.sin, np.cos):
             def field(X, Y, ratio=ratio, trig=trig):
-                profile = _ratios(mode.beta, Y[:, :1] / H)[1 + ratio]
-                return profile * trig(mode.k * X)
+                profile = _ratios(beta, Y[:, :1] / H)[1 + ratio]
+                return profile * trig(k * X)
 
             rep = laplacian_residual(field, GEOM, GridSpec(31, 31),
                                      refined=GridSpec(63, 63))
@@ -221,7 +220,7 @@ def test_criterion_5_shear_typo_regression():
     for n in range(1, N_MODES + 1):
         (unfixed,) = mode_kernel("C", n, GEOM, MAT, uncorrected_shear=True)(1.0, fields=("X",))
         (corrected,) = mode_kernel("C", n, GEOM, MAT)(1.0, fields=("X",))
-        b = ModeIndex.for_mode(n, GEOM).beta
+        b = mode_scalars(n, GEOM)[1]
         bracket = float(unfixed) * H * (1 - NU) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0    # sh(b)(ch(b) - sh(b))
         worst = max(worst, abs(bracket - reference))

@@ -20,6 +20,7 @@ from platestamp import (
     constitutive_residual,
     contact_pressure,
     equilibrium_residual,
+    evaluate_fields,
     parse_config,
     run,
     sine_coefficients,
@@ -343,7 +344,7 @@ class TestRun:
         total_force(sf)
         assert "platestamp.strip_solution" not in callers
         # the spy does see the per-mode sum, off uniform axes
-        sf.sample(0.3, 0.1)
+        evaluate_fields(sf, 0.3, 0.1)
         assert callers[-1] == "platestamp.strip_solution"
 
     def test_field_grid_has_no_negative_zero_cells(self, tmp_path):
@@ -358,12 +359,15 @@ class TestRun:
         assert len(edges) == 2 * 41
         assert all(row[i] == "0" for row in edges for i in (3, 4, 5))
 
-    def test_scipy_sparse_not_imported(self, tmp_path):
-        # only the finite-difference oracle uses scipy.sparse; importing the
-        # package and making a verified run must not load it
+    def test_scipy_not_imported(self, tmp_path):
+        # numpy is the only runtime dependency: importing the package, a
+        # verified run and the finite-difference oracle load no scipy module
         code = ("import sys; import platestamp; from platestamp import cli; "
                 "cli.run(cli.parse_config(sys.argv[1]), sys.argv[2]); "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+                "g = platestamp.Geometry(2.0, 1.0); "
+                "platestamp.fd_laplace_solve(platestamp.DirichletData(f4=lambda x: x), g, "
+                "platestamp.GridSpec(9, 5)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code, SMALL_VERIFY, str(tmp_path / "out")],
                               env=_env_with_src(), capture_output=True, text=True,
                               check=True, timeout=120)

@@ -28,13 +28,20 @@ from platestamp import (
     Geometry,
     Material,
     MaterialError,
-    ModeIndex,
     Parity,
     SingularRatioError,
     stable_ratio,
 )
 from platestamp.modal_calculus import OperatorId, RatioKind, _operator_multiplier
-from platestamp.strip_solution import FIELD_PARITIES, _INITIAL_ROWS, _ratios, _scaled_ops
+from platestamp.strip_solution import (
+    FIELD_PARITIES,
+    _INITIAL_ROWS,
+    _ratios,
+    _scaled_ops,
+    mode_columns,
+)
+
+from conftest import mode_scalars
 
 mp.mp.dps = 40
 
@@ -134,34 +141,34 @@ class TestBuildingBlocks:
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_face_value_is_identity(self, geom, n):
         # the block reproducing the prescribed face data: value 1 at y=h...
-        mode = ModeIndex.for_mode(n, geom)
-        assert _block("b10", mode.k, mode.beta, 1.0) == 1.0
+        k, beta = mode_scalars(n, geom)
+        assert _block("b10", k, beta, 1.0) == 1.0
         # ...and 0 on the clamped face
-        assert _block("b10", mode.k, mode.beta, 0.0) == 0.0
+        assert _block("b10", k, beta, 0.0) == 0.0
 
     def test_b11_reference_value(self):
         # l=pi, h=1, n=1, y=0: -ch(0)/sh(1)
-        mode = ModeIndex.for_mode(1, Geometry(l=math.pi, h=1.0))
-        assert _block("b11", mode.k, mode.beta, 0.0) == pytest.approx(
+        k, beta = mode_scalars(1, Geometry(l=math.pi, h=1.0))
+        assert _block("b11", k, beta, 0.0) == pytest.approx(
             float(-1 / mp.sinh(1)), rel=1e-14)
 
     @pytest.mark.parametrize("op", _BLOCKS, ids=_block_ids)
     @pytest.mark.parametrize("n,y", [(1, 0.25), (3, 0.8), (7, 1.0)])
     def test_against_reference_forms(self, geom, op, n, y):
-        mode = ModeIndex.for_mode(n, geom)
+        k, beta = mode_scalars(n, geom)
         ref_fn = _BLOCKS[op][4]
-        got = _block(op, mode.k, mode.beta, y / geom.h)
-        assert got == pytest.approx(float(ref_fn(mp.mpf(mode.k), mp.mpf(y), mp.mpf(geom.h))),
+        got = _block(op, k, beta, y / geom.h)
+        assert got == pytest.approx(float(ref_fn(mp.mpf(k), mp.mpf(y), mp.mpf(geom.h))),
                                     rel=1e-12)
 
     @pytest.mark.parametrize("n,y", [(1, 0.0), (3, 0.25), (7, 0.8), (40, 1.0)])
     def test_companion_ratio_reference(self, geom, n, y):
         # sh(ky)ch(kh)/sh(kh)^2, the ratio of the sh(ky)-companions of b16
         # and b17 in the V and X profiles
-        mode = ModeIndex.for_mode(n, geom)
-        k, yy, h = mp.mpf(mode.k), mp.mpf(y), mp.mpf(geom.h)
+        k, beta = mode_scalars(n, geom)
+        k, yy, h = mp.mpf(k), mp.mpf(y), mp.mpf(geom.h)
         expected = float(mp.sinh(k * yy) * mp.cosh(k * h) / mp.sinh(k * h) ** 2)
-        assert _ratios(mode.beta, y / geom.h)[4] == pytest.approx(expected, rel=1e-12,
+        assert _ratios(beta, y / geom.h)[4] == pytest.approx(expected, rel=1e-12,
                                                                   abs=1e-300)
 
     def test_y_derivative_identities(self, geom):
@@ -169,8 +176,7 @@ class TestBuildingBlocks:
         # d/dy b10 = b13 multiplier = -k * b11 multiplier
         delta = 1e-5 * geom.h
         for n in (1, 3, 8):
-            mode = ModeIndex.for_mode(n, geom)
-            k, beta = mode.k, mode.beta
+            k, beta = mode_scalars(n, geom)
             for y in (0.2, 0.5, 0.9):
                 dd = (_block("b10", k, beta, (y + delta) / geom.h)
                       - _block("b10", k, beta, (y - delta) / geom.h)) / (2 * delta)
@@ -187,18 +193,18 @@ class TestBuildingBlocks:
             for y in (0.0, 0.4, 0.85):
                 vals = []
                 for h_pert in (geom.h + delta, geom.h - delta):
-                    mode = ModeIndex.for_mode(n, Geometry(l=geom.l, h=h_pert))
-                    vals.append(_block("b11", mode.k, mode.beta, y / h_pert))
+                    k, beta = mode_scalars(n, Geometry(l=geom.l, h=h_pert))
+                    vals.append(_block("b11", k, beta, y / h_pert))
                 dd = -(vals[0] - vals[1]) / (2 * delta)
-                mode = ModeIndex.for_mode(n, geom)
-                b16 = _block("b16", mode.k, mode.beta, y / geom.h)
+                k, beta = mode_scalars(n, geom)
+                b16 = _block("b16", k, beta, y / geom.h)
                 assert dd == pytest.approx(b16, rel=1e-6)
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("op", _BLOCKS, ids=_block_ids)
     def test_harmonicity(self, geom, op, n):
         # 5-point Laplacian of block(y) * trig(k x) shrinks at O(h^2)
-        mode = ModeIndex.for_mode(n, geom)
+        k, beta = mode_scalars(n, geom)
         trig = np.sin if _BLOCKS[op][3] is Parity.SINE else np.cos
 
         def field(step):
@@ -206,7 +212,7 @@ class TestBuildingBlocks:
             ys = np.arange(0.4, 0.4 + 5 * step, step)[:5]
             vals = np.empty((5, 5))
             for j, y in enumerate(ys):
-                vals[j] = _block(op, mode.k, mode.beta, y / geom.h) * trig(mode.k * xs)
+                vals[j] = _block(op, k, beta, y / geom.h) * trig(k * xs)
             lap = (vals[2, 3] + vals[2, 1] + vals[3, 2] + vals[1, 2] - 4 * vals[2, 2]) / step**2
             return abs(lap), np.max(np.abs(vals))
 
@@ -215,16 +221,16 @@ class TestBuildingBlocks:
         step = 2e-3
         r1, scale = field(step)
         r2, _ = field(step / 2)
-        assert r1 < step**2 * mode.k**4 * max(scale, 1e-300)
+        assert r1 < step**2 * k**4 * max(scale, 1e-300)
         order = math.log2(r1 / r2) if r2 > 0 else 2.0
         assert order > 1.9
 
     def test_domain_errors(self, geom):
         # the ratio profiles reject a height below the plate; modes start at 1
         with pytest.raises(DomainError):
-            _ratios(ModeIndex.for_mode(1, geom).beta, -0.1)
-        with pytest.raises(DomainError):
-            ModeIndex.for_mode(0, geom)
+            _ratios(mode_scalars(1, geom)[1], -0.1)
+        with pytest.raises(DomainError, match="n=0"):
+            mode_columns([0], geom)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +315,14 @@ def _raw(op, k, y, nu):
 
 class TestVlasovOperators:
     def test_identity_values_at_zero(self, geom, mat):
-        mode = ModeIndex.for_mode(3, geom)
-        assert _raw(OperatorId.L_VV, mode.k, 0.0, mat.nu) == 1.0
-        assert _raw(OperatorId.L_UY, mode.k, 0.0, mat.nu) == 0.0
+        k, _ = mode_scalars(3, geom)
+        assert _raw(OperatorId.L_VV, k, 0.0, mat.nu) == 1.0
+        assert _raw(OperatorId.L_UY, k, 0.0, mat.nu) == 0.0
 
     def test_sigma_y_from_u0_value(self):
         # k=1 (l=pi, n=1), nu=0.3, y=0.5: -(k^2 y/(1-nu)) sh(k y)
-        mode = ModeIndex.for_mode(1, Geometry(l=math.pi, h=1.0))
-        got = _raw(OperatorId.L_YU, mode.k, 0.5, 0.3)
+        k, _ = mode_scalars(1, Geometry(l=math.pi, h=1.0))
+        got = _raw(OperatorId.L_YU, k, 0.5, 0.3)
         expected = float(-(mp.mpf("0.5") / mp.mpf("0.7")) * mp.sinh(mp.mpf("0.5")))
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -324,12 +330,12 @@ class TestVlasovOperators:
     @pytest.mark.parametrize("n,l", [(1, 2.0), (2, 4.0), (3, 4.0)])  # beta <= 3
     def test_power_series_oracle(self, mat, op, n, l):
         geom = Geometry(l=l, h=1.0)
-        mode = ModeIndex.for_mode(n, geom)
+        k, _ = mode_scalars(n, geom)
         y, x = 0.7, 0.37 * geom.l
-        m, parity = _on_mode(op, _raw(op, mode.k, y, mat.nu), Parity.SINE)
+        m, parity = _on_mode(op, _raw(op, k, y, mat.nu), Parity.SINE)
         series_val = _apply_power_series(op, mp.pi * n / l, y, x, mat.nu)
         trig = math.sin if parity is Parity.SINE else math.cos
-        expected = m * trig(mode.k * x)
+        expected = m * trig(k * x)
         assert series_val == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("column,parity_in", [
@@ -346,8 +352,7 @@ class TestVlasovOperators:
         differences, step 1e-5 h."""
         nu = mat.nu
         c1, c2, c3 = nu / (1 - nu), (1 - 2 * nu) / (2 * (1 - nu)), 2 / (1 - nu)
-        mode = ModeIndex.for_mode(2, geom)
-        k = mode.k
+        k, _ = mode_scalars(2, geom)
         ops_for = {
             "U": (OperatorId.L_UU, OperatorId.L_VU, OperatorId.L_YU, OperatorId.L_XU),
             "V": (OperatorId.L_UV, OperatorId.L_VV, OperatorId.L_YV, OperatorId.L_XV),
@@ -380,8 +385,7 @@ class TestVlasovOperators:
     def test_horizontal_stress_row_identity(self, geom, mat, column, parity_in):
         # sigma_x = (nu/(1-nu)) sigma_y + (2/(1-nu)) dU/dx, exactly per mode
         nu = mat.nu
-        mode = ModeIndex.for_mode(3, geom)
-        k = mode.k
+        k, _ = mode_scalars(3, geom)
         a_op, u_op, y_op = {
             "U": (OperatorId.A_U, OperatorId.L_UU, OperatorId.L_YU),
             "V": (OperatorId.A_V, OperatorId.L_UV, OperatorId.L_YV),
@@ -403,17 +407,17 @@ class TestVlasovOperators:
         # divided by sh(k h)
         ops = (OperatorId.L_UU, OperatorId.L_VU, OperatorId.A_U)
         for n in (1, 5, 20):
-            mode = ModeIndex.for_mode(n, geom)
-            sh = math.sinh(mode.beta)
-            scaled = _scaled_ops(mode.k, mode.beta, 0.6 / geom.h, mat.nu, ops)
+            k, beta = mode_scalars(n, geom)
+            sh = math.sinh(beta)
+            scaled = _scaled_ops(k, beta, 0.6 / geom.h, mat.nu, ops)
             for op in ops:
-                raw = _raw(op, mode.k, 0.6, mat.nu)
+                raw = _raw(op, k, 0.6, mat.nu)
                 assert scaled[op] == pytest.approx(raw / sh, rel=1e-12)
 
     def test_scaled_evaluation_large_mode_finite(self, geom, mat):
         # beta ~ 3100: raw sh/ch would overflow, the scaled table must not
-        mode = ModeIndex.for_mode(2000, geom)
-        scaled = _scaled_ops(mode.k, mode.beta, 1.0, mat.nu, tuple(OperatorId))
+        k, beta = mode_scalars(2000, geom)
+        scaled = _scaled_ops(k, beta, 1.0, mat.nu, tuple(OperatorId))
         assert len(scaled) == len(OperatorId)
         for op, v in scaled.items():
             assert np.isfinite(v), op
@@ -429,11 +433,11 @@ class TestVlasovOperators:
     def test_domain_errors(self, geom, mat):
         # a tag that is not a transfer operator is refused, and the scaled
         # table rejects a height below the plate
-        mode = ModeIndex.for_mode(1, geom)
+        k, beta = mode_scalars(1, geom)
         with pytest.raises(DomainError):
-            _operator_multiplier(RatioKind.SH_SH, mode.k, 0.5, 0.1, 1.0, mat.nu)
+            _operator_multiplier(RatioKind.SH_SH, k, 0.5, 0.1, 1.0, mat.nu)
         with pytest.raises(DomainError):
-            _scaled_ops(mode.k, mode.beta, -0.2, mat.nu, (OperatorId.L_UU,))
+            _scaled_ops(k, beta, -0.2, mat.nu, (OperatorId.L_UU,))
 
     def test_parity_algebra(self):
         """Path A folds the action of each operator on its amplitude's mode

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import platestamp
-from platestamp import Geometry, Material, ModeIndex, OperatorId, Parity
+from platestamp import Geometry, Material, OperatorId, Parity
 from platestamp.strip_solution import SeriesField, assemble_series, calibrate_delta_ratio
 from platestamp.verification import SharedGridFields
 
@@ -16,6 +16,7 @@ MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp
 
 #: names removed from the package, by the module that held them
 REMOVED = {
+    "platestamp.core": ("ModeIndex",),
     "platestamp.modal_calculus": (
         "ModalValue", "apply_parity", "building_block", "_block_value",
         "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
@@ -30,8 +31,8 @@ REMOVED = {
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
 REMOVED_MEMBERS = [(OperatorId, f"B{i}") for i in range(10, 18)] + [
     (Parity, "flipped"),
-    (ModeIndex, "h"),
     (SeriesField, "grid_fields_many"),
+    (SeriesField, "sample"),
     (SERIES, "grid_fields_many"),
     (SERIES, "modes"),
 ]

@@ -9,7 +9,6 @@ from platestamp import (
     BoundaryCompatibilityError,
     BoundaryProfile,
     DomainError,
-    ModeIndex,
     QuadratureSpec,
     assemble_series,
     calibrate_delta_ratio,
@@ -18,7 +17,7 @@ from platestamp import (
     total_force,
 )
 
-from conftest import mode_kernel
+from conftest import mode_kernel, mode_scalars
 
 mp.mp.dps = 40
 
@@ -193,7 +192,7 @@ def per_mode_face_sums(sf, xs):
         if c == 0.0:
             continue
         (y1,) = mode_kernel(sf.path.value, n, geom, mat, rho=rho)(1.0, fields=("Y",))
-        pressure += c * (float(y1) * np.sin(ModeIndex.for_mode(n, geom).k * xs))
+        pressure += c * (float(y1) * np.sin(mode_scalars(n, geom)[0] * xs))
         if n % 2:
             force += c * float(y1) * 2.0 * geom.l / (n * math.pi)
     return pressure, force

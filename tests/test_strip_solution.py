@@ -17,7 +17,6 @@ from platestamp import (
     Geometry,
     Material,
     ModeDegeneracyError,
-    ModeIndex,
     PlateStampError,
     SolutionPath,
     assemble_series,
@@ -37,7 +36,7 @@ from platestamp.strip_solution import (
 from platestamp.modal_calculus import OperatorId
 from platestamp.verification import path_profile_difference
 
-from conftest import mode_kernel
+from conftest import mode_kernel, mode_scalars
 
 mp.mp.dps = 40
 
@@ -89,7 +88,7 @@ class TestPathEquivalence:
         rho = calibrate_delta_ratio(geom, mat)
         worst_ab = worst_cb = 0.0
         for n in range(1, 65):
-            beta = ModeIndex.for_mode(n, geom).beta
+            beta = mode_scalars(n, geom)[1]
             pb = mode_kernel("B", n, geom, mat)
             pa = mode_kernel("A", n, geom, mat)
             pc = mode_kernel("C", n, geom, mat, rho=rho)
@@ -121,7 +120,7 @@ class TestPathEquivalence:
         rho = calibrate_delta_ratio(geom, mat)
         assert rho == pytest.approx(1.0, abs=1e-12)
         for n in (1, 5, 40):
-            beta = ModeIndex.for_mode(n, geom).beta
+            beta = mode_scalars(n, geom)[1]
             pb = mode_kernel("B", n, geom, mat)
             assert path_profile_difference(mode_kernel("A", n, geom, mat), pb, beta) < 1e-10
             assert path_profile_difference(
@@ -163,7 +162,7 @@ class TestPathC:
         (1 - e^(-2b))/2.  The corrected factor cancels exactly."""
         (unfixed,) = mode_kernel("C", n, geom, mat, uncorrected_shear=True)(1.0, fields=("X",))
         (corrected,) = mode_kernel("C", n, geom, mat)(1.0, fields=("X",))
-        b = ModeIndex.for_mode(n, geom).beta
+        b = mode_scalars(n, geom)[1]
         # back out the bracket value: X(1) * h * Delta / beta^2
         bracket = float(unfixed) * geom.h * (1 - mat.nu) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0   # sh(b)(ch(b)-sh(b))
@@ -210,8 +209,9 @@ class TestBatchKernels:
             batch = closed_profiles(beta, mat.nu, geom.h, rho, self.ETAS,
                                     uncorrected_shear=uncorrected)
         for i, n in enumerate(self.NS):
-            mode = ModeIndex.for_mode(n, geom)
-            assert (k[i, 0], beta[i, 0]) == (mode.k, mode.beta)
+            # the batch columns have the bits of the scalar arithmetic
+            assert k[i, 0] == n * math.pi / geom.l
+            assert beta[i, 0] == k[i, 0] * geom.h
             prof = mode_kernel(path[0], n, geom, mat, rho=rho, uncorrected_shear=uncorrected)
             for f, rows, row in zip(FIELD_NAMES, batch, prof(self.ETAS)):
                 assert np.array_equal(rows[i], row), (n, f)
@@ -231,7 +231,7 @@ def outer_product_fields(sf, xs, ys):
     eta = ys / geom.h
     acc = {f: np.zeros((ys.size, xs.size)) for f in FIELD_NAMES}
     for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
-        k = ModeIndex.for_mode(n, geom).k
+        k = mode_scalars(n, geom)[0]
         for f, prof in zip(FIELD_NAMES, mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta)):
             trig = np.cos if f in ("U", "X") else np.sin
             acc[f] += c * np.outer(prof, trig(k * xs))
@@ -382,7 +382,7 @@ def per_mode_grid_fields(sf, xs, ys):
     active = [(n, c) for n, c in enumerate(sf.c[:, 0].tolist(), start=1) if c != 0.0]
     profs = [mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta) for n, _ in active]
     c = np.array([c for _, c in active]).reshape(-1, 1)
-    k = [ModeIndex.for_mode(n, geom).k for n, _ in active]
+    k = [mode_scalars(n, geom)[0] for n, _ in active]
     total = {}
     for i, f in enumerate(FIELD_NAMES):
         block = np.array([prof[i] for prof in profs])

@@ -7,11 +7,12 @@ import pytest
 from platestamp import (
     BoundaryProfile,
     DirichletData,
+    DomainError,
+    FdSolveError,
     Geometry,
     GridSpec,
     Material,
     ModeDegeneracyError,
-    ModeIndex,
     assemble_series,
     constitutive_residual,
     discrepancy_report,
@@ -24,7 +25,7 @@ from platestamp import (
 )
 from platestamp.verification import SharedGridFields, path_profile_difference
 
-from conftest import mode_kernel
+from conftest import mode_kernel, mode_scalars
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,43 @@ class TestFdLaplace:
             spacings.append(grid.spacing(geom)[0])
         order = math.log(errs[0] / errs[1]) / math.log(spacings[0] / spacings[1])
         assert order > 1.9
+
+    def test_matches_dense_reference_solve(self):
+        # the 5-point system assembled densely from Kronecker products and
+        # solved by LU, every edge nonzero, on a non-square plate and grid
+        geom, grid = Geometry(1.0, 3.0), GridSpec(9, 5)
+        data = DirichletData(f1=lambda y: 1.0 + y**2, f2=lambda y: np.cos(y),
+                             f3=lambda x: np.exp(x), f4=lambda x: 2.0 - x**3)
+        nx, ny = grid.nx, grid.ny
+        dx, dy = grid.spacing(geom)
+        xs, ys = grid.axes(geom)
+
+        def second_difference(n, step):
+            return (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+                    + np.diag(np.ones(n - 1), -1)) / step**2
+
+        A = (np.kron(np.eye(ny), second_difference(nx, dx))
+             + np.kron(second_difference(ny, dy), np.eye(nx)))
+        b = np.zeros((ny, nx))
+        b[0, :] -= data.f3(xs[1:-1]) / dy**2
+        b[-1, :] -= data.f4(xs[1:-1]) / dy**2
+        b[:, 0] -= data.f1(ys[1:-1]) / dx**2
+        b[:, -1] -= data.f2(ys[1:-1]) / dx**2
+        reference = np.linalg.solve(A, b.ravel()).reshape(ny, nx)
+
+        full = fd_laplace_solve(data, geom, grid)
+        scale = max(np.max(np.abs(f(t))) for f, t in ((data.f1, ys), (data.f2, ys),
+                                                      (data.f3, xs), (data.f4, xs)))
+        assert np.max(np.abs(full[1:-1, 1:-1] - reference)) <= 1e-13 * scale
+        assert np.array_equal(full[0], data.f3(xs))
+        assert np.array_equal(full[-1], data.f4(xs))
+        assert np.array_equal(full[1:-1, 0], data.f1(ys[1:-1]))
+        assert np.array_equal(full[1:-1, -1], data.f2(ys[1:-1]))
+
+    def test_non_finite_data_fails_residual_gate(self, geom):
+        data = DirichletData(f2=lambda y: np.where(y > 0.5, np.nan, 0.0))
+        with pytest.raises(FdSolveError, match="residual nan"):
+            fd_laplace_solve(data, geom, GridSpec(15, 15))
 
 
 class TestLaplacianResidual:
@@ -306,16 +344,16 @@ class TestDiscrepancyReport:
         etas = np.linspace(0.0, 1.0, 101)
         assert [row.n for row in rep.rows] == list(range(1, 65))
         for row in rep.rows:
-            mode = ModeIndex.for_mode(row.n, geom)
+            k, beta = mode_scalars(row.n, geom)
             pb = mode_kernel("B", row.n, geom, mat)
             pc = mode_kernel("C", row.n, geom, mat, rho=rho)
             unfixed = mode_kernel("C", row.n, geom, mat, rho=rho, uncorrected_shear=True)
             (vc,) = mode_kernel("C", row.n, geom, mat)(etas, fields=("V",))
             (vb,) = pb(etas, fields=("V",))
-            assert row.beta == mode.beta
+            assert row.beta == beta
             assert row.rel_diff_ab == path_profile_difference(
-                mode_kernel("A", row.n, geom, mat), pb, mode.beta)
-            assert row.rel_diff_cb == path_profile_difference(pc, pb, mode.beta)
+                mode_kernel("A", row.n, geom, mat), pb, beta)
+            assert row.rel_diff_cb == path_profile_difference(pc, pb, beta)
             assert row.delta_ratio == pytest.approx(
                 np.dot(vc, vb) / np.dot(vc, vc), rel=0, abs=1e-15)
             assert row.uncorrected_shear_face == float(unfixed(1.0, fields=("X",))[0])
@@ -326,9 +364,9 @@ class TestDiscrepancyReport:
         # peaks inside the face layer, far above its value at any uniform
         # eta sample; scaling by the uniform samples alone read 3.5e-6 here
         geom, mat = Geometry(2.0, 20.0), Material(E=1.0, nu=0.2)
-        top = ModeIndex.for_mode(64, geom)
+        _, top_beta = mode_scalars(64, geom)
         pb = mode_kernel("B", 64, geom, mat)
-        (layer,) = pb(np.linspace(1.0 - 10.0 / top.beta, 1.0, 2001), fields=("X",))
+        (layer,) = pb(np.linspace(1.0 - 10.0 / top_beta, 1.0, 2001), fields=("X",))
         (coarse,) = pb(np.linspace(0.0, 1.0, 101), fields=("X",))
         peak = float(np.max(np.abs(layer)))
         uniform = float(np.max(np.abs(coarse)))
@@ -348,6 +386,14 @@ class TestDiscrepancyReport:
         assert per_mode.value.n == batched.value.n == 2
         assert batched.value.beta == per_mode.value.beta
         assert batched.value.cond == pytest.approx(per_mode.value.cond, rel=1e-12)
+
+    @pytest.mark.parametrize("modes,named", [([1.7, 2], "1.7"), ([0, 2], "0"),
+                                             ([-1], "-1")])
+    def test_bad_mode_numbers_named(self, geom, mat, modes, named):
+        # mode numbers are integers from 1: a float is not truncated, and
+        # neither 0 nor a negative mode reaches the kernels
+        with pytest.raises(DomainError, match=f"positive integer, got n={named}$"):
+            discrepancy_report(geom, mat, modes)
 
     def test_hard_error_on_path_divergence(self, geom, mat, monkeypatch):
         # a boundary-solve route that stops matching the block route is an
