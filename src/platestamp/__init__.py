@@ -30,7 +30,6 @@ from .modal_calculus import (
 from .harmonic_rect import (
     DirichletData,
     HarmonicSeries,
-    QuadratureSpec,
     evaluate_harmonic,
     solve_dirichlet,
 )

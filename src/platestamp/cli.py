@@ -53,10 +53,19 @@ PRESSURE_HEADER = "x,sigma_y_at_h"
 #: longer side can leave no interior point.
 VERIFY_MARGIN_FRACTION = 0.15
 
+#: per stamp kind, its keys in the order its BoundaryProfile factory takes them
+_STAMP_KEYS = {
+    "single_mode": ("mode", "depth"),
+    "raised_cosine": ("center", "half_width", "depth"),
+    "parabolic_bump": ("center", "half_width", "depth"),
+    "flat_stamp": ("center", "half_width", "depth"),
+    "tabulated": ("xs", "values"),
+}
+
 _KNOWN_KEYS = {
     "geometry": {"l", "h"},
     "material": {"E", "nu"},
-    "stamp": {"kind", "center", "half_width", "depth", "mode", "xs", "values"},
+    "stamp": {"kind"}.union(*_STAMP_KEYS.values()),
     "solver": {"modes", "grid", "path", "verify"},
     "output": {"directory"},
 }
@@ -123,6 +132,18 @@ def _get_int(cp, section, key, minimum=1):
     return value
 
 
+def _get_floats(cp, section, key):
+    error = ConfigError(f"invalid value for [{section}] {key}: expected "
+                        "space-separated finite numbers")
+    try:
+        values = [float(v) for v in cp.get(section, key).split()]
+    except ValueError:
+        raise error
+    if not all(map(math.isfinite, values)):
+        raise error
+    return values
+
+
 def _parse_grid(raw: str) -> tuple[int, int]:
     parts = raw.lower().replace(" ", "").split("x")
     if len(parts) != 2:
@@ -138,53 +159,22 @@ def _parse_grid(raw: str) -> tuple[int, int]:
 
 def _build_profile(cp) -> BoundaryProfile:
     kind = cp.get("stamp", "kind").strip().lower()
-
-    def need(*keys):
-        missing = [k for k in keys if not cp.has_option("stamp", k)]
-        if missing:
-            raise ConfigError(f"missing required key {missing[0]!r} in section [stamp] "
+    if kind not in _STAMP_KEYS:
+        raise ConfigError(f"invalid value for [stamp] kind: {kind!r} (expected one of "
+                          f"{', '.join(_STAMP_KEYS)})")
+    keys = _STAMP_KEYS[kind]
+    for key in keys:
+        if not cp.has_option("stamp", key):
+            raise ConfigError(f"missing required key {key!r} in section [stamp] "
                               f"for kind {kind!r}")
-        return [_get_float(cp, "stamp", k) for k in keys]
-
-    if kind == "single_mode":
-        if not cp.has_option("stamp", "mode"):
-            raise ConfigError("missing required key 'mode' in section [stamp] "
-                              "for kind 'single_mode'")
-        mode = _get_int(cp, "stamp", "mode")
-        (depth,) = need("depth")
-        return BoundaryProfile.single_mode(mode, depth)
-    if kind == "raised_cosine":
-        center, half_width, depth = need("center", "half_width", "depth")
-        return BoundaryProfile.raised_cosine(center, half_width, depth)
-    if kind == "parabolic_bump":
-        center, half_width, depth = need("center", "half_width", "depth")
-        return BoundaryProfile.parabolic_bump(center, half_width, depth)
-    if kind == "flat_stamp":
-        center, half_width, depth = need("center", "half_width", "depth")
-        return BoundaryProfile.flat_stamp(center, half_width, depth)
-    if kind == "tabulated":
-        for key in ("xs", "values"):
-            if not cp.has_option("stamp", key):
-                raise ConfigError(f"missing required key {key!r} in section [stamp] "
-                                  "for kind 'tabulated'")
-
-        def floats(key):
-            error = ConfigError(f"invalid value for [stamp] {key}: expected "
-                                "space-separated finite numbers")
-            try:
-                values = [float(v) for v in cp.get("stamp", key).split()]
-            except ValueError:
-                raise error
-            if not all(map(math.isfinite, values)):
-                raise error
-            return values
-
-        try:
-            return BoundaryProfile.tabulated(floats("xs"), floats("values"))
-        except PlateStampError as exc:
-            raise ConfigError(f"invalid tabulated stamp: {exc}") from exc
-    raise ConfigError(f"invalid value for [stamp] kind: {kind!r} (expected single_mode, "
-                      "raised_cosine, parabolic_bump, flat_stamp or tabulated)")
+    readers = {"mode": _get_int, "xs": _get_floats, "values": _get_floats}
+    values = [readers.get(key, _get_float)(cp, "stamp", key) for key in keys]
+    try:
+        return getattr(BoundaryProfile, kind)(*values)
+    except PlateStampError as exc:
+        # the factories' messages begin with the parameter they reject
+        key = next((k for k in keys if str(exc).startswith(k)), keys[0])
+        raise ConfigError(f"invalid value for [stamp] {key}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -255,19 +245,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_support(profile: BoundaryProfile, geom: Geometry) -> None:
-    """Reject a stamp that leaves the whole face [0, l] untouched: it would
-    solve to an all-zero field."""
+    """Reject a stamp that leaves the whole face [0, l] untouched
+    (:meth:`BoundaryProfile.touches_face`), naming the key at fault."""
+    if profile.touches_face(geom):
+        return
     if profile.kind is ProfileKind.TABULATED:
-        # piecewise linear and zero at both corners, so zero on the face
-        # exactly when it is zero at every knot on the face
-        if not any(profile.evaluate(x, geom) for x in profile.xs if 0.0 <= x <= geom.l):
-            raise ConfigError(f"invalid value for [stamp] values: the tabulated profile is "
-                              f"zero all along the face [0, {geom.l:g}]")
-    elif profile.kind is not ProfileKind.SINGLE_MODE:
-        lo, hi = profile.breakpoints(geom)
-        if lo >= geom.l:
-            raise ConfigError(f"invalid value for [stamp] center: the stamp covers "
-                              f"[{lo:g}, {hi:g}], outside the face [0, {geom.l:g}]")
+        raise ConfigError(f"invalid value for [stamp] values: the tabulated profile is "
+                          f"zero all along the face [0, {geom.l:g}]")
+    lo, hi = profile.breakpoints(geom)
+    raise ConfigError(f"invalid value for [stamp] center: the stamp covers "
+                      f"[{lo:g}, {hi:g}], outside the face [0, {geom.l:g}]")
 
 
 def _check_combination(config: RunConfig) -> None:

@@ -25,7 +25,6 @@ from .core import DomainError, Geometry, QuadratureError
 from .modal_calculus import RatioKind, stable_ratio
 
 __all__ = [
-    "QuadratureSpec",
     "DirichletData",
     "HarmonicSeries",
     "sine_transform",
@@ -36,19 +35,10 @@ __all__ = [
 _EDGES = ("f1", "f2", "f3", "f4")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite-Simpson resolution: ``panel_factor * N`` subintervals
-    (even, so the top retained mode is sampled 16 points per period), or
-    an explicit ``panels`` override."""
-
-    panel_factor: int = 8
-    panels: Optional[int] = None
-
-    def subintervals(self, n_modes: int) -> int:
-        p = self.panels if self.panels is not None else self.panel_factor * n_modes
-        p = max(int(p), 2)
-        return p + (p % 2)
+def _simpson_subintervals(N: int, panels: int | None) -> int:
+    """``panels``, by default 8 N: the top retained mode sampled 16 points
+    per period.  :func:`sine_transform` rounds each piece's share to even."""
+    return 8 * N if panels is None else panels
 
 
 @dataclass(frozen=True)
@@ -134,14 +124,17 @@ def solve_dirichlet(
     data: DirichletData,
     geom: Geometry,
     N: int,
-    quad: QuadratureSpec | None = None,
+    panels: int | None = None,
 ) -> HarmonicSeries:
-    """Sine-transform the four edges into a :class:`HarmonicSeries`."""
+    """Sine-transform the four edges into a :class:`HarmonicSeries`.
+
+    Edges with an ``exact`` transform take it; the others are integrated
+    by composite Simpson with ``panels`` subintervals, by default 8 N.
+    """
     if N < 1:
         raise DomainError(f"truncation order must be >= 1, got {N}")
-    quad = quad or QuadratureSpec()
     ns = np.arange(1, N + 1)
-    sub = quad.subintervals(N)
+    sub = _simpson_subintervals(N, panels)
     lengths = {"f1": geom.h, "f2": geom.h, "f3": geom.l, "f4": geom.l}
     out = {}
     for edge in _EDGES:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BoundaryCompatibilityError, DomainError, FieldSample, Geometry
-from .harmonic_rect import QuadratureSpec, sine_transform
+from .harmonic_rect import _simpson_subintervals, sine_transform
 from .strip_solution import SeriesField
 
 __all__ = [
@@ -71,21 +71,15 @@ class BoundaryProfile:
 
     @classmethod
     def raised_cosine(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width, depth)
-        return cls(kind=ProfileKind.RAISED_COSINE, center=float(center),
-                   half_width=float(half_width), depth=float(depth))
+        return cls._bump(ProfileKind.RAISED_COSINE, center, half_width, depth)
 
     @classmethod
     def parabolic_bump(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width, depth)
-        return cls(kind=ProfileKind.PARABOLIC_BUMP, center=float(center),
-                   half_width=float(half_width), depth=float(depth))
+        return cls._bump(ProfileKind.PARABOLIC_BUMP, center, half_width, depth)
 
     @classmethod
     def flat_stamp(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
-        cls._check_bump(center, half_width, depth)
-        return cls(kind=ProfileKind.FLAT_STAMP, center=float(center),
-                   half_width=float(half_width), depth=float(depth))
+        return cls._bump(ProfileKind.FLAT_STAMP, center, half_width, depth)
 
     @classmethod
     def tabulated(cls, xs, values) -> "BoundaryProfile":
@@ -107,12 +101,16 @@ class BoundaryProfile:
                 raise DomainError(f"{name} must be finite, got {value}")
 
     @classmethod
-    def _check_bump(cls, center, half_width, depth):
+    def _bump(cls, kind, center, half_width, depth) -> "BoundaryProfile":
+        """The bump of ``kind`` on the support [center - half_width,
+        center + half_width]."""
         cls._check_finite(center=center, half_width=half_width, depth=depth)
         if half_width <= 0:
             raise DomainError(f"half_width must be positive, got {half_width}")
         if center <= 0:
             raise DomainError(f"center must be positive, got {center}")
+        return cls(kind=kind, center=float(center), half_width=float(half_width),
+                   depth=float(depth))
 
     # -- evaluation --------------------------------------------------------
 
@@ -171,8 +169,24 @@ class BoundaryProfile:
                 np.sin(k * self.center) * (np.sin(kw) - kw * np.cos(kw))
         return None
 
+    def touches_face(self, geom: Geometry) -> bool:
+        """Whether the stamp displaces some of the face 0 < x < l; one that
+        does not solves to an all-zero field.  A bump's support is its
+        interval whatever its depth."""
+        if self.kind is ProfileKind.TABULATED:
+            # piecewise linear and constant beyond its end knots, so zero on
+            # the face exactly when it is zero at both corners and at every
+            # knot on the face
+            xs = np.array([0.0, geom.l, *self.xs])
+            return bool(np.any(self.evaluate(xs[(xs >= 0.0) & (xs <= geom.l)], geom)))
+        return self.kind is ProfileKind.SINGLE_MODE or self.center - self.half_width < geom.l
+
     def validate_edges(self, geom: Geometry) -> None:
-        """Both corners of the face must carry zero displacement."""
+        """The stamp must touch the face (:meth:`touches_face`), and both
+        corners of the face must carry zero displacement."""
+        if not self.touches_face(geom):
+            raise DomainError(f"{self.kind.value} profile leaves the face [0, {geom.l:g}] "
+                              "untouched: it would solve to an all-zero field")
         if self.kind is ProfileKind.FLAT_STAMP:
             if self.center - self.half_width <= 0.0:
                 raise BoundaryCompatibilityError(
@@ -197,15 +211,16 @@ def sine_coefficients(
     profile: BoundaryProfile,
     geom: Geometry,
     N: int,
-    quad: QuadratureSpec | None = None,
-    force_quadrature: bool = False,
+    panels: int | None = None,
 ) -> np.ndarray:
     """Sine coefficients c_1..c_N of V_h.
 
-    Closed forms are used where the profile has them (single mode, flat
-    stamp, parabolic bump) unless ``force_quadrature`` asks for the
-    Simpson route; the two agree to 1e-10 for resolutions beyond the
-    default (the comparison is part of the test suite).
+    By default, closed forms where the profile has them (single mode,
+    flat stamp, parabolic bump) and composite Simpson with 8 N
+    subintervals elsewhere; an explicit ``panels`` asks for Simpson with
+    that many subintervals for every kind.  The two routes agree to
+    1e-10 for resolutions beyond the default (the comparison is part of
+    the test suite).
     """
     if N < 1:
         raise DomainError(f"need at least one mode, got N={N}")
@@ -215,13 +230,12 @@ def sine_coefficients(
             f"single-mode profile at mode {profile.mode} is not representable "
             f"with N={N} coefficients")
     ns = np.arange(1, N + 1)
-    if not force_quadrature:
+    if panels is None:
         exact = profile.exact_transform(ns, geom)
         if exact is not None:
             return np.asarray(exact, dtype=float)
-    quad = quad or QuadratureSpec()
     return sine_transform(lambda t: profile.evaluate(t, geom), geom.l, ns,
-                          quad.subintervals(N), profile.breakpoints(geom))
+                          _simpson_subintervals(N, panels), profile.breakpoints(geom))
 
 
 def contact_pressure(sf: SeriesField, x):

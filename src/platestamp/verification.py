@@ -23,6 +23,7 @@ meters, and the rest of a run, with one evaluation per grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -116,18 +117,31 @@ def _stats(res: np.ndarray, XI: np.ndarray, YI: np.ndarray,
     return max_abs, l2, loc
 
 
-def _interior_mask(geom: Geometry, xi: np.ndarray, yi: np.ndarray,
-                   margin: float) -> np.ndarray:
-    XI, YI = np.meshgrid(xi, yi)
-    if margin <= 0.0:
-        return XI, YI, np.ones_like(XI, dtype=bool)
-    mask = ((XI >= margin) & (XI <= geom.l - margin)
-            & (YI >= margin) & (YI <= geom.h - margin))
-    return XI, YI, mask
+def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
+           exclusion_margin: float, terms) -> tuple:
+    """One report per residual array that ``terms(f, dx, dy)`` builds from
+    the fields ``f = fields_on(xs, ys)`` of a grid's full sample axes, over
+    the grid's interior points outside the exclusion margin; with a
+    ``refined`` grid, each report carries the observed order."""
+    m = exclusion_margin
 
+    def run(g: GridSpec):
+        dx, dy = g.spacing(geom)
+        xs, ys = g.axes(geom)
+        residuals = terms(fields_on(xs, ys), dx, dy)
+        XI, YI = np.meshgrid(xs[1:-1], ys[1:-1])
+        mask = (((XI >= m) & (XI <= geom.l - m) & (YI >= m) & (YI <= geom.h - m))
+                if m > 0.0 else np.ones_like(XI, dtype=bool))
+        return [_stats(res, XI, YI, mask) for res in residuals], dx
 
-def _order(l2_coarse: float, l2_fine: float, dx_coarse: float, dx_fine: float) -> float:
-    return math.log(l2_coarse / l2_fine) / math.log(dx_coarse / dx_fine)
+    stats, dx = run(grid)
+    if refined is None:
+        return tuple(ResidualReport(*s) for s in stats)
+    stats_f, dx_f = run(refined)
+    # the observed order, from the l2 residuals of the grid pair
+    return tuple(ResidualReport(*s, observed_order=math.log(s[1] / s_f[1])
+                                / math.log(dx / dx_f))
+                 for s, s_f in zip(stats, stats_f))
 
 
 # ---------------------------------------------------------------------------
@@ -207,80 +221,41 @@ def laplacian_residual(
 
     ``field(X, Y)`` must accept broadcast numpy arrays.
     """
-
-    def run(g: GridSpec):
-        dx, dy = g.spacing(geom)
-        xs, ys = g.axes(geom)
-        X, Y = np.meshgrid(xs, ys)
-        lap = _five_point(np.asarray(field(X, Y), dtype=float), dx, dy)
-        XI, YI, mask = _interior_mask(geom, xs[1:-1], ys[1:-1], exclusion_margin)
-        return _stats(lap, XI, YI, mask), dx
-
-    (max_abs, l2, loc), dx = run(grid)
-    order = None
-    if refined is not None:
-        (_, l2_f, _), dx_f = run(refined)
-        order = _order(l2, l2_f, dx, dx_f)
-    return ResidualReport(max_abs=max_abs, l2=l2, location=loc, observed_order=order)
+    (report,) = _meter(lambda xs, ys: np.asarray(field(*np.meshgrid(xs, ys)), dtype=float),
+                       geom, grid, refined, exclusion_margin,
+                       lambda F, dx, dy: (_five_point(F, dx, dy),))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # physics residual meters
 # ---------------------------------------------------------------------------
 
-# Residual builders: from a grid's fields ``f``, its central-difference
-# operators and the material, the residual arrays one meter reports.
+# Residual builders: from a grid's fields ``f`` and its spacing, the
+# residual arrays one meter reports, by central differences on the interior.
 
-def _equilibrium_terms(f, Dx, Dy, mat: Material) -> tuple:
-    return (Dx(f["sigma_x"]) + Dy(f["tau_xy"]),
-            Dx(f["tau_xy"]) + Dy(f["sigma_y"]))
+def _ddx(a: np.ndarray, dx: float) -> np.ndarray:
+    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * dx)
 
 
-def _constitutive_terms(f, Dx, Dy, mat: Material) -> tuple:
-    ex = Dx(f["u"])
-    ey = Dy(f["v"])
-    gxy = Dy(f["u"]) + Dx(f["v"])
+def _ddy(a: np.ndarray, dy: float) -> np.ndarray:
+    return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * dy)
+
+
+def _equilibrium_terms(f, dx, dy) -> tuple:
+    return (_ddx(f["sigma_x"], dx) + _ddy(f["tau_xy"], dy),
+            _ddx(f["tau_xy"], dx) + _ddy(f["sigma_y"], dy))
+
+
+def _constitutive_terms(mat: Material, f, dx, dy) -> tuple:
+    ex = _ddx(f["u"], dx)
+    ey = _ddy(f["v"], dy)
+    gxy = _ddy(f["u"], dy) + _ddx(f["v"], dx)
     lam, G = mat.lam, mat.G
     trace = lam * (ex + ey)
     return (f["sigma_x"][1:-1, 1:-1] - (trace + 2.0 * G * ex),
             f["sigma_y"][1:-1, 1:-1] - (trace + 2.0 * G * ey),
             f["tau_xy"][1:-1, 1:-1] - G * gxy)
-
-
-def _central_residuals(sf, geom: Geometry, grid: GridSpec, terms, material: Material):
-    """The residual arrays ``terms`` builds from the grid's fields and
-    central differences, on the grid's interior."""
-    dx, dy = grid.spacing(geom)
-    xs, ys = grid.axes(geom)
-    f = sf.grid_fields(xs, ys)
-
-    def Dx(a):
-        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * dx)
-
-    def Dy(a):
-        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * dy)
-
-    return terms(f, Dx, Dy, material), xs[1:-1], ys[1:-1], dx
-
-
-def _meter(sf, grid, refined, exclusion_margin, terms, material=None):
-    geom = sf.geometry
-    mat = material if material is not None else sf.material
-    res_c, xi, yi, dx = _central_residuals(sf, geom, grid, terms, mat)
-    XI, YI, mask = _interior_mask(geom, xi, yi, exclusion_margin)
-    reports = []
-    stats_c = [_stats(res, XI, YI, mask) for res in res_c]
-    if refined is not None:
-        res_f, xif, yif, dxf = _central_residuals(sf, geom, refined, terms, mat)
-        XIf, YIf, maskf = _interior_mask(geom, xif, yif, exclusion_margin)
-        for (max_abs, l2, loc), res in zip(stats_c, res_f):
-            _, l2f, _ = _stats(res, XIf, YIf, maskf)
-            reports.append(ResidualReport(max_abs, l2, loc,
-                                          observed_order=_order(l2, l2f, dx, dxf)))
-    else:
-        for max_abs, l2, loc in stats_c:
-            reports.append(ResidualReport(max_abs, l2, loc))
-    return tuple(reports)
 
 
 class SharedGridFields:
@@ -316,7 +291,8 @@ def equilibrium_residual(
 ) -> tuple[ResidualReport, ResidualReport]:
     """Central-difference residuals of the two force-balance equations
     d(sigma_x)/dx + d(tau_xy)/dy and d(tau_xy)/dx + d(sigma_y)/dy."""
-    return _meter(sf, grid, refined, exclusion_margin, _equilibrium_terms)
+    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin,
+                  _equilibrium_terms)
 
 
 def constitutive_residual(
@@ -332,8 +308,9 @@ def constitutive_residual(
     ``material`` overrides the constants used by the check only (negative
     control: a perturbed Poisson ratio must leave a visible residual).
     """
-    return _meter(sf, grid, refined, exclusion_margin, _constitutive_terms,
-                  material=material)
+    terms = functools.partial(_constitutive_terms,
+                              material if material is not None else sf.material)
+    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin, terms)
 
 
 # ---------------------------------------------------------------------------

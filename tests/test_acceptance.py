@@ -14,7 +14,6 @@ from platestamp import (
     Geometry,
     GridSpec,
     Material,
-    QuadratureSpec,
     assemble_series,
     calibrate_delta_ratio,
     constitutive_residual,
@@ -239,8 +238,7 @@ def test_criterion_6_flat_stamp_coefficients():
     closed = (2 * d / (ns * np.pi)) * (np.cos(ns * np.pi * a / L)
                                        - np.cos(ns * np.pi * b / L))
     module_closed = sine_coefficients(profile, GEOM, N_MODES)
-    quad = sine_coefficients(profile, GEOM, N_MODES, force_quadrature=True,
-                             quad=QuadratureSpec(panels=2**16))
+    quad = sine_coefficients(profile, GEOM, N_MODES, panels=2**16)
     dev = max(float(np.max(np.abs(module_closed - closed))),
               float(np.max(np.abs(quad - closed))))
     print(f"  worst coefficient deviation: {dev:.3e}")

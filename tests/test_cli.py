@@ -475,6 +475,19 @@ path = A
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("half_width = 0.4", "half_width = -0.4", "half_width"),
+        ("half_width = 0.4", "half_width = 0", "half_width"),
+        ("center = 1", "center = -1", "center"),
+        ("kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",
+         "kind = tabulated\nxs = 0 1 1 2\nvalues = 0 0.01 0.01 0", "xs"),
+    ], ids=["half_width-negative", "half_width-zero", "center-negative", "tabulated-xs"])
+    def test_stamp_factory_rejection_exit_two(self, tmp_path, capsys, old, new, key):
+        cfg = self._write(tmp_path, MINIMAL.replace(old, new))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[stamp] {key}:" in err
+
     @pytest.mark.parametrize("text,args", [
         (SINGLE_MODE_VERIFY.replace("grid = 21x21", "grid = 2x2"), []),
         (MINIMAL.replace("grid = 41x41", "grid = 5x2") + "path = all\n", []),

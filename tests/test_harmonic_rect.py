@@ -9,7 +9,6 @@ from platestamp import (
     BoundaryProfile,
     DirichletData,
     QuadratureError,
-    QuadratureSpec,
     evaluate_harmonic,
     sine_coefficients,
     solve_dirichlet,
@@ -80,7 +79,7 @@ class TestCoefficients:
     def test_single_mode_quadrature(self, geom):
         # generous panel count: the quadrature route must recover orthogonality
         series = solve_dirichlet(_top_sine_data(geom, exact=False), geom, N=8,
-                                 quad=QuadratureSpec(panels=2048))
+                                 panels=2048)
         assert series.D[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(series.D[1:])) < 1e-10
 
@@ -114,9 +113,9 @@ class TestCoefficients:
         profile = _SUPPORTED_STAMPS[stamp]
         # the first piece lies left of the support, so one piece is skipped
         assert not np.any(profile.evaluate(np.linspace(0.0, 0.1, 9), geom))
-        got = sine_coefficients(profile, geom, N, force_quadrature=True)
+        got = sine_coefficients(profile, geom, N, panels=8 * N)
         want = _unskipped_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
-                                         np.arange(1, N + 1), QuadratureSpec().subintervals(N),
+                                         np.arange(1, N + 1), 8 * N,
                                          profile.breakpoints(geom))
         assert got.tobytes() == want.tobytes()
 
@@ -240,7 +239,7 @@ class TestStampBlockCoefficients:
         data = _stamp_face_data(profile, geom, exact=True,
                                 f1=lambda y: 0.25 * y / geom.h,
                                 f2=lambda y: -0.5 * y / geom.h)
-        series = solve_dirichlet(data, geom, N=8, quad=QuadratureSpec(panels=8192))
+        series = solve_dirichlet(data, geom, N=8, panels=8192)
         assert series.A[0] == pytest.approx(0.25 * 2 / math.pi, rel=1e-10)
         assert series.B[0] == pytest.approx(-0.5 * 2 / math.pi, rel=1e-10)
         # the reproduced edge data is the linear ramp (y/h) * corner value

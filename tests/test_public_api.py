@@ -8,6 +8,8 @@ import pytest
 
 import platestamp
 from platestamp import Geometry, Material, OperatorId, Parity
+from platestamp.harmonic_rect import solve_dirichlet
+from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, calibrate_delta_ratio
 from platestamp.verification import SharedGridFields
 
@@ -21,7 +23,8 @@ REMOVED = {
         "ModalValue", "apply_parity", "building_block", "_block_value",
         "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
     ),
-    "platestamp.harmonic_rect": ("stamp_block_coefficients", "ramp_transform"),
+    "platestamp.harmonic_rect": ("stamp_block_coefficients", "ramp_transform",
+                                 "QuadratureSpec"),
     "platestamp.strip_solution": (
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed",
@@ -73,3 +76,10 @@ def test_removed_parameters():
     assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
     axes = inspect.signature(SharedGridFields).parameters["axes"]
     assert axes.default is inspect.Parameter.empty
+    # ``panels`` is the one quadrature setting of either solver
+    coeffs = inspect.signature(sine_coefficients).parameters
+    assert "quad" not in coeffs and "force_quadrature" not in coeffs
+    dirichlet = inspect.signature(solve_dirichlet).parameters
+    assert "quad" not in dirichlet
+    assert coeffs["panels"].default is dirichlet["panels"].default is None
+

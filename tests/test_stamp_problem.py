@@ -9,7 +9,6 @@ from platestamp import (
     BoundaryCompatibilityError,
     BoundaryProfile,
     DomainError,
-    QuadratureSpec,
     assemble_series,
     calibrate_delta_ratio,
     contact_pressure,
@@ -58,22 +57,20 @@ class TestSineCoefficients:
         # reproduces the closed form to 1e-10 for every retained mode
         profile = BoundaryProfile.flat_stamp(center=1.0, half_width=0.4, depth=0.01)
         closed = sine_coefficients(profile, geom, 64)
-        quad = sine_coefficients(profile, geom, 64, force_quadrature=True,
-                                 quad=QuadratureSpec(panels=2**16))
+        quad = sine_coefficients(profile, geom, 64, panels=2**16)
         assert np.max(np.abs(closed - quad)) < 1e-10
 
     def test_parabolic_closed_form_vs_quadrature(self, geom):
         profile = BoundaryProfile.parabolic_bump(center=1.0, half_width=0.4, depth=0.01)
         closed = sine_coefficients(profile, geom, 64)
-        quad = sine_coefficients(profile, geom, 64, force_quadrature=True,
-                                 quad=QuadratureSpec(panels=2**16))
+        quad = sine_coefficients(profile, geom, 64, panels=2**16)
         assert np.max(np.abs(closed - quad)) < 1e-12
 
     def test_raised_cosine_quadrature_converged(self, geom):
         # default 8N-panel Simpson is converged to ~1e-9 per coefficient
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
         base = sine_coefficients(profile, geom, 64)
-        fine = sine_coefficients(profile, geom, 64, quad=QuadratureSpec(panels=2**14))
+        fine = sine_coefficients(profile, geom, 64, panels=2**14)
         assert np.max(np.abs(base - fine)) < 1e-9
 
     def test_tabulated_profile(self, geom):
@@ -90,6 +87,36 @@ class TestSineCoefficients:
         with pytest.raises(BoundaryCompatibilityError) as err:
             sine_coefficients(profile, geom, 8)
         assert "V_h(0) = 0" in str(err.value)
+
+    @pytest.mark.parametrize("profile", [
+        BoundaryProfile.raised_cosine(2.5, 0.5, 0.01),
+        BoundaryProfile.parabolic_bump(3.5, 0.5, 0.01),
+        BoundaryProfile.flat_stamp(2.5, 0.5, 0.01),
+        BoundaryProfile.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.01]),
+        BoundaryProfile.tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ], ids=["raised_cosine-at-l", "parabolic_bump-beyond-l", "flat_stamp-at-l",
+            "tabulated-beyond-l", "tabulated-zero"])
+    @pytest.mark.parametrize("panels", [None, 2048])
+    def test_stamp_off_the_face_rejected(self, geom, profile, panels):
+        # each would integrate to all-zero or off-face coefficients
+        assert not profile.touches_face(geom)
+        with pytest.raises(DomainError, match="untouched"):
+            sine_coefficients(profile, geom, 8, panels=panels)
+
+    @pytest.mark.parametrize("profile", [
+        BoundaryProfile.single_mode(3, 0.0),
+        BoundaryProfile.raised_cosine(1.0, 0.4, 0.0),
+        BoundaryProfile.raised_cosine(2.3, 0.5, 0.01),
+        BoundaryProfile.parabolic_bump(1.3, 0.5, 0.01),
+        BoundaryProfile.flat_stamp(0.8, 0.3, 0.01),
+        BoundaryProfile.tabulated([0.0, 1.0, 2.0], [0.0, 0.01, 0.0]),
+        BoundaryProfile.tabulated([-1.0, 3.0], [0.01, 0.01]),
+    ], ids=["single_mode-zero-depth", "raised_cosine-zero-depth", "raised_cosine-over-l",
+            "parabolic_bump", "flat_stamp", "tabulated", "tabulated-no-knot-on-face"])
+    def test_stamp_on_the_face_touches(self, geom, profile):
+        # a bump's support counts whatever its depth; a tabulated profile
+        # counts where it is nonzero, between knots too
+        assert profile.touches_face(geom)
 
     def test_nonzero_edge_value_rejected(self, geom):
         tab = BoundaryProfile.tabulated([0.0, 1.0, 2.0], [0.1, 0.5, 0.0])
