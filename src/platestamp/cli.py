@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    BoundaryCompatibilityError,
     ConfigError,
     Geometry,
     Material,
@@ -62,25 +61,12 @@ _STAMP_KEYS = {
     "tabulated": ("xs", "values"),
 }
 
-_KNOWN_KEYS = {
-    "geometry": {"l", "h"},
-    "material": {"E", "nu"},
-    "stamp": {"kind"}.union(*_STAMP_KEYS.values()),
-    "solver": {"modes", "grid", "path", "verify"},
-    "output": {"directory"},
-}
-_REQUIRED_KEYS = {
-    "geometry": ("l", "h"),
-    "material": ("E", "nu"),
-    "stamp": ("kind",),
-}
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     geometry: Geometry
     material: Material
@@ -108,164 +94,162 @@ class OutputBundle:
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _get_float(cp, section, key, positive=False):
-    raw = cp.get(section, key)
+def _number(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} is not a number")
+        raise ValueError(f"{raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise ConfigError(f"invalid value for [{section}] {key}: must be finite, got {raw!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"invalid value for [{section}] {key}: must be positive, got {value}")
+        raise ValueError(f"must be finite, got {raw!r}")
     return value
 
 
-def _get_int(cp, section, key, minimum=1):
-    raw = cp.get(section, key)
+def _positive(raw: str) -> float:
+    value = _number(raw)
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+def _count(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} is not an integer")
-    if value < minimum:
-        raise ConfigError(f"invalid value for [{section}] {key}: must be >= {minimum}")
+        raise ValueError(f"{raw!r} is not an integer") from None
+    if value < 1:
+        raise ValueError("must be >= 1")
     return value
 
 
-def _get_floats(cp, section, key):
-    error = ConfigError(f"invalid value for [{section}] {key}: expected "
-                        "space-separated finite numbers")
+def _numbers(raw: str) -> list:
     try:
-        values = [float(v) for v in cp.get(section, key).split()]
+        return [_number(v) for v in raw.split()]
     except ValueError:
-        raise error
-    if not all(map(math.isfinite, values)):
-        raise error
-    return values
+        raise ValueError("expected space-separated finite numbers") from None
 
 
-def _parse_grid(raw: str) -> tuple[int, int]:
-    parts = raw.lower().replace(" ", "").split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"invalid value for [solver] grid: expected NXxNY, got {raw!r}")
+def _grid(raw: str) -> tuple[int, int]:
     try:
-        nx, ny = int(parts[0]), int(parts[1])
+        nx, ny = (int(p) for p in raw.lower().replace(" ", "").split("x"))
     except ValueError:
-        raise ConfigError(f"invalid value for [solver] grid: expected NXxNY, got {raw!r}")
+        raise ValueError(f"expected NXxNY, got {raw!r}") from None
     if nx < 2 or ny < 2:
-        raise ConfigError(f"invalid value for [solver] grid: needs at least 2x2, got {raw!r}")
+        raise ValueError(f"needs at least 2x2, got {raw!r}")
     return nx, ny
 
 
-def _build_profile(cp) -> BoundaryProfile:
-    kind = cp.get("stamp", "kind").strip().lower()
-    if kind not in _STAMP_KEYS:
-        raise ConfigError(f"invalid value for [stamp] kind: {kind!r} (expected one of "
-                          f"{', '.join(_STAMP_KEYS)})")
-    keys = _STAMP_KEYS[kind]
-    for key in keys:
-        if not cp.has_option("stamp", key):
-            raise ConfigError(f"missing required key {key!r} in section [stamp] "
-                              f"for kind {kind!r}")
-    readers = {"mode": _get_int, "xs": _get_floats, "values": _get_floats}
-    values = [readers.get(key, _get_float)(cp, "stamp", key) for key in keys]
+def _one_of(choices):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"{raw!r} (expected one of {', '.join(choices)})")
+        return raw
+    return parse
+
+
+def _boolean(raw: str) -> bool:
     try:
-        return getattr(BoundaryProfile, kind)(*values)
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not a boolean") from None
+
+
+#: per section, per key, the parser of its value; a parser raises
+#: ValueError with the reason it rejects a value
+_PARSERS = {
+    "geometry": {"l": _positive, "h": _positive},
+    "material": {"E": _positive, "nu": _number},
+    "stamp": dict.fromkeys(set().union(*_STAMP_KEYS.values()), _number) | {
+        "kind": lambda raw: _one_of(_STAMP_KEYS)(raw.lower()),
+        "mode": _count, "xs": _numbers, "values": _numbers},
+    "solver": {"modes": _count, "grid": _grid, "path": _one_of(("A", "B", "C", "all")),
+               "verify": _boolean},
+    "output": {"directory": str},
+}
+
+
+def _get(cp, section, key):
+    """The value of a key, parsed; a key that is missing, or a value its
+    parser rejects, raises :class:`ConfigError` naming the key."""
+    if not cp.has_option(section, key):
+        raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    raw = cp.get(section, key).strip()
+    try:
+        return _PARSERS[section][key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from None
+
+
+def _build_profile(cp, geom: Geometry) -> BoundaryProfile:
+    """The [stamp] profile, placed on the face of ``geom``
+    (:meth:`BoundaryProfile.validate_edges`); a value either rejects
+    raises :class:`ConfigError` naming its key."""
+    kind = _get(cp, "stamp", "kind")
+    keys = _STAMP_KEYS[kind]
+    values = [_get(cp, "stamp", key) for key in keys]
+    try:
+        profile = getattr(BoundaryProfile, kind)(*values)
     except PlateStampError as exc:
         # the factories' messages begin with the parameter they reject
         key = next((k for k in keys if str(exc).startswith(k)), keys[0])
         raise ConfigError(f"invalid value for [stamp] {key}: {exc}") from exc
+    try:
+        profile.validate_edges(geom)
+    except PlateStampError as exc:
+        # a stamp is placed by its values if tabulated, else by its center
+        key = "values" if profile.kind is ProfileKind.TABULATED else "center"
+        raise ConfigError(f"invalid value for [stamp] {key}: {exc}") from exc
+    return profile
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a sectioned key=value config document."""
+def _read(text: str) -> configparser.ConfigParser:
+    """The config document, its sections and keys checked by name."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _PARSERS:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _PARSERS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section, keys in _REQUIRED_KEYS.items():
-        if not cp.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
-        for key in keys:
-            if not cp.has_option(section, key):
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    return cp
 
-    geom = Geometry(l=_get_float(cp, "geometry", "l", positive=True),
-                    h=_get_float(cp, "geometry", "h", positive=True))
-    nu = _get_float(cp, "material", "nu")
-    E = _get_float(cp, "material", "E", positive=True)
+
+def _build(cp: configparser.ConfigParser) -> RunConfig:
+    """Check every value of a read config once and build its RunConfig;
+    a [solver] or [output] key that is absent keeps RunConfig's default."""
+    geom = Geometry(l=_get(cp, "geometry", "l"), h=_get(cp, "geometry", "h"))
+    E, nu = _get(cp, "material", "E"), _get(cp, "material", "nu")
     try:
         mat = Material(E=E, nu=nu)
     except MaterialError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
+    profile = _build_profile(cp, geom)
 
-    profile = _build_profile(cp)
-    _check_support(profile, geom)
-    # reject stamps whose face displacement fails to vanish at the corners
-    profile.validate_edges(geom)
+    settings = {key: _get(cp, "solver", key)
+                for key in _PARSERS["solver"] if cp.has_option("solver", key)}
+    if "grid" in settings:
+        settings["grid_nx"], settings["grid_ny"] = settings.pop("grid")
+    if cp.has_option("output", "directory"):
+        settings["output_dir"] = _get(cp, "output", "directory")
+    config = RunConfig(geometry=geom, material=mat, profile=profile, **settings)
 
-    modes = 64
-    grid_nx = grid_ny = 41
-    path = "B"
-    verify = False
-    if cp.has_section("solver"):
-        if cp.has_option("solver", "modes"):
-            modes = _get_int(cp, "solver", "modes")
-        if cp.has_option("solver", "grid"):
-            grid_nx, grid_ny = _parse_grid(cp.get("solver", "grid"))
-        if cp.has_option("solver", "path"):
-            path = cp.get("solver", "path").strip()
-            if path not in ("A", "B", "C", "all"):
-                raise ConfigError(f"invalid value for [solver] path: {path!r} "
-                                  "(expected A, B, C or all)")
-        if cp.has_option("solver", "verify"):
-            try:
-                verify = cp.getboolean("solver", "verify")
-            except ValueError:
-                raise ConfigError(f"invalid value for [solver] verify: "
-                                  f"{cp.get('solver', 'verify')!r} is not a boolean")
-    output_dir = None
-    if cp.has_section("output") and cp.has_option("output", "directory"):
-        output_dir = cp.get("output", "directory")
-
-    config = RunConfig(geometry=geom, material=mat, profile=profile, modes=modes,
-                       grid_nx=grid_nx, grid_ny=grid_ny, path=path, verify=verify,
-                       output_dir=output_dir)
-    _check_combination(config)
-    return config
-
-
-def _check_support(profile: BoundaryProfile, geom: Geometry) -> None:
-    """Reject a stamp that leaves the whole face [0, l] untouched
-    (:meth:`BoundaryProfile.touches_face`), naming the key at fault."""
-    if profile.touches_face(geom):
-        return
-    if profile.kind is ProfileKind.TABULATED:
-        raise ConfigError(f"invalid value for [stamp] values: the tabulated profile is "
-                          f"zero all along the face [0, {geom.l:g}]")
-    lo, hi = profile.breakpoints(geom)
-    raise ConfigError(f"invalid value for [stamp] center: the stamp covers "
-                      f"[{lo:g}, {hi:g}], outside the face [0, {geom.l:g}]")
-
-
-def _check_combination(config: RunConfig) -> None:
-    """Constraints between keys; checked again after command-line overrides."""
+    # constraints between keys
     if (config.verify or config.path == "all") and min(config.grid_nx, config.grid_ny) < 3:
         raise ConfigError(f"invalid value for [solver] grid: verification needs at least "
                           f"3x3 points, got {config.grid_nx}x{config.grid_ny}")
-    profile = config.profile
     if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > config.modes:
         raise ConfigError(f"invalid value for [stamp] mode: mode {profile.mode} is not "
                           f"representable with [solver] modes = {config.modes}")
+    return config
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a sectioned key=value config document."""
+    return _build(_read(text))
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +409,15 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="path to the INI-style run config")
     ap.add_argument("--output", default=None, help="output directory "
                     "(default: [output] directory from the config, else ./platestamp_out)")
-    ap.add_argument("--modes", type=int, default=None, help="override truncation order N")
-    ap.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"), default=None,
-                    help="override output grid point counts")
-    ap.add_argument("--path", choices=("A", "B", "C", "all"), default=None,
-                    help="solution path; 'all' cross-checks the three paths")
-    ap.add_argument("--verify", action="store_true",
-                    help="run the verification suite and include it in the report")
+    ap.add_argument("--modes", default=None, help="truncation order N: sets [solver] modes")
+    ap.add_argument("--grid", nargs=2, metavar=("NX", "NY"), default=None,
+                    help="output grid point counts: sets [solver] grid = NXxNY")
+    ap.add_argument("--path", default=None,
+                    help="solution path A, B, C or all ('all' cross-checks the three "
+                         "paths): sets [solver] path")
+    ap.add_argument("--verify", action="store_const", const="true",
+                    help="run the verification suite and include it in the report: "
+                         "sets [solver] verify = true")
     return ap
 
 
@@ -442,20 +428,12 @@ def main(argv=None) -> int:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        config = parse_config(text)
-        if args.modes is not None:
-            if args.modes < 1:
-                raise ConfigError("--modes must be >= 1")
-            config.modes = args.modes
-        if args.grid is not None:
-            if min(args.grid) < 2:
-                raise ConfigError("--grid needs at least 2 points per direction")
-            config.grid_nx, config.grid_ny = args.grid
-        if args.path is not None:
-            config.path = args.path
-        if args.verify:
-            config.verify = True
-        _check_combination(config)
+        cp = _read(text)
+        # the flags are [solver] values, checked with the rest of the config
+        flags = {"modes": args.modes, "grid": args.grid and "x".join(args.grid),
+                 "path": args.path, "verify": args.verify}
+        cp.read_dict({"solver": {k: v for k, v in flags.items() if v is not None}})
+        config = _build(cp)
         try:
             run(config, output_dir=args.output)
         except OSError as exc:
@@ -463,7 +441,7 @@ def main(argv=None) -> int:
             source = ("--output" if args.output else
                       "[output] directory" if config.output_dir else "./platestamp_out")
             raise ConfigError(f"cannot write the artifacts to {source}: {exc}") from exc
-    except (ConfigError, BoundaryCompatibilityError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PlateStampError as exc:

@@ -14,6 +14,7 @@ return physical u, v and stresses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,6 +73,15 @@ class PathDivergenceError(PlateStampError):
 
 class ConfigError(PlateStampError):
     """Malformed or inconsistent run configuration."""
+
+
+def _positive_integer(value, name: str) -> int:
+    """``value`` as an int; anything but a whole number >= 1 raises
+    :class:`DomainError` naming ``name``."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        if value >= 1:
+            return int(value)
+    raise DomainError(f"{name} must be a whole number >= 1, got {value}")
 
 
 class Parity(Enum):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, Geometry, QuadratureError
+from .core import DomainError, Geometry, QuadratureError, _positive_integer
 from .modal_calculus import RatioKind, stable_ratio
 
 __all__ = [
@@ -131,8 +131,7 @@ def solve_dirichlet(
     Edges with an ``exact`` transform take it; the others are integrated
     by composite Simpson with ``panels`` subintervals, by default 8 N.
     """
-    if N < 1:
-        raise DomainError(f"truncation order must be >= 1, got {N}")
+    N = _positive_integer(N, "N")
     ns = np.arange(1, N + 1)
     sub = _simpson_subintervals(N, panels)
     lengths = {"f1": geom.h, "f2": geom.h, "f3": geom.l, "f4": geom.l}
@@ -159,8 +158,8 @@ def evaluate_harmonic(series: HarmonicSeries, x, y):
     geom = series.geom
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    if np.any(xa < 0) or np.any(xa > geom.l) or np.any(ya < 0) or np.any(ya > geom.h):
-        raise DomainError("evaluation point outside the rectangle")
+    if not np.all((xa >= 0) & (xa <= geom.l) & (ya >= 0) & (ya <= geom.h)):
+        raise DomainError("evaluation point not finite or outside the rectangle")
     xa, ya = np.broadcast_arrays(xa, ya)
     total = np.zeros(xa.shape)
     l, h = geom.l, geom.h

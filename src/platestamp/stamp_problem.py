@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoundaryCompatibilityError, DomainError, FieldSample, Geometry
+from .core import (BoundaryCompatibilityError, DomainError, FieldSample, Geometry,
+                   _positive_integer)
 from .harmonic_rect import _simpson_subintervals, sine_transform
 from .strip_solution import SeriesField
 
@@ -65,9 +66,8 @@ class BoundaryProfile:
     @classmethod
     def single_mode(cls, mode: int, depth: float = 1.0) -> "BoundaryProfile":
         cls._check_finite(mode=mode, depth=depth)
-        if mode < 1:
-            raise DomainError(f"mode number must be >= 1, got {mode}")
-        return cls(kind=ProfileKind.SINGLE_MODE, mode=int(mode), depth=float(depth))
+        mode = _positive_integer(mode, "mode")
+        return cls(kind=ProfileKind.SINGLE_MODE, mode=mode, depth=float(depth))
 
     @classmethod
     def raised_cosine(cls, center: float, half_width: float, depth: float) -> "BoundaryProfile":
@@ -128,8 +128,9 @@ class BoundaryProfile:
             t = (xa - self.center) / self.half_width
             out = np.where(np.abs(t) <= 1.0, self.depth * (1.0 - t * t), 0.0)
         elif self.kind is ProfileKind.FLAT_STAMP:
-            t = np.abs(xa - self.center)
-            out = np.where(t <= self.half_width, self.depth, 0.0)
+            # on the closed support of breakpoints() and exact_transform()
+            lo, hi = self.breakpoints(geom)
+            out = np.where((xa >= lo) & (xa <= hi), self.depth, 0.0)
         else:
             out = np.interp(xa, self.xs, self.values)
         if np.isscalar(x):
@@ -183,19 +184,11 @@ class BoundaryProfile:
 
     def validate_edges(self, geom: Geometry) -> None:
         """The stamp must touch the face (:meth:`touches_face`), and both
-        corners of the face must carry zero displacement."""
+        corners of the face must carry zero displacement; so a flat stamp
+        of nonzero depth must stay clear of both edges."""
         if not self.touches_face(geom):
             raise DomainError(f"{self.kind.value} profile leaves the face [0, {geom.l:g}] "
                               "untouched: it would solve to an all-zero field")
-        if self.kind is ProfileKind.FLAT_STAMP:
-            if self.center - self.half_width <= 0.0:
-                raise BoundaryCompatibilityError(
-                    "flat stamp touches the edge x = 0: the face displacement "
-                    "must vanish there (V_h(0) = 0)")
-            if self.center + self.half_width >= geom.l:
-                raise BoundaryCompatibilityError(
-                    f"flat stamp touches the edge x = {geom.l}: the face "
-                    "displacement must vanish there (V_h(l) = 0)")
         tol = _EDGE_TOL * max(self.scale(), 1e-300)
         v0 = abs(self.evaluate(0.0, geom))
         vl = abs(self.evaluate(geom.l, geom))
@@ -222,8 +215,7 @@ def sine_coefficients(
     1e-10 for resolutions beyond the default (the comparison is part of
     the test suite).
     """
-    if N < 1:
-        raise DomainError(f"need at least one mode, got N={N}")
+    N = _positive_integer(N, "N")
     profile.validate_edges(geom)
     if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > N:
         raise DomainError(

@@ -453,9 +453,17 @@ class SeriesField:
         exactly zero at ``x = 0`` and ``x = l``.  Any other ``xs`` gets
         one fixed-order sum over modes per field.  Neither route uses
         BLAS, so the result does not depend on the BLAS thread count.
+
+        A point off the plate, or not finite, raises :class:`DomainError`.
         """
         xs = np.asarray(xs, dtype=float)
-        eta = np.asarray(ys, dtype=float) / self.geometry.h
+        ys = np.asarray(ys, dtype=float)
+        for axis, a, end in (("x", xs, self.geometry.l), ("y", ys, self.geometry.h)):
+            off = ~((a >= 0.0) & (a <= end))
+            if off.any():
+                raise DomainError(f"grid point {axis} = {float(a[off][0])} is off the "
+                                  f"plate: {axis} must be finite and in [0, {end:g}]")
+        eta = ys / self.geometry.h
         rows = np.flatnonzero(self.c != 0.0)
         profiles = dict(zip(FIELD_NAMES, self._profiles(rows, FIELD_NAMES, eta)))
         if xs.size >= 2 and xs.tobytes() == np.linspace(0.0, self.geometry.l, xs.size).tobytes():
@@ -504,9 +512,5 @@ def assemble_series(
 
 def evaluate_fields(sf: SeriesField, x: float, y: float) -> FieldSample:
     """Physical displacements and stresses of the truncated solution."""
-    geom = sf.geometry
-    if not (0.0 <= x <= geom.l) or not (0.0 <= y <= geom.h):
-        raise DomainError(f"point ({x}, {y}) outside plate "
-                          f"[0, {geom.l}] x [0, {geom.h}]")
     f = sf.grid_fields(np.array([x]), np.array([y]))
     return FieldSample(x=x, y=y, **{name: float(a[0, 0]) for name, a in f.items()})

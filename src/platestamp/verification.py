@@ -300,17 +300,11 @@ def constitutive_residual(
     grid: GridSpec,
     refined: GridSpec | None = None,
     exclusion_margin: float = 0.0,
-    material: Material | None = None,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    """Residuals of the three plane-strain stress-strain relations, with
-    strains from central differences of u and v.
-
-    ``material`` overrides the constants used by the check only (negative
-    control: a perturbed Poisson ratio must leave a visible residual).
-    """
-    terms = functools.partial(_constitutive_terms,
-                              material if material is not None else sf.material)
-    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin, terms)
+    """Residuals of the three plane-strain stress-strain relations of
+    ``sf.material``, with strains from central differences of u and v."""
+    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin,
+                  functools.partial(_constitutive_terms, sf.material))
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,13 @@ def test_criterion_3_physics_residuals(raised_cosine_series):
     print(f"  corrupted-field residual / scale: {r_corrupt.max_abs / scale:.3e}")
     ok &= r_corrupt.max_abs > 1e-3 * scale
 
-    wrong_mat = Material(E=E_MOD, nu=NU + 0.02)
-    c_corrupt = constitutive_residual(sf, coarse, material=wrong_mat,
-                                      exclusion_margin=ORDER_MARGIN)
+    # the same fields checked against a perturbed Poisson ratio
+    class Perturbed:
+        geometry = GEOM
+        material = Material(E=E_MOD, nu=NU + 0.02)
+        grid_fields = sf.grid_fields
+
+    c_corrupt = constitutive_residual(Perturbed(), coarse, exclusion_margin=ORDER_MARGIN)
     ok &= max(r.max_abs for r in c_corrupt) > 1e-3 * scale
     _report(3, "physics residuals", ok)
 

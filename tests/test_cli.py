@@ -1,4 +1,5 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
+import dataclasses
 import filecmp
 import gc
 import os
@@ -123,9 +124,15 @@ class TestParseConfig:
     def test_flat_stamp_touching_edge(self):
         text = MINIMAL.replace("kind = raised_cosine", "kind = flat_stamp") \
                       .replace("center = 1", "center = 0.4")
-        with pytest.raises(BoundaryCompatibilityError) as err:
+        with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert "V_h(0) = 0" in str(err.value)
+        assert "[stamp] center" in str(err.value) and "V_h(0) = 0" in str(err.value)
+        assert isinstance(err.value.__cause__, BoundaryCompatibilityError)
+
+    def test_config_is_frozen(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.modes = 8
 
     def test_invalid_number(self):
         with pytest.raises(ConfigError) as err:
@@ -188,9 +195,9 @@ class TestRun:
         assert "total_force=" in summary_text
 
     def test_path_all_runs_cross_check(self, tmp_path):
-        cfg = parse_config(MINIMAL.replace("modes = 64", "modes = 6")
-                           .replace("grid = 41x41", "grid = 13x13"))
-        cfg.path = "all"
+        cfg = dataclasses.replace(parse_config(MINIMAL.replace("modes = 64", "modes = 6")
+                                               .replace("grid = 41x41", "grid = 13x13")),
+                                  path="all")
         bundle = run(cfg, output_dir=tmp_path / "out")
         # fields are emitted from the normative path, with the cross-check
         # recorded in the summary
@@ -517,6 +524,45 @@ path = A
         cfg = self._write(tmp_path, MINIMAL.replace(old, new))
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,named", [
+        (["--modes", "0"], "[solver] modes"),
+        (["--modes", "many"], "[solver] modes"),
+        (["--grid", "1", "5"], "[solver] grid"),
+        (["--path", "Q"], "[solver] path"),
+    ], ids=["modes-zero", "modes-not-integer", "grid-1x5", "path"])
+    def test_bad_flag_exit_two(self, tmp_path, capsys, args, named):
+        # a flag is a [solver] value, checked where the config's are
+        cfg = self._write(tmp_path, MINIMAL)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+    def test_flags_without_solver_section(self, tmp_path):
+        text = MINIMAL[:MINIMAL.index("[solver]")]
+        out = tmp_path / "out"
+        rc = main(["--config", str(self._write(tmp_path, text)), "--output", str(out),
+                   "--modes", "4", "--grid", "5", "3", "--path", "C", "--verify"])
+        assert rc == 0
+        summary = (out / "summary.txt").read_text()
+        assert "modes=4\ngrid_nx=5\ngrid_ny=3\n" in summary and "path=C\n" in summary
+        assert "equilibrium_order_x=" in summary
+
+    @pytest.mark.parametrize("stamp,named", [
+        ("kind = flat_stamp\ncenter = 0.3\nhalf_width = 0.3\ndepth = 0.01", "[stamp] center"),
+        ("kind = flat_stamp\ncenter = 1.7\nhalf_width = 0.3\ndepth = 0.01", "[stamp] center"),
+        ("kind = flat_stamp\ncenter = 1.8\nhalf_width = 0.3\ndepth = 0.01", "[stamp] center"),
+        ("kind = raised_cosine\ncenter = 0.3\nhalf_width = 0.4\ndepth = 0.01",
+         "[stamp] center"),
+        ("kind = tabulated\nxs = 0 1 2\nvalues = 0.01 0.02 0", "[stamp] values"),
+    ], ids=["flat-at-0", "flat-at-l", "flat-over-l", "raised_cosine-at-0", "tabulated-at-0"])
+    def test_stamp_nonzero_at_corner_exit_two(self, tmp_path, capsys, stamp, named):
+        text = MINIMAL.replace(
+            "kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01", stamp)
+        assert main(["--config", str(self._write(tmp_path, text)),
+                     "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{named}:" in err
 
     def test_thick_plate_verify_exit_zero(self, tmp_path):
         # h/l = 10: the verification margin follows the shorter side, and the

@@ -127,6 +127,17 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             solve_dirichlet(DirichletData(), geom, N=0)
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(1.5), math.nan, 0, "4"])
+    def test_rejects_non_integer_truncation(self, geom, bad):
+        with pytest.raises(DomainError, match=f"^N must be a whole number >= 1, got {bad}$"):
+            solve_dirichlet(DirichletData(), geom, N=bad)
+
+    @pytest.mark.parametrize("n", [4.0, np.int64(4)])
+    def test_integral_truncation_accepted(self, geom, n):
+        data = _top_sine_data(geom, exact=False)
+        assert solve_dirichlet(data, geom, N=n).D.tobytes() == \
+            solve_dirichlet(data, geom, N=4).D.tobytes()
+
 
 class TestEvaluation:
     def test_single_mode_exact_solution(self, geom):
@@ -182,6 +193,16 @@ class TestEvaluation:
             evaluate_harmonic(series, -0.1, 0.5)
         with pytest.raises(DomainError):
             evaluate_harmonic(series, 0.5, geom.h + 0.1)
+
+    @pytest.mark.parametrize("x,y", [
+        (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+        (np.array([0.5, math.nan]), np.array([0.5, 0.5])),
+    ], ids=["x-nan", "y-nan", "x-inf", "array-nan"])
+    def test_non_finite_point_raises(self, geom, x, y):
+        # a NaN passed the range comparisons and evaluated to NaN
+        series = solve_dirichlet(_top_sine_data(geom), geom, N=2)
+        with pytest.raises(DomainError, match="not finite or outside"):
+            evaluate_harmonic(series, x, y)
 
     def test_interior_is_harmonic(self, geom):
         # discrete Laplacian of the evaluated series drops at O(step^2)

@@ -11,7 +11,7 @@ from platestamp import Geometry, Material, OperatorId, Parity
 from platestamp.harmonic_rect import solve_dirichlet
 from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, calibrate_delta_ratio
-from platestamp.verification import SharedGridFields
+from platestamp.verification import SharedGridFields, constitutive_residual
 
 MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp.__path__)
                  if m.name != "__main__")
@@ -82,4 +82,6 @@ def test_removed_parameters():
     dirichlet = inspect.signature(solve_dirichlet).parameters
     assert "quad" not in dirichlet
     assert coeffs["panels"].default is dirichlet["panels"].default is None
+    # the meters check the material of the field they are given
+    assert "material" not in inspect.signature(constitutive_residual).parameters
 

@@ -83,10 +83,24 @@ class TestSineCoefficients:
         assert np.max(np.abs(c_tab - c_ref)) < 1e-7
 
     def test_flat_stamp_touching_edge_rejected(self, geom):
-        profile = BoundaryProfile.flat_stamp(center=0.4, half_width=0.4, depth=0.01)
-        with pytest.raises(BoundaryCompatibilityError) as err:
-            sine_coefficients(profile, geom, 8)
-        assert "V_h(0) = 0" in str(err.value)
+        for center, half_width, edge in [
+            (0.4, 0.4, "V_h(0) = 0"),
+            (0.3, 0.5, "V_h(0) = 0"),
+            # 1.7 + 0.3 rounds to l while |l - 1.7| rounds above 0.3: the
+            # corner value is read on the same support as the breakpoints
+            (1.7, 0.3, "V_h(l) = 0"),
+            (1.8, 0.3, "V_h(l) = 0"),
+        ]:
+            profile = BoundaryProfile.flat_stamp(center, half_width, depth=0.01)
+            with pytest.raises(BoundaryCompatibilityError) as err:
+                sine_coefficients(profile, geom, 8)
+            assert edge in str(err.value)
+
+    def test_flat_stamp_support_is_closed(self, geom):
+        profile = BoundaryProfile.flat_stamp(center=1.7, half_width=0.3, depth=0.01)
+        lo, hi = profile.breakpoints(geom)
+        assert profile.evaluate(np.array([lo, hi]), geom).tolist() == [0.01, 0.01]
+        assert profile.evaluate(np.nextafter(lo, 0.0), geom) == 0.0
 
     @pytest.mark.parametrize("profile", [
         BoundaryProfile.raised_cosine(2.5, 0.5, 0.01),
@@ -122,6 +136,24 @@ class TestSineCoefficients:
         tab = BoundaryProfile.tabulated([0.0, 1.0, 2.0], [0.1, 0.5, 0.0])
         with pytest.raises(BoundaryCompatibilityError):
             sine_coefficients(tab, geom, 8)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.5, np.float64(1.5), 0, -2])
+    @pytest.mark.parametrize("call", [
+        lambda geom, n: BoundaryProfile.single_mode(n),
+        lambda geom, n: sine_coefficients(BoundaryProfile.raised_cosine(1.0, 0.4, 0.01),
+                                          geom, n),
+    ], ids=["single_mode", "sine_coefficients"])
+    def test_non_integer_mode_number_rejected(self, geom, call, bad):
+        # a fractional mode number used to be truncated or rounded up
+        with pytest.raises(DomainError, match=f"must be a whole number >= 1, got {bad}$"):
+            call(geom, bad)
+
+    @pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_mode_numbers_accepted(self, geom, n):
+        assert BoundaryProfile.single_mode(n) == BoundaryProfile.single_mode(3)
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        got = sine_coefficients(profile, geom, n)
+        assert got.tobytes() == sine_coefficients(profile, geom, 3).tobytes()
 
     def test_single_mode_beyond_truncation_rejected(self, geom):
         with pytest.raises(DomainError):

@@ -352,8 +352,25 @@ class TestAssembly:
 
     def test_outside_domain_raises(self, geom, mat):
         sf = assemble_series([1.0], geom, mat)
-        with pytest.raises(DomainError):
-            evaluate_fields(sf, -0.1, 0.5)
+        for x, y in [(-0.1, 0.5), (0.5, 1.1), (math.nan, 0.5), (0.5, math.nan),
+                     (math.inf, 0.5)]:
+            with pytest.raises(DomainError, match="off the plate"):
+                evaluate_fields(sf, x, y)
+
+    @pytest.mark.parametrize("xs,ys,named", [
+        ([0.0, 1.0], [0.0, 3.0], "y = 3.0"),
+        ([0.0, 1.0], [-0.1, 0.5], "y = -0.1"),
+        ([0.0, math.nan, 2.0], [0.5], "x = nan"),
+        ([0.0, 2.5, -1.0], [0.5], "x = 2.5"),
+        ([-math.inf], [0.5], "x = -inf"),
+        ([1.0], [0.5, math.inf], "y = inf"),
+    ], ids=["y-3h", "y-negative", "x-nan", "x-first-of-two", "x-minus-inf", "y-inf"])
+    def test_grid_points_off_the_plate_rejected(self, geom, mat, xs, ys, named):
+        # y = 3h used to give |v| ~ 1e17 and NaN a NaN field, with no error
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        sf = assemble_series(sine_coefficients(profile, geom, 16), geom, mat)
+        with pytest.raises(DomainError, match=f"grid point {named} is off the plate"):
+            sf.grid_fields(np.array(xs), np.array(ys))
 
     def test_path_enum_accepts_strings(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="C")

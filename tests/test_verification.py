@@ -210,12 +210,19 @@ class TestPhysicsMeters:
         assert r1f.max_abs > 1e-3 * scale
 
     def test_constitutive_negative_control(self, geom, mat, raised_cosine_field):
-        # perturbing nu in the check only must leave a visible residual
-        wrong = Material(E=mat.E, nu=mat.nu + 0.02)
+        # the meters read only geometry, material and grid_fields: the
+        # field's own grids checked against a perturbed nu must leave a
+        # visible residual
+
+        class Perturbed:
+            geometry = geom
+            material = Material(E=mat.E, nu=mat.nu + 0.02)
+            grid_fields = raised_cosine_field.grid_fields
+
         grid = GridSpec(41, 41)
         xs, ys = grid.axes(geom)
         scale = float(np.max(np.abs(raised_cosine_field.grid_fields(xs, ys)["sigma_x"])))
-        reps = constitutive_residual(raised_cosine_field, grid, material=wrong)
+        reps = constitutive_residual(Perturbed(), grid)
         assert max(r.max_abs for r in reps) > 1e-3 * scale
 
     def test_shared_evaluation_matches_independent_meters(self, geom, mat,
@@ -247,16 +254,20 @@ class TestPhysicsMeters:
 
     def test_constitutive_negative_control_through_shared(self, geom, mat,
                                                           raised_cosine_field):
-        # the check-only material still acts on fields kept by the shared
+        # a perturbed material still acts on fields kept by the shared
         # evaluation, and leaves them as they were for the next meter
-        wrong = Material(E=mat.E, nu=mat.nu + 0.02)
         grid = GridSpec(41, 41)
         xs, ys = grid.axes(geom)
         scale = float(np.max(np.abs(raised_cosine_field.grid_fields(xs, ys)["sigma_x"])))
         shared = SharedGridFields(raised_cosine_field, [grid.axes(geom)])
+
+        class Perturbed:
+            geometry = geom
+            material = Material(E=mat.E, nu=mat.nu + 0.02)
+            grid_fields = shared.grid_fields
+
         right = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h)
-        reps = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h,
-                                     material=wrong)
+        reps = constitutive_residual(Perturbed(), grid, exclusion_margin=0.15 * geom.h)
         assert max(r.max_abs for r in reps) > 1e-3 * scale
         assert max(r.max_abs for r in reps) > 4.0 * max(r.max_abs for r in right)
         assert constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h) == right
