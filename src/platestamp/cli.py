@@ -31,7 +31,7 @@ from .stamp_problem import (
     sine_coefficients,
     total_force,
 )
-from .strip_solution import SolutionPath, assemble_series
+from .strip_solution import assemble_series
 from .verification import (
     GridSpec,
     SharedGridFields,
@@ -74,7 +74,7 @@ class RunConfig:
     modes: int = 64
     grid_nx: int = 41
     grid_ny: int = 41
-    path: str = "B"          # A | B | C | all
+    path: str = "B"          # A | B | C
     verify: bool = False
     output_dir: str | None = None
 
@@ -161,7 +161,7 @@ _PARSERS = {
     "stamp": dict.fromkeys(set().union(*_STAMP_KEYS.values()), _number) | {
         "kind": lambda raw: _one_of(_STAMP_KEYS)(raw.lower()),
         "mode": _count, "xs": _numbers, "values": _numbers},
-    "solver": {"modes": _count, "grid": _grid, "path": _one_of(("A", "B", "C", "all")),
+    "solver": {"modes": _count, "grid": _grid, "path": _one_of(("A", "B", "C")),
                "verify": _boolean},
     "output": {"directory": str},
 }
@@ -209,6 +209,9 @@ def _read(text: str) -> configparser.ConfigParser:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    # configparser copies [DEFAULT] keys into every section's options
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         if section not in _PARSERS:
             raise ConfigError(f"unknown section [{section}]")
@@ -238,7 +241,7 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     config = RunConfig(geometry=geom, material=mat, profile=profile, **settings)
 
     # constraints between keys
-    if (config.verify or config.path == "all") and min(config.grid_nx, config.grid_ny) < 3:
+    if config.verify and min(config.grid_nx, config.grid_ny) < 3:
         raise ConfigError(f"invalid value for [solver] grid: verification needs at least "
                           f"3x3 points, got {config.grid_nx}x{config.grid_ny}")
     if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > config.modes:
@@ -284,32 +287,18 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     """
     geom, mat = config.geometry, config.material
     coeffs = sine_coefficients(config.profile, geom, config.modes)
-
-    emit_path = SolutionPath.B if config.path == "all" else SolutionPath(config.path)
-    sf = assemble_series(coeffs, geom, mat, path=emit_path)
+    sf = assemble_series(coeffs, geom, mat, path=config.path)
 
     xs = np.linspace(0.0, geom.l, config.grid_nx)
     ys = np.linspace(0.0, geom.h, config.grid_ny)
-    run_verification = config.verify or config.path == "all"
-    if run_verification:
-        # the discrepancy report runs before the grid pass, so that the
-        # kept grids do not add to its memory peak
-        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
-        grid = GridSpec(config.grid_nx, config.grid_ny)
-        refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
-        # the output grid and the coarse and fine grids that both residual
-        # meters read, each evaluated once
-        shared = SharedGridFields(sf, [(xs, ys), grid.axes(geom), refined.axes(geom)])
-        fields = shared.grid_fields(xs, ys)
-    else:
-        fields = sf.grid_fields(xs, ys)
+    fields = sf.grid_fields(xs, ys)
     # the face row y = h of the output grid (linspace ends exactly at h),
     # copied so that the bundle's pressure is not a view into its sigma_y
     pressure = fields["sigma_y"][-1].copy()
     force = total_force(sf)
 
     summary = {
-        "path": emit_path.value,
+        "path": sf.path.value,
         "modes": config.modes,
         "grid_nx": config.grid_nx,
         "grid_ny": config.grid_ny,
@@ -323,21 +312,26 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         f"  geometry: l={geom.l:g}, h={geom.h:g}",
         f"  material: E={mat.E:g}, nu={mat.nu:g} (G={mat.G:.9g}, lambda={mat.lam:.9g})",
         f"  stamp: {config.profile.kind.value}",
-        f"  modes: {config.modes}, solution path: {emit_path.value}",
+        f"  modes: {config.modes}, solution path: {sf.path.value}",
         f"  total force per unit thickness: {_fmt(force)}",
         f"  max |v| on grid: {_fmt(summary['max_abs_v'])}",
         f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
     ]
 
-    if run_verification:
-        summary.update(disc.as_dict())
-
+    if config.verify:
+        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
+        grid = GridSpec(config.grid_nx, config.grid_ny)
+        refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
         margin = VERIFY_MARGIN_FRACTION * min(geom.l, geom.h)
+        # the coarse and fine grids that both residual meters read, each
+        # evaluated once and freed before the artifacts are formatted
+        shared = SharedGridFields(sf, [grid.axes(geom), refined.axes(geom)])
         eq1, eq2 = equilibrium_residual(shared, grid, refined=refined,
                                         exclusion_margin=margin)
         c1, c2, c3 = constitutive_residual(shared, grid, refined=refined,
                                            exclusion_margin=margin)
-        del shared  # frees the kept grids before the artifacts are formatted
+        del shared
+        summary.update(disc.as_dict())
         summary.update({
             "equilibrium_order_x": eq1.observed_order,
             "equilibrium_order_y": eq2.observed_order,
@@ -413,8 +407,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", nargs=2, metavar=("NX", "NY"), default=None,
                     help="output grid point counts: sets [solver] grid = NXxNY")
     ap.add_argument("--path", default=None,
-                    help="solution path A, B, C or all ('all' cross-checks the three "
-                         "paths): sets [solver] path")
+                    help="solution path A, B or C: sets [solver] path")
     ap.add_argument("--verify", action="store_const", const="true",
                     help="run the verification suite and include it in the report: "
                          "sets [solver] verify = true")

@@ -19,7 +19,7 @@ meaningful only outside it.  Observed orders are computed from the l2
 (root-mean-square) residual of a grid pair.  The meters read only
 ``geometry``, ``material`` and ``grid_fields`` of the field they are
 given; wrapped in :class:`SharedGridFields`, one series field serves both
-meters, and the rest of a run, with one evaluation per grid.
+meters with one evaluation per grid.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .core import (
     Geometry,
     Material,
     PathDivergenceError,
+    _positive_integer,
 )
 from .harmonic_rect import DirichletData
 from .strip_solution import (
@@ -70,16 +71,19 @@ class GridSpec:
     """Uniform grid described by its interior point counts.
 
     Spacing is l/(nx+1) by h/(ny+1); the sampled grid includes the
-    boundary ring, residuals are formed on the interior points.
+    boundary ring, residuals are formed on the interior points.  A count
+    must be a whole number (an integral float is taken as an int).
     """
 
     nx: int
     ny: int
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
+        if not (self.nx >= 3 and self.ny >= 3):
             raise DomainError(f"grid needs at least 3x3 interior points, got "
                               f"{self.nx}x{self.ny}")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _positive_integer(getattr(self, name), name))
 
     def spacing(self, geom: Geometry) -> tuple[float, float]:
         return geom.l / (self.nx + 1), geom.h / (self.ny + 1)
@@ -373,45 +377,16 @@ def _layer_etas(beta):
     return np.maximum(1.0 - _LAYER_S / beta, 0.0)
 
 
-def _profile_scale(*stacks) -> np.ndarray:
-    """Per field and mode, the largest magnitude over the samples of all
-    ``stacks`` (profile stacks of shape (5, N, samples)); 1 where it is 0."""
-    scale = np.max([np.max(np.abs(s), axis=2, keepdims=True) for s in stacks], axis=0)
-    return np.where(scale == 0.0, 1.0, scale)
-
-
-def _relative_difference(a, b, scale) -> np.ndarray:
-    """Per mode, max over fields and samples of |a - b| / scale, for profile
-    stacks of shape (5, N, samples) and a scale from :func:`_profile_scale`."""
-    return np.max(np.abs(a - b) / scale, axis=(0, 2))
-
-
-def path_profile_difference(pa, pb, beta: float) -> float:
-    """Max over fields/samples of |pa - pb| / max_eta |pb| for one mode.
-
-    ``pa`` and ``pb`` are two routes' kernels bound to the mode's scalar
-    arguments, e.g. ``functools.partial(block_profiles, k, beta, nu)``:
-    called on a row of eta samples, each returns the five profiles.
-    The scale is the profile's max over a fine uniform eta grid and over
-    samples of the face boundary layer (:func:`_layer_etas` of ``beta``):
-    the coarse comparison samples can miss the boundary layer of a high
-    mode entirely, and so can the uniform ones once beta is large, which
-    would turn roundoff into a spurious relative error.
-    """
-    def stack(p, etas):
-        return np.stack(p(etas))[:, None, :]
-
-    scale = _profile_scale(stack(pb, _SCALE_ETAS), stack(pb, _layer_etas(beta)))
-    return float(_relative_difference(stack(pa, _CMP_ETAS), stack(pb, _CMP_ETAS), scale)[0])
-
-
 def discrepancy_report(geom: Geometry, mat: Material,
                        modes: Sequence[int]) -> DiscrepancyReport:
     """Run the three per-mode routes against each other.
 
-    Every route evaluates all modes at once; each row equals what the
-    kernels give for that mode alone, on its scalar arguments, through
-    :func:`path_profile_difference`.
+    Every route evaluates all modes at once; each row equals the report of
+    its mode alone.  A row's differences are the max of |A - B| and |C - B|
+    over fields and coarse samples, relative to the block profile's max
+    over a fine uniform eta grid and the face layer (:func:`_layer_etas`):
+    the coarse and uniform samples can miss a high mode's boundary layer,
+    which would turn roundoff into a spurious relative error.
 
     Path disagreements are report content, with one exception: a
     boundary-solve vs blocks divergence beyond 1e-8 means the solver
@@ -423,13 +398,18 @@ def discrepancy_report(geom: Geometry, mat: Material,
     nu, h = mat.nu, geom.h
     u0, y0 = initial_amplitudes(ns, k, beta, nu)
 
+    # profile stacks of shape (5, N, samples); the scale is per field and
+    # mode, 1 where the profile is 0
     b_cmp = np.stack(block_profiles(k, beta, nu, _CMP_ETAS))
     b_fine = np.stack(block_profiles(k, beta, nu, _SCALE_ETAS))
-    scale = _profile_scale(b_fine, np.stack(block_profiles(k, beta, nu, _layer_etas(beta))))
-    d_ab = _relative_difference(np.stack(initial_profiles(k, beta, nu, u0, y0, _CMP_ETAS)),
-                                b_cmp, scale)
-    d_cb = _relative_difference(np.stack(closed_profiles(beta, nu, h, rho, _CMP_ETAS)),
-                                b_cmp, scale)
+    b_layer = np.stack(block_profiles(k, beta, nu, _layer_etas(beta)))
+    scale = np.maximum(np.max(np.abs(b_fine), axis=2, keepdims=True),
+                       np.max(np.abs(b_layer), axis=2, keepdims=True))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    a_cmp = np.stack(initial_profiles(k, beta, nu, u0, y0, _CMP_ETAS))
+    c_cmp = np.stack(closed_profiles(beta, nu, h, rho, _CMP_ETAS))
+    d_ab = np.max(np.abs(a_cmp - b_cmp) / scale, axis=(0, 2))
+    d_cb = np.max(np.abs(c_cmp - b_cmp) / scale, axis=(0, 2))
 
     # per-mode least-squares amplitude ratio of the uncalibrated closed form;
     # the stacked row products give the same bits as one np.dot per mode

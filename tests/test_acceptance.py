@@ -17,6 +17,7 @@ from platestamp import (
     assemble_series,
     calibrate_delta_ratio,
     constitutive_residual,
+    discrepancy_report,
     equilibrium_residual,
     evaluate_harmonic,
     fd_laplace_solve,
@@ -29,7 +30,6 @@ from platestamp import (
 )
 from platestamp.stamp_problem import contact_pressure
 from platestamp.strip_solution import _ratios
-from platestamp.verification import path_profile_difference
 
 from conftest import mode_kernel, mode_scalars
 
@@ -61,24 +61,15 @@ def raised_cosine_series():
 @pytest.fixture(scope="module")
 def all_paths_per_mode():
     rho = calibrate_delta_ratio(GEOM, MAT)
-    out = []
-    for n in range(1, N_MODES + 1):
-        out.append((
-            mode_scalars(n, GEOM)[1],
-            mode_kernel("A", n, GEOM, MAT),
-            mode_kernel("B", n, GEOM, MAT),
-            mode_kernel("C", n, GEOM, MAT, rho=rho),
-        ))
-    return out
+    return [(mode_kernel("A", n, GEOM, MAT), mode_kernel("B", n, GEOM, MAT),
+             mode_kernel("C", n, GEOM, MAT, rho=rho)) for n in range(1, N_MODES + 1)]
 
 
-def test_criterion_1_three_path_equivalence(all_paths_per_mode):
+def test_criterion_1_three_path_equivalence():
     """Paths A, B, C agree to 1e-10 relative on all five profiles,
     modes 1..64, 11 eta samples (scale: per-profile max over eta)."""
-    worst = 0.0
-    for beta, pa, pb, pc in all_paths_per_mode:
-        worst = max(worst, path_profile_difference(pa, pb, beta),
-                    path_profile_difference(pc, pb, beta))
+    rep = discrepancy_report(GEOM, MAT, range(1, N_MODES + 1))
+    worst = max(rep.max_rel_ab, rep.max_rel_cb)
     print(f"  worst three-path relative difference: {worst:.3e}")
     _report(1, "three-path equivalence", worst <= 1e-10)
 
@@ -89,7 +80,7 @@ def test_criterion_2_boundary_conditions(all_paths_per_mode, raised_cosine_serie
     sine reconstruction within 1e-9."""
     ok = True
     # per-mode: V(0), X(0), X(1) for every path
-    for _, pa, pb, pc in all_paths_per_mode:
+    for pa, pb, pc in all_paths_per_mode:
         for prof in (pa, pb, pc):
             scales = np.max(np.abs(prof(ETAS_FINE)), axis=1)
             v_scale = max(scales[1], 1e-300)

@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -147,6 +148,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "path = Q\n")
 
+    def test_default_section_named(self):
+        # configparser would copy its keys into every section
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config("[DEFAULT]\nmodes = 8\n\n" + MINIMAL)
+        assert parse_config("[DEFAULT]\n" + MINIMAL) == parse_config(MINIMAL)
+
+    def test_readme_example_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = parse_config(block)
+        assert cfg.profile.kind is ProfileKind.RAISED_COSINE
+        assert (cfg.modes, cfg.grid_nx, cfg.grid_ny, cfg.path) == (64, 41, 41, "B")
+        assert cfg.verify is False and cfg.output_dir == "out"
+
 
 class TestRun:
     def test_zero_depth_all_zero(self, tmp_path):
@@ -194,19 +209,7 @@ class TestRun:
         summary_text = (tmp_path / "out" / "summary.txt").read_text()
         assert "total_force=" in summary_text
 
-    def test_path_all_runs_cross_check(self, tmp_path):
-        cfg = dataclasses.replace(parse_config(MINIMAL.replace("modes = 64", "modes = 6")
-                                               .replace("grid = 41x41", "grid = 13x13")),
-                                  path="all")
-        bundle = run(cfg, output_dir=tmp_path / "out")
-        # fields are emitted from the normative path, with the cross-check
-        # recorded in the summary
-        assert bundle.summary["path"] == "B"
-        assert bundle.summary["path_equiv_max_rel_diff_ab"] <= 1e-10
-
-    @pytest.mark.parametrize("text", [SMALL_VERIFY, SMALL_VERIFY + "path = all\n"],
-                             ids=["verify", "path-all"])
-    def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch, text):
+    def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch):
         # one evaluation each of the output grid and of the coarse and fine
         # residual grids that both meters share
         calls = []
@@ -217,16 +220,13 @@ class TestRun:
             return original(sf, xs, ys)
 
         monkeypatch.setattr(SeriesField, "grid_fields", counted)
-        run(parse_config(text), output_dir=tmp_path / "out")
+        run(parse_config(SMALL_VERIFY), output_dir=tmp_path / "out")
         assert calls == [(13, 11), (15, 13), (27, 23)]
 
-    @pytest.mark.parametrize("text", [DESK_VERIFY, DESK_VERIFY + "path = all\n"],
-                             ids=["verify", "path-all"])
-    def test_prefilled_and_lazy_shared_grids_write_same_bytes(self, tmp_path, monkeypatch,
-                                                              text):
+    def test_prefilled_and_lazy_shared_grids_write_same_bytes(self, tmp_path, monkeypatch):
         # the one-pass evaluation and a stand-in that makes one grid_fields
         # call for each grid a reader asks for give the same artifacts
-        run(parse_config(text), output_dir=tmp_path / "prefilled")
+        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "prefilled")
 
         class Lazy:
             def __init__(self, sf, axes):
@@ -236,7 +236,7 @@ class TestRun:
                 return self._sf.grid_fields(xs, ys)
 
         monkeypatch.setattr(cli, "SharedGridFields", Lazy)
-        run(parse_config(text), output_dir=tmp_path / "lazy")
+        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "lazy")
         names = ["field_grid.csv", "pressure_profile.csv", "summary.txt", "report.txt"]
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "prefilled", tmp_path / "lazy",
                                                    names, shallow=False)
@@ -497,13 +497,24 @@ path = A
 
     @pytest.mark.parametrize("text,args", [
         (SINGLE_MODE_VERIFY.replace("grid = 21x21", "grid = 2x2"), []),
-        (MINIMAL.replace("grid = 41x41", "grid = 5x2") + "path = all\n", []),
         (MINIMAL, ["--grid", "2", "9", "--verify"]),
-    ], ids=["verify", "path-all", "override"])
+    ], ids=["verify", "override"])
     def test_grid_too_small_to_verify_exit_two(self, tmp_path, capsys, text, args):
         cfg = self._write(tmp_path, text)
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
         assert "[solver] grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,args", [
+        (MINIMAL + "path = all\n", []),
+        (MINIMAL, ["--path", "all"]),
+    ], ids=["config", "flag"])
+    def test_path_all_exit_two(self, tmp_path, capsys, text, args):
+        # verification is switched on by verify alone
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        assert capsys.readouterr().err == ("config error: invalid value for [solver] path: "
+                                           "'all' (expected one of A, B, C)\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,args", [
         (SINGLE_MODE_VERIFY.replace("mode = 1", "mode = 9"), []),

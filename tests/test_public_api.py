@@ -29,6 +29,7 @@ REMOVED = {
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed",
     ),
+    "platestamp.verification": ("path_profile_difference",),
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))

@@ -34,7 +34,7 @@ from platestamp.strip_solution import (
     mode_columns,
 )
 from platestamp.modal_calculus import OperatorId
-from platestamp.verification import path_profile_difference
+from platestamp.verification import discrepancy_report
 
 from conftest import mode_kernel, mode_scalars
 
@@ -85,17 +85,9 @@ class TestPathB:
 
 class TestPathEquivalence:
     def test_all_modes_all_paths(self, geom, mat):
-        rho = calibrate_delta_ratio(geom, mat)
-        worst_ab = worst_cb = 0.0
-        for n in range(1, 65):
-            beta = mode_scalars(n, geom)[1]
-            pb = mode_kernel("B", n, geom, mat)
-            pa = mode_kernel("A", n, geom, mat)
-            pc = mode_kernel("C", n, geom, mat, rho=rho)
-            worst_ab = max(worst_ab, path_profile_difference(pa, pb, beta))
-            worst_cb = max(worst_cb, path_profile_difference(pc, pb, beta))
-        assert worst_ab < 1e-10
-        assert worst_cb < 1e-10
+        rep = discrepancy_report(geom, mat, range(1, 65))
+        assert rep.max_rel_ab < 1e-10
+        assert rep.max_rel_cb < 1e-10
 
     def test_path_a_boundary_conditions(self, geom, mat):
         for n in (1, 16, 64):
@@ -119,12 +111,9 @@ class TestPathEquivalence:
         mat = Material(E=1.0, nu=nu)
         rho = calibrate_delta_ratio(geom, mat)
         assert rho == pytest.approx(1.0, abs=1e-12)
-        for n in (1, 5, 40):
-            beta = mode_scalars(n, geom)[1]
-            pb = mode_kernel("B", n, geom, mat)
-            assert path_profile_difference(mode_kernel("A", n, geom, mat), pb, beta) < 1e-10
-            assert path_profile_difference(
-                mode_kernel("C", n, geom, mat, rho=rho), pb, beta) < 1e-10
+        rep = discrepancy_report(geom, mat, [1, 5, 40])
+        assert rep.max_rel_ab < 1e-10
+        assert rep.max_rel_cb < 1e-10
 
     def test_mode_degeneracy_error(self, mat):
         # beta ~ 3e7 drives the scaled 2x2 condition number past 1e12
