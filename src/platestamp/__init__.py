@@ -3,14 +3,13 @@
 The package computes exact truncated-series displacement and stress
 fields for a plate 0 <= x <= l, 0 <= y <= h whose top face carries a
 prescribed vertical displacement with zero shear, by three mutually
-verifying per-mode routes, together with a general Laplace-Dirichlet
-rectangle solver and finite-difference verification oracles.
+verifying per-mode routes, together with central-difference residual
+meters and a discrepancy report that check them.
 """
 from .core import (
     BoundaryCompatibilityError,
     ConfigError,
     DomainError,
-    FdSolveError,
     FieldSample,
     Geometry,
     Material,
@@ -19,19 +18,12 @@ from .core import (
     Parity,
     PathDivergenceError,
     PlateStampError,
-    QuadratureError,
     SingularRatioError,
 )
 from .modal_calculus import (
     OperatorId,
     RatioKind,
     stable_ratio,
-)
-from .harmonic_rect import (
-    DirichletData,
-    HarmonicSeries,
-    evaluate_harmonic,
-    solve_dirichlet,
 )
 from .strip_solution import (
     SeriesField,
@@ -54,8 +46,6 @@ from .verification import (
     constitutive_residual,
     discrepancy_report,
     equilibrium_residual,
-    fd_laplace_solve,
-    laplacian_residual,
 )
 from .cli import RunConfig, parse_config, run
 

@@ -48,23 +48,8 @@ class ModeDegeneracyError(PlateStampError):
         )
 
 
-class QuadratureError(PlateStampError):
-    """Quadrature of a boundary function produced a non-finite result."""
-
-    def __init__(self, edge: str, detail: str = ""):
-        self.edge = edge
-        msg = f"quadrature failed on edge {edge!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 class BoundaryCompatibilityError(PlateStampError):
     """Stamp profile violates the clamped-corner conditions."""
-
-
-class FdSolveError(PlateStampError):
-    """Finite-difference linear system not solved to tolerance."""
 
 
 class PathDivergenceError(PlateStampError):

@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (BoundaryCompatibilityError, DomainError, FieldSample, Geometry,
                    _positive_integer)
-from .harmonic_rect import _simpson_subintervals, sine_transform
 from .strip_solution import SeriesField
 
 __all__ = [
@@ -200,6 +199,39 @@ class BoundaryProfile:
                 f"profile violates V_h(l) = 0: |V_h(l)| = {vl:.3e}")
 
 
+def sine_transform(f: Callable, length: float, ns: np.ndarray,
+                   subintervals: int, breakpoints: tuple = ()) -> np.ndarray:
+    """Raw transforms (2/length) * integral f(t) sin(n pi t / length) dt
+    by composite Simpson, split at the breakpoints; a piece where f is
+    zero at every sample is skipped."""
+    pts = sorted({0.0, float(length), *(float(b) for b in breakpoints
+                                        if 0.0 < float(b) < length)})
+    total = np.zeros(len(ns))
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        width = hi - lo
+        p = max(2, int(round(subintervals * width / length)))
+        p += p % 2
+        t = np.linspace(lo, hi, p + 1)
+        w = np.ones(p + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= (width / p) / 3.0
+        # one-sided limits at the piece ends: a breakpoint may carry a jump
+        t_eval = t.copy()
+        t_eval[0] += 1e-12 * width
+        t_eval[-1] -= 1e-12 * width
+        ft = np.asarray(f(t_eval), dtype=float)
+        if ft.shape != t.shape:
+            ft = np.broadcast_to(ft, t.shape)
+        if not ft.any():
+            # a piece outside the data's support adds only signed zeros,
+            # which leave ``total`` (never -0.0) unchanged
+            continue
+        total += np.einsum("p,np->n", ft * w,
+                           np.sin(np.outer(ns, t) * np.pi / length))
+    return (2.0 / length) * total
+
+
 def sine_coefficients(
     profile: BoundaryProfile,
     geom: Geometry,
@@ -227,7 +259,7 @@ def sine_coefficients(
         if exact is not None:
             return np.asarray(exact, dtype=float)
     return sine_transform(lambda t: profile.evaluate(t, geom), geom.l, ns,
-                          _simpson_subintervals(N, panels), profile.breakpoints(geom))
+                          8 * N if panels is None else panels, profile.breakpoints(geom))
 
 
 def contact_pressure(sf: SeriesField, x):

@@ -341,7 +341,7 @@ def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
     rho = float(np.dot(vc, vb) / np.dot(vc, vc))
     scale = float(np.max(np.abs(vb)))
     residual = float(np.max(np.abs(rho * vc - vb)))
-    if residual > _CALIBRATION_TOL * scale:
+    if not residual <= _CALIBRATION_TOL * scale:
         raise PathDivergenceError(
             f"closed-form V-profile cannot be scaled onto the block profile: "
             f"residual {residual:.3e} exceeds {_CALIBRATION_TOL:g} x scale {scale:.3e}"

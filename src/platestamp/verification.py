@@ -1,14 +1,9 @@
-"""Independent oracles and residual meters.
+"""Residual meters and the three-path discrepancy report.
 
-A 5-point finite-difference Laplace solver cross-checks the harmonic
-series layer.  It shares no code with the series solvers, and solves its
-linear system by DST-I along both axes (through ``numpy.fft``); the
-5-point stencil of :func:`laplacian_residual` forms its right-hand side
-and its residual.  Central-difference residual meters check that
-assembled fields satisfy force balance and the plane-strain
-stress-strain law; the discrepancy report runs the three per-mode
-solution routes against each other and documents the closed-form
-corrections.
+Central-difference residual meters check that assembled fields satisfy
+force balance and the plane-strain stress-strain law; the discrepancy
+report runs the three per-mode solution routes against each other and
+documents the closed-form corrections.
 
 Residual meters evaluate on the interior of a uniform grid (one cell
 from the boundary so the central stencils stay valid) and can exclude a
@@ -26,19 +21,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     DomainError,
-    FdSolveError,
     Geometry,
     Material,
     PathDivergenceError,
     _positive_integer,
 )
-from .harmonic_rect import DirichletData
 from .strip_solution import (
     FIELD_NAMES,
     block_profiles,
@@ -53,8 +46,6 @@ __all__ = [
     "GridSpec",
     "ResidualReport",
     "SharedGridFields",
-    "fd_laplace_solve",
-    "laplacian_residual",
     "equilibrium_residual",
     "constitutive_residual",
     "discrepancy_report",
@@ -62,7 +53,6 @@ __all__ = [
     "ModeDiscrepancy",
 ]
 
-_FD_RESIDUAL_TOL = 1e-11
 _PATH_AB_HARD_LIMIT = 1e-8
 
 
@@ -146,89 +136,6 @@ def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
     return tuple(ResidualReport(*s, observed_order=math.log(s[1] / s_f[1])
                                 / math.log(dx / dx_f))
                  for s, s_f in zip(stats, stats_f))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference Laplace oracle
-# ---------------------------------------------------------------------------
-
-def _five_point(F: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """5-point discrete Laplacian of the grid values ``F`` on its interior."""
-    return ((F[1:-1, 2:] - 2 * F[1:-1, 1:-1] + F[1:-1, :-2]) / dx**2
-            + (F[2:, 1:-1] - 2 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / dy**2)
-
-
-def _dst2(a: np.ndarray) -> np.ndarray:
-    """DST-I of ``a`` along both axes, sum_j a_j sin(pi p j / (n + 1)) for
-    p, j = 1..n on each: per axis, minus the imaginary part of a real FFT
-    of length 2(n + 1) of the data with one leading zero."""
-    for _ in range(2):
-        n = a.shape[1]
-        padded = np.zeros((a.shape[0], 2 * (n + 1)))
-        padded[:, 1:n + 1] = a
-        a = -np.fft.rfft(padded, axis=1).imag[:, 1:n + 1].T
-    return a
-
-
-def fd_laplace_solve(data: DirichletData, geom: Geometry, grid: GridSpec) -> np.ndarray:
-    """Solve the 5-point discrete Laplace system for the given Dirichlet
-    data; returns the full (ny+2, nx+2) grid including the boundary ring.
-
-    The right-hand side is the 5-point stencil of the boundary ring.  The
-    Dirichlet 5-point Laplacian is diagonalised by DST-I along each axis,
-    so the solve is a transform of the right-hand side, a division by the
-    eigenvalue sums and the inverse transform (the fast Poisson solver of
-    Hockney and of Buzbee, Golub and Nielson).  The algebraic residual,
-    the stencil of the solved grid, is checked against 1e-11 relative to
-    the right-hand side's scale; a failure raises :class:`FdSolveError`.
-    Deterministic for fixed inputs.
-    """
-    nx, ny = grid.nx, grid.ny
-    dx, dy = grid.spacing(geom)
-    xs, ys = grid.axes(geom)
-
-    def edge(f, pts):
-        if f is None:
-            return np.zeros(len(pts))
-        vals = np.asarray(f(pts), dtype=float)
-        return np.broadcast_to(vals, pts.shape).astype(float)
-
-    full = np.zeros((ny + 2, nx + 2))
-    full[:, 0] = edge(data.f1, ys)    # x = 0
-    full[:, -1] = edge(data.f2, ys)   # x = l
-    full[0, :] = edge(data.f3, xs)    # y = 0
-    full[-1, :] = edge(data.f4, xs)   # y = h
-    b = -_five_point(full, dx, dy)
-
-    # eigenvalues of the 1-D second differences, sin(p pi j/(n+1)) in j
-    lam_x = -4.0 / dx**2 * np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1)))**2
-    lam_y = -4.0 / dy**2 * np.sin(np.arange(1, ny + 1) * np.pi / (2 * (ny + 1)))**2
-    spectrum = _dst2(b) / (lam_y[:, None] + lam_x)
-    full[1:-1, 1:-1] = _dst2(spectrum) * (4.0 / ((nx + 1) * (ny + 1)))
-
-    scale = max(1.0, float(np.max(np.abs(b))))
-    residual = float(np.max(np.abs(_five_point(full, dx, dy)))) / scale
-    if not np.isfinite(residual) or residual > _FD_RESIDUAL_TOL:
-        raise FdSolveError(
-            f"fast Poisson solve residual {residual:.3e} exceeds {_FD_RESIDUAL_TOL:g}")
-    return full
-
-
-def laplacian_residual(
-    field: Callable,
-    geom: Geometry,
-    grid: GridSpec,
-    refined: GridSpec | None = None,
-    exclusion_margin: float = 0.0,
-) -> ResidualReport:
-    """5-point discrete Laplacian of a callable field on interior points.
-
-    ``field(X, Y)`` must accept broadcast numpy arrays.
-    """
-    (report,) = _meter(lambda xs, ys: np.asarray(field(*np.meshgrid(xs, ys)), dtype=float),
-                       geom, grid, refined, exclusion_margin,
-                       lambda F, dx, dy: (_five_point(F, dx, dy),))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +339,7 @@ def discrepancy_report(geom: Geometry, mat: Material,
         for i in range(len(ns)))
     max_ab = float(np.max(d_ab, initial=0.0))
     max_cb = float(np.max(d_cb, initial=0.0))
-    if max_ab > _PATH_AB_HARD_LIMIT:
+    if not max_ab <= _PATH_AB_HARD_LIMIT:
         raise PathDivergenceError(
             f"boundary-solve profiles diverge from block profiles by "
             f"{max_ab:.3e} (> {_PATH_AB_HARD_LIMIT:g})")

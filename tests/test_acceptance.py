@@ -10,7 +10,6 @@ import pytest
 
 from platestamp import (
     BoundaryProfile,
-    DirichletData,
     Geometry,
     GridSpec,
     Material,
@@ -19,19 +18,16 @@ from platestamp import (
     constitutive_residual,
     discrepancy_report,
     equilibrium_residual,
-    evaluate_harmonic,
-    fd_laplace_solve,
-    laplacian_residual,
     parse_config,
     run,
     sine_coefficients,
-    solve_dirichlet,
     total_force,
 )
 from platestamp.stamp_problem import contact_pressure
 from platestamp.strip_solution import _ratios
 
 from conftest import mode_kernel, mode_scalars
+from laplace_oracles import fd_solution, laplacian_order, series_solution
 
 L, H, E_MOD, NU, N_MODES = 2.0, 1.0, 1.0, 0.3, 64
 GEOM = Geometry(L, H)
@@ -155,9 +151,9 @@ def test_criterion_3_physics_residuals(raised_cosine_series):
 def test_criterion_4_harmonic_layer():
     """Each of the four ratio profiles path B's building blocks are made
     of, times sin(k x) or cos(k x), passes the discrete-Laplacian
-    O(step^2) test; the Dirichlet solver matches the FD oracle at
-    O(step^2) and the single-mode exact solution within 1e-9 for any
-    N >= 1."""
+    O(step^2) test; the four-series Dirichlet solution matches the FD
+    oracle at O(step^2) and the single-mode exact solution within 1e-9
+    for any N >= 1."""
     ok = True
     # every block is a ratio profile times a power of +-k, so these fields
     # cover all eight blocks and the two sh(ky)-companions
@@ -168,22 +164,20 @@ def test_criterion_4_harmonic_layer():
                 profile = _ratios(beta, Y[:, :1] / H)[1 + ratio]
                 return profile * trig(k * X)
 
-            rep = laplacian_residual(field, GEOM, GridSpec(31, 31),
-                                     refined=GridSpec(63, 63))
-            ok &= rep.observed_order >= 1.9
+            ok &= laplacian_order(field, GEOM, GridSpec(31, 31), GridSpec(63, 63)) >= 1.9
 
-    # Dirichlet solver vs the FD oracle, O(step^2) interior agreement
-    data = DirichletData(
-        f4=lambda x: np.sin(np.pi * x / L),
-        exact={"f4": lambda ns: np.where(ns == 1, 1.0, 0.0)},
-    )
-    series = solve_dirichlet(data, GEOM, N=8)
+    # the series solution vs the FD oracle, O(step^2) interior agreement;
+    # by sine orthogonality the top edge's exact transforms are e_1
+    edges = {"f4": lambda x: np.sin(np.pi * x / L)}
+
+    def unit_mode(N):
+        return {"f4": np.where(np.arange(1, N + 1) == 1, 1.0, 0.0)}
+
     errs, spacings = [], []
     for grid in (GridSpec(41, 41), GridSpec(81, 81)):
-        full = fd_laplace_solve(data, GEOM, grid)
-        xs, ys = grid.axes(GEOM)
-        X, Y = np.meshgrid(xs, ys)
-        diff = full[1:-1, 1:-1] - evaluate_harmonic(series, X, Y)[1:-1, 1:-1]
+        X, Y = np.meshgrid(*grid.axes(GEOM))
+        diff = (fd_solution(edges, GEOM, grid)[1:-1, 1:-1]
+                - series_solution(unit_mode(8), GEOM, X, Y)[1:-1, 1:-1])
         errs.append(float(np.max(np.abs(diff))))
         spacings.append(grid.spacing(GEOM)[0])
     fd_order = math.log(errs[0] / errs[1]) / math.log(spacings[0] / spacings[1])
@@ -192,14 +186,11 @@ def test_criterion_4_harmonic_layer():
 
     # single-mode exact solution, N = 1 and N = 64
     worst = 0.0
+    X, Y = np.meshgrid(np.linspace(0, L, 21), np.linspace(0, H, 11))
+    exact = np.sin(np.pi * X / L) * np.sinh(np.pi * Y / L) / math.sinh(np.pi * H / L)
     for N in (1, 64):
-        series_n = solve_dirichlet(data, GEOM, N=N)
-        xs = np.linspace(0, L, 21)
-        ys = np.linspace(0, H, 11)
-        X, Y = np.meshgrid(xs, ys)
-        exact = (np.sin(np.pi * X / L) * np.sinh(np.pi * Y / L)
-                 / math.sinh(np.pi * H / L))
-        worst = max(worst, float(np.max(np.abs(evaluate_harmonic(series_n, X, Y) - exact))))
+        worst = max(worst, float(np.max(np.abs(series_solution(unit_mode(N), GEOM, X, Y)
+                                                - exact))))
     print(f"  single-mode exact-solution deviation: {worst:.3e}")
     ok &= worst <= 1e-9
     _report(4, "harmonic layer", ok)

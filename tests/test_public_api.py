@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and names that were
 removed stay unreachable."""
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 
@@ -8,7 +9,6 @@ import pytest
 
 import platestamp
 from platestamp import Geometry, Material, OperatorId, Parity
-from platestamp.harmonic_rect import solve_dirichlet
 from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, calibrate_delta_ratio
 from platestamp.verification import SharedGridFields, constitutive_residual
@@ -18,18 +18,20 @@ MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp
 
 #: names removed from the package, by the module that held them
 REMOVED = {
-    "platestamp.core": ("ModeIndex",),
+    "platestamp.core": ("ModeIndex", "QuadratureError", "FdSolveError"),
     "platestamp.modal_calculus": (
         "ModalValue", "apply_parity", "building_block", "_block_value",
         "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
     ),
     "platestamp.harmonic_rect": ("stamp_block_coefficients", "ramp_transform",
-                                 "QuadratureSpec"),
+                                 "QuadratureSpec", "solve_dirichlet", "evaluate_harmonic",
+                                 "DirichletData", "HarmonicSeries"),
     "platestamp.strip_solution": (
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed",
     ),
-    "platestamp.verification": ("path_profile_difference",),
+    "platestamp.verification": ("path_profile_difference", "fd_laplace_solve",
+                                "laplacian_residual"),
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
@@ -67,6 +69,11 @@ def test_removed_names_unreachable(module):
             assert not hasattr(mod, name), f"{module}.{name}"
 
 
+def test_removed_modules_gone():
+    # the four-edge Dirichlet solver lives on as test support only
+    assert importlib.util.find_spec("platestamp.harmonic_rect") is None
+
+
 def test_removed_members_unreachable():
     for owner, name in REMOVED_MEMBERS:
         assert not hasattr(owner, name), f"{owner!r:.40}.{name}"
@@ -77,12 +84,10 @@ def test_removed_parameters():
     assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
     axes = inspect.signature(SharedGridFields).parameters["axes"]
     assert axes.default is inspect.Parameter.empty
-    # ``panels`` is the one quadrature setting of either solver
+    # ``panels`` is the one quadrature setting
     coeffs = inspect.signature(sine_coefficients).parameters
     assert "quad" not in coeffs and "force_quadrature" not in coeffs
-    dirichlet = inspect.signature(solve_dirichlet).parameters
-    assert "quad" not in dirichlet
-    assert coeffs["panels"].default is dirichlet["panels"].default is None
+    assert coeffs["panels"].default is None
     # the meters check the material of the field they are given
     assert "material" not in inspect.signature(constitutive_residual).parameters
 

@@ -15,6 +15,7 @@ from platestamp import (
     sine_coefficients,
     total_force,
 )
+from platestamp.stamp_problem import sine_transform
 
 from conftest import mode_kernel, mode_scalars
 
@@ -158,6 +159,75 @@ class TestSineCoefficients:
     def test_single_mode_beyond_truncation_rejected(self, geom):
         with pytest.raises(DomainError):
             sine_coefficients(BoundaryProfile.single_mode(9), geom, 8)
+
+
+def _unskipped_sine_transform(f, length, ns, subintervals, breakpoints=()):
+    """Reference for sine_transform: the same piecewise Simpson sums, with
+    every piece added, including pieces where the data is zero."""
+    pts = sorted({0.0, float(length), *(float(b) for b in breakpoints
+                                        if 0.0 < float(b) < length)})
+    total = np.zeros(len(ns))
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        width = hi - lo
+        p = max(2, int(round(subintervals * width / length)))
+        p += p % 2
+        t = np.linspace(lo, hi, p + 1)
+        w = np.ones(p + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= (width / p) / 3.0
+        t_eval = t.copy()
+        t_eval[0] += 1e-12 * width
+        t_eval[-1] -= 1e-12 * width
+        ft = np.asarray(f(t_eval), dtype=float)
+        if ft.shape != t.shape:
+            ft = np.broadcast_to(ft, t.shape)
+        total += np.einsum("p,np->n", ft * w,
+                           np.sin(np.outer(ns, t) * np.pi / length))
+    return (2.0 / length) * total
+
+
+#: stamps whose quadrature has pieces where the data is zero: the raised
+#: cosine, and the bumps and tabulated stamps on either side of their
+#: support
+_SUPPORTED_STAMPS = {
+    "raised_cosine": BoundaryProfile.raised_cosine(1.0, 0.4, 0.01),
+    "raised_cosine_off_centre": BoundaryProfile.raised_cosine(0.3, 0.2, -0.02),
+    "parabolic_bump": BoundaryProfile.parabolic_bump(1.3, 0.5, 0.01),
+    "flat_stamp": BoundaryProfile.flat_stamp(0.8, 0.3, 0.01),
+    "tabulated": BoundaryProfile.tabulated([0.0, 0.4, 0.7, 1.0, 1.2, 1.6, 2.0],
+                                           [0.0, 0.0, 0.004, 0.01, 0.003, 0.0, 0.0]),
+}
+
+
+class TestSineTransform:
+    def test_linear_ramp_edge_transform(self, geom):
+        # edge data f(y) = y/h: raw transforms -2(-1)^n/(n pi), with
+        # a_1 = 2/pi
+        h = geom.h
+        ns = np.arange(1, 33)
+        closed = -2.0 * np.where(ns % 2 == 0, 1.0, -1.0) / (ns * np.pi)
+        quad = sine_transform(lambda t: t / h, h, ns, subintervals=8192)
+        assert quad[0] == pytest.approx(float(2 / mp.pi), abs=1e-12)
+        assert np.max(np.abs(closed - quad)) < 1e-10
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("stamp", sorted(_SUPPORTED_STAMPS))
+    def test_zero_pieces_keep_every_bit(self, geom, stamp, N):
+        # skipping a piece where the data is zero leaves each coefficient
+        # bit for bit as the sum over all pieces gives it
+        profile = _SUPPORTED_STAMPS[stamp]
+        # the first piece lies left of the support, so one piece is skipped
+        assert not np.any(profile.evaluate(np.linspace(0.0, 0.1, 9), geom))
+        got = sine_coefficients(profile, geom, N, panels=8 * N)
+        want = _unskipped_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
+                                         np.arange(1, N + 1), 8 * N,
+                                         profile.breakpoints(geom))
+        assert got.tobytes() == want.tobytes()
+
+    def test_all_zero_data_transforms_to_positive_zero(self, geom):
+        got = sine_transform(lambda t: np.zeros_like(t), geom.l, np.arange(1, 9), 64, (0.5,))
+        assert got.tobytes() == np.zeros(8).tobytes()
 
 
 class TestContactPressure:

@@ -176,6 +176,15 @@ class TestPathC:
         with pytest.raises(PathDivergenceError):
             calibrate_delta_ratio(geom, mat)
 
+    def test_nan_residual_fails_calibration(self, mat):
+        # at h = 1e-20 the closed form is NaN, which a plain "greater than
+        # the tolerance" test let through as rho = nan
+        from platestamp import PathDivergenceError
+
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(PathDivergenceError, match="residual nan"):
+            calibrate_delta_ratio(Geometry(2.0, 1e-20), mat)
+
 
 class TestBatchKernels:
     """The kernels evaluate all modes at once; each row must equal the
