@@ -58,6 +58,28 @@ class TestEvaluation:
             assert series_solution(_unit_mode(8), geom, x, y) == \
                 pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("edge", ["f1", "f2", "f3", "f4"])
+    def test_single_mode_on_each_edge(self, geom, edge):
+        # data sin(pi t / length) on one edge alone: sin(pi t / length) times
+        # sh(pi d / length) / sh(pi w / length), with d the distance from the
+        # opposite edge and w the width across; checked inside, on the loaded
+        # edge and on the three zero edges
+        l, h = mp.mpf(geom.l), mp.mpf(geom.h)
+        along, length, depth, width = {
+            "f1": (lambda x, y: y, h, lambda x, y: l - x, l),
+            "f2": (lambda x, y: y, h, lambda x, y: x, l),
+            "f3": (lambda x, y: x, l, lambda x, y: h - y, h),
+            "f4": (lambda x, y: x, l, lambda x, y: y, h),
+        }[edge]
+        transforms = {edge: _unit_mode(8)["f4"]}
+        for x, y in [(0.3, 0.2), (1.0, 0.5), (1.7, 0.95), (0.0, 0.4), (2.0, 0.7),
+                     (0.6, 0.0), (1.3, 1.0)]:
+            k = mp.pi / length
+            expected = float(mp.sin(k * along(x, y)) * mp.sinh(k * depth(x, y))
+                             / mp.sinh(k * width))
+            assert series_solution(transforms, geom, x, y) == \
+                pytest.approx(expected, abs=1e-14)
+
     def test_corners_zero_for_zero_data(self, geom):
         zero = {edge: np.zeros(4) for edge in ("f1", "f2", "f3", "f4")}
         for corner in [(0, 0), (geom.l, 0), (0, geom.h), (geom.l, geom.h)]:
@@ -187,6 +209,18 @@ class TestFdLaplace:
         grids = (GridSpec(41, 41), GridSpec(83, 83))
         errs = [np.max(np.abs(fd_solution(_top_sine(geom), geom, grid)[1:-1, 1:-1]
                               - series_solution(_unit_mode(4), geom,
+                                                *np.meshgrid(*grid.axes(geom)))[1:-1, 1:-1]))
+                for grid in grids]
+        assert _grid_pair_order(errs, grids, geom) > 1.9
+
+    @pytest.mark.parametrize("edge,length", [("f1", "h"), ("f2", "h"), ("f3", "l"),
+                                             ("f4", "l")])
+    def test_each_edge_matches_series_solution(self, geom, edge, length):
+        # the two oracles place each edge's data on the same edge
+        edges = {edge: lambda t: np.sin(np.pi * t / getattr(geom, length))}
+        grids = (GridSpec(41, 41), GridSpec(83, 83))
+        errs = [np.max(np.abs(fd_solution(edges, geom, grid)[1:-1, 1:-1]
+                              - series_solution({edge: _unit_mode(4)["f4"]}, geom,
                                                 *np.meshgrid(*grid.axes(geom)))[1:-1, 1:-1]))
                 for grid in grids]
         assert _grid_pair_order(errs, grids, geom) > 1.9

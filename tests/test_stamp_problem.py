@@ -15,6 +15,7 @@ from platestamp import (
     sine_coefficients,
     total_force,
 )
+from platestamp import stamp_problem
 from platestamp.stamp_problem import sine_transform
 
 from conftest import mode_kernel, mode_scalars
@@ -156,6 +157,12 @@ class TestSineCoefficients:
         got = sine_coefficients(profile, geom, n)
         assert got.tobytes() == sine_coefficients(profile, geom, 3).tobytes()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "4", None])
+    def test_non_number_truncation_rejected(self, geom, bad):
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        with pytest.raises(DomainError, match=f"^N must be a whole number >= 1, got {bad}$"):
+            sine_coefficients(profile, geom, bad)
+
     def test_single_mode_beyond_truncation_rejected(self, geom):
         with pytest.raises(DomainError):
             sine_coefficients(BoundaryProfile.single_mode(9), geom, 8)
@@ -228,6 +235,34 @@ class TestSineTransform:
     def test_all_zero_data_transforms_to_positive_zero(self, geom):
         got = sine_transform(lambda t: np.zeros_like(t), geom.l, np.arange(1, 9), 64, (0.5,))
         assert got.tobytes() == np.zeros(8).tobytes()
+
+    @pytest.mark.parametrize("profile,closed", [
+        (BoundaryProfile.single_mode(2), True),
+        (BoundaryProfile.flat_stamp(0.8, 0.3, 0.01), True),
+        (BoundaryProfile.parabolic_bump(1.3, 0.5, 0.01), True),
+        (_SUPPORTED_STAMPS["raised_cosine"], False),
+        (_SUPPORTED_STAMPS["tabulated"], False),
+    ], ids=["single_mode", "flat_stamp", "parabolic_bump", "raised_cosine", "tabulated"])
+    def test_quadrature_goes_through_module_global(self, geom, monkeypatch, profile, closed):
+        # sine_coefficients looks sine_transform up in its module on every
+        # call, so a wrapper set there (perfbench/spans.py sets one) sees each
+        # quadrature: 8 N subintervals unless the kind has a closed form, and
+        # an explicit panel count for every kind
+        calls = []
+
+        def recording(f, length, ns, subintervals, breakpoints=()):
+            calls.append(subintervals)
+            return sine_transform(f, length, ns, subintervals, breakpoints)
+
+        monkeypatch.setattr(stamp_problem, "sine_transform", recording)
+        sine_coefficients(profile, geom, 16)
+        assert calls == ([] if closed else [128])
+        calls.clear()
+        got = sine_coefficients(profile, geom, 16, panels=256)
+        assert calls == [256]
+        want = sine_transform(lambda t: profile.evaluate(t, geom), geom.l, np.arange(1, 17),
+                              256, profile.breakpoints(geom))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestContactPressure:
