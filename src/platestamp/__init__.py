@@ -15,21 +15,14 @@ from .core import (
     Material,
     MaterialError,
     ModeDegeneracyError,
-    Parity,
     PathDivergenceError,
     PlateStampError,
     SingularRatioError,
-)
-from .modal_calculus import (
-    OperatorId,
-    RatioKind,
-    stable_ratio,
 )
 from .strip_solution import (
     SeriesField,
     SolutionPath,
     assemble_series,
-    calibrate_delta_ratio,
     evaluate_fields,
 )
 from .stamp_problem import (

@@ -229,7 +229,8 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     try:
         mat = Material(E=E, nu=nu)
     except MaterialError as exc:
-        raise ConfigError(f"invalid material: {exc}") from exc
+        # _positive has rejected every bad E, so the bad constant is nu
+        raise ConfigError(f"invalid value for [material] nu: {exc}") from exc
     profile = _build_profile(cp, geom)
 
     settings = {key: _get(cp, "solver", key)
@@ -244,6 +245,12 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     if config.verify and min(config.grid_nx, config.grid_ny) < 3:
         raise ConfigError(f"invalid value for [solver] grid: verification needs at least "
                           f"3x3 points, got {config.grid_nx}x{config.grid_ny}")
+    if config.verify and profile.scale() == 0.0:
+        # only a depth can be zero here: validate_edges rejects a tabulated
+        # stamp that is zero all along the face
+        raise ConfigError("invalid value for [stamp] depth: verification needs a nonzero "
+                          "depth; a zero stamp solves to an all-zero field, whose "
+                          "residual meters observe no order")
     if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > config.modes:
         raise ConfigError(f"invalid value for [stamp] mode: mode {profile.mode} is not "
                           f"representable with [solver] modes = {config.modes}")

@@ -14,20 +14,19 @@ used wherever tight tolerances are asserted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BoundaryCompatibilityError, DomainError, FieldSample, Geometry,
-                   _positive_integer)
+from .core import BoundaryCompatibilityError, DomainError, Geometry, _positive_integer
 from .strip_solution import SeriesField
 
 __all__ = [
     "ProfileKind",
     "BoundaryProfile",
-    "FieldSample",
     "sine_coefficients",
     "contact_pressure",
     "total_force",
@@ -82,9 +81,9 @@ class BoundaryProfile:
 
     @classmethod
     def tabulated(cls, xs, values) -> "BoundaryProfile":
-        xs = tuple(float(x) for x in xs)
-        values = tuple(float(v) for v in values)
+        xs, values = tuple(xs), tuple(values)
         cls._check_finite(xs=xs, values=values)
+        xs, values = tuple(map(float, xs)), tuple(map(float, values))
         if len(xs) != len(values) or len(xs) < 2:
             raise DomainError("tabulated profile needs matching xs/values, length >= 2")
         if any(b <= a for a, b in zip(xs[:-1], xs[1:])):
@@ -93,11 +92,12 @@ class BoundaryProfile:
 
     @staticmethod
     def _check_finite(**params):
-        """Raise :class:`DomainError` naming the first parameter that is,
-        or (for a tuple) holds, a non-finite number."""
+        """Raise :class:`DomainError` naming the first parameter that is
+        not, or (for a tuple) holds one that is not, a finite real number."""
         for name, value in params.items():
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise DomainError(f"{name} must be finite, got {value}")
+            for v in value if isinstance(value, tuple) else (value,):
+                if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                    raise DomainError(f"{name} must be finite and real, got {v!r}")
 
     @classmethod
     def _bump(cls, kind, center, half_width, depth) -> "BoundaryProfile":

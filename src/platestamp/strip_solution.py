@@ -20,8 +20,8 @@ profiles:
   series, with its per-mode amplitude pinned to the sine coefficient by
   least-squares calibration against path B and with the second factor of
   the shear formula fixed to eta*ch(beta*eta): the eta*sh(beta*eta)
-  variant of that factor violates X(x, h) = 0 and is kept behind a flag
-  for the discrepancy report.
+  variant of that factor violates X(x, h) = 0, and only its face value
+  is kept, in the discrepancy report of :mod:`platestamp.verification`.
 
 Each route's formulas live in one module-level kernel that broadcasts
 over (N, 1) columns of mode wavenumbers (:func:`mode_columns`) against a
@@ -277,24 +277,27 @@ def initial_profiles(k, beta, nu: float, u0, y0, eta, *, fields=FIELD_NAMES) -> 
 # path C: closed-form modal series
 # ---------------------------------------------------------------------------
 
+def _exp_m2(beta):
+    """E = e^(-2 beta) from the C library's exp, mode by mode: numpy's
+    vectorised exp differs from it in the last bit for a few percent of
+    arguments, and the discrepancy report prints C-B differences at that
+    level."""
+    return np.array([math.exp(-2.0 * b) for b in np.ravel(beta)]).reshape(np.shape(beta))
+
+
 def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
-                    uncorrected_shear: bool = False, fields=FIELD_NAMES) -> tuple:
-    """Path C: closed-form profiles.
+                    fields=FIELD_NAMES) -> tuple:
+    """Path C: closed-form profiles, with the corrected shear factor
+    eta*ch(beta*eta).
 
     ``delta_ratio`` is the calibrated amplitude-to-coefficient ratio
-    (:func:`calibrate_delta_ratio`).  ``uncorrected_shear`` switches the
-    shear profile to the variant whose second factor carries
-    eta*sh(beta*eta); that variant violates X(1) = 0 and exists only for
-    the discrepancy report.  Shapes broadcast as in :func:`block_profiles`.
+    (:func:`calibrate_delta_ratio`).  Shapes broadcast as in
+    :func:`block_profiles`.
 
     Internally each bracket is expanded around e^(beta(eta-1)) with
     E = e^(-2 beta), F = e^(-2 beta eta), so no large hyperbolic is formed.
     """
-    # E = e^(-2 beta) from the C library's exp, mode by mode: numpy's
-    # vectorised exp differs from it in the last bit for a few percent of
-    # arguments, and the discrepancy report prints C-B differences at that
-    # level
-    E2 = np.array([math.exp(-2.0 * b) for b in np.ravel(beta)]).reshape(np.shape(beta))
+    E2 = _exp_m2(beta)
     # denominators of the e^(beta(eta-1))-scaled brackets: 2*Delta and
     # Delta with Delta = (1-nu) sh(beta)^2 cancelled against e^(2 beta)/4
     den2 = 2.0 * (1.0 - nu) * (1.0 - E2) ** 2
@@ -304,13 +307,6 @@ def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
     F = np.exp(-2.0 * beta * eta)
     em = np.exp(beta * (eta - 1.0))
 
-    def shear_bracket():
-        if uncorrected_shear:
-            # common (1 - F) factored out so the face violation, which is
-            # exponentially small in beta, survives in float arithmetic
-            return (1 - F) * ((1 - eta) + E2 * (1 + eta))
-        return (1 + E2) * (1 - F) - (1 - E2) * eta * (1 + F)
-
     formulas = {
         "U": lambda: -rho * em * (((1 - 2 * nu) * (1 - E2) - beta * (1 + E2)) * (1 + F)
                                   + beta * (1 - E2) * eta * (1 - F)) / den2,
@@ -318,7 +314,8 @@ def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
                                  - beta * (1 - E2) * eta * (1 + F)) / den2,
         "Y": lambda: rho * em * (beta / h) * (((1 - E2) + beta * (1 + E2)) * (1 + F)
                                               - beta * (1 - E2) * eta * (1 - F)) / den1,
-        "X": lambda: rho * em * (beta * beta / h) * shear_bracket() / den1,
+        "X": lambda: rho * em * (beta * beta / h) * ((1 + E2) * (1 - F)
+                                                     - (1 - E2) * eta * (1 + F)) / den1,
         "SX": lambda: rho * em * (beta / h) * (((1 - E2) - beta * (1 + E2)) * (1 + F)
                                                + beta * (1 - E2) * eta * (1 - F)) / den1,
     }

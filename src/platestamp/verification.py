@@ -34,6 +34,7 @@ from .core import (
 )
 from .strip_solution import (
     FIELD_NAMES,
+    _exp_m2,
     block_profiles,
     calibrate_delta_ratio,
     closed_profiles,
@@ -90,25 +91,19 @@ class ResidualReport:
 
     ``l2`` is the root-mean-square residual; ``observed_order`` (from the
     l2 of a coarse/fine grid pair) is present only when a refined grid
-    was supplied.
+    was supplied, and is NaN when either grid's l2 is 0.
     """
 
     max_abs: float
     l2: float
-    location: tuple[float, float]
     observed_order: Optional[float] = None
 
 
-def _stats(res: np.ndarray, XI: np.ndarray, YI: np.ndarray,
-           mask: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+def _stats(res: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     vals = res[mask]
     if vals.size == 0:
         raise DomainError("exclusion margin leaves no interior points")
-    idx = int(np.argmax(np.abs(vals)))
-    max_abs = float(np.abs(vals[idx]))
-    l2 = float(np.sqrt(np.mean(vals**2)))
-    loc = (float(XI[mask][idx]), float(YI[mask][idx]))
-    return max_abs, l2, loc
+    return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))
 
 
 def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
@@ -123,18 +118,24 @@ def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
         dx, dy = g.spacing(geom)
         xs, ys = g.axes(geom)
         residuals = terms(fields_on(xs, ys), dx, dy)
-        XI, YI = np.meshgrid(xs[1:-1], ys[1:-1])
-        mask = (((XI >= m) & (XI <= geom.l - m) & (YI >= m) & (YI <= geom.h - m))
-                if m > 0.0 else np.ones_like(XI, dtype=bool))
-        return [_stats(res, XI, YI, mask) for res in residuals], dx
+        xi, yi = xs[1:-1], ys[1:-1]
+        mask = (((yi >= m) & (yi <= geom.h - m))[:, None]
+                & ((xi >= m) & (xi <= geom.l - m)))
+        return [_stats(res, mask) for res in residuals], dx
 
     stats, dx = run(grid)
     if refined is None:
         return tuple(ResidualReport(*s) for s in stats)
     stats_f, dx_f = run(refined)
-    # the observed order, from the l2 residuals of the grid pair
-    return tuple(ResidualReport(*s, observed_order=math.log(s[1] / s_f[1])
-                                / math.log(dx / dx_f))
+
+    def order(l2, l2_f):
+        """The observed order from the l2 residuals of the grid pair; a
+        residual of 0 (a field that is zero) has none."""
+        if l2 == 0.0 or l2_f == 0.0:
+            return math.nan
+        return math.log(l2 / l2_f) / math.log(dx / dx_f)
+
+    return tuple(ResidualReport(*s, observed_order=order(s[1], s_f[1]))
                  for s, s_f in zip(stats, stats_f))
 
 
@@ -284,6 +285,17 @@ def _layer_etas(beta):
     return np.maximum(1.0 - _LAYER_S / beta, 0.0)
 
 
+def _uncorrected_shear_face(beta, nu: float, h: float, rho: float):
+    """Face value X(1) of path C's shear profile with the uncorrected
+    factor eta*sh(beta*eta) for eta*ch(beta*eta) (:func:`closed_profiles`),
+    per mode of ``beta``.  There its bracket is (1 - F) 2E, with the
+    kernel's E (libm) and F (numpy) of e^(-2 beta): the factor (1 - F)
+    keeps the violation, exponentially small in beta, in floats."""
+    E2 = _exp_m2(beta)
+    F = np.exp(-2.0 * beta)
+    return rho * (beta * beta / h) * ((1 - F) * (2 * E2)) / ((1 - nu) * (1 - E2) ** 2)
+
+
 def discrepancy_report(geom: Geometry, mat: Material,
                        modes: Sequence[int]) -> DiscrepancyReport:
     """Run the three per-mode routes against each other.
@@ -324,8 +336,7 @@ def discrepancy_report(geom: Geometry, mat: Material,
     vb = b_fine[FIELD_NAMES.index("V")]
     delta = ((vc[:, None, :] @ vb[:, :, None]) / (vc[:, None, :] @ vc[:, :, None])).ravel()
 
-    (unfixed,) = closed_profiles(beta, nu, h, rho, 1.0, uncorrected_shear=True,
-                                 fields=("X",))
+    unfixed = _uncorrected_shear_face(beta, nu, h, rho)
     (fixed,) = closed_profiles(beta, nu, h, rho, 1.0, fields=("X",))
 
     rows = tuple(

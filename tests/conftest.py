@@ -35,7 +35,7 @@ def mode_scalars(n, geom):
     return k.item(), beta.item()
 
 
-def mode_kernel(path, n, geom, mat, *, rho=1.0, uncorrected_shear=False):
+def mode_kernel(path, n, geom, mat, *, rho=1.0):
     """The kernel of path "A", "B" or "C" bound to mode n alone, on its
     scalar k and beta (path A: its own boundary solve; path C: amplitude
     ratio ``rho``).  Calling it on eta, with the kernel's optional
@@ -47,5 +47,4 @@ def mode_kernel(path, n, geom, mat, *, rho=1.0, uncorrected_shear=False):
                                  *initial_amplitudes(n, k, beta, nu))
     if path == "B":
         return functools.partial(block_profiles, k, beta, nu)
-    return functools.partial(closed_profiles, beta, nu, geom.h, rho,
-                             uncorrected_shear=uncorrected_shear)
+    return functools.partial(closed_profiles, beta, nu, geom.h, rho)

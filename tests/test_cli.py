@@ -531,6 +531,39 @@ path = A
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
         assert "[stamp] mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu", ["0.5", "-0.1"])
+    def test_bad_poisson_ratio_named(self, tmp_path, capsys, nu):
+        # _positive rejects every bad E, so a Material error is about nu
+        cfg = self._write(tmp_path, MINIMAL.replace("nu = 0.3", f"nu = {nu}"))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid value for [material] nu: Poisson ratio")
+
+    @pytest.mark.parametrize("text,args", [
+        (MINIMAL.replace("depth = 0.01", "depth = 0"), ["--verify"]),
+        (SINGLE_MODE_VERIFY.replace("depth = 0.01", "depth = 0"), []),
+    ], ids=["flag", "config"])
+    def test_zero_depth_verify_exit_two(self, tmp_path, capsys, text, args):
+        # an all-zero field has zero residuals, hence no observed order;
+        # without verification the same stamp runs (test_zero_depth_all_zero)
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid value for [stamp] depth: verification needs")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_plate_verify_exit_three(self, tmp_path, capsys):
+        # the fields underflow to zero, so the meters observe no order; the
+        # run reports that as a numerical failure rather than dying in the
+        # order's logarithm
+        text = MINIMAL.replace("l = 2", "l = 1e200").replace("h = 1", "h = 1e200") \
+            .replace("center = 1", "center = 5e199").replace("half_width = 0.4",
+                                                             "half_width = 2e199") \
+            .replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), "--verify"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old,new,named", [
         ("center = 1", "center = 5", "[stamp] center"),
         ("kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01",

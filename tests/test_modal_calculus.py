@@ -28,11 +28,10 @@ from platestamp import (
     Geometry,
     Material,
     MaterialError,
-    Parity,
     SingularRatioError,
-    stable_ratio,
 )
-from platestamp.modal_calculus import OperatorId, RatioKind, _operator_multiplier
+from platestamp.core import Parity
+from platestamp.modal_calculus import OperatorId, RatioKind, _operator_multiplier, stable_ratio
 from platestamp.strip_solution import (
     FIELD_PARITIES,
     _INITIAL_ROWS,

@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and names that were
 removed stay unreachable."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -8,10 +9,13 @@ import pkgutil
 import pytest
 
 import platestamp
-from platestamp import Geometry, Material, OperatorId, Parity
+from platestamp import Geometry, Material
+from platestamp.core import Parity
+from platestamp.modal_calculus import OperatorId
 from platestamp.stamp_problem import sine_coefficients
-from platestamp.strip_solution import SeriesField, assemble_series, calibrate_delta_ratio
-from platestamp.verification import SharedGridFields, constitutive_residual
+from platestamp.strip_solution import (SeriesField, assemble_series, calibrate_delta_ratio,
+                                       closed_profiles)
+from platestamp.verification import ResidualReport, SharedGridFields, constitutive_residual
 
 MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp.__path__)
                  if m.name != "__main__")
@@ -32,6 +36,13 @@ REMOVED = {
     ),
     "platestamp.verification": ("path_profile_difference", "fd_laplace_solve",
                                 "laplacian_residual"),
+}
+#: names removed from the top level only, by the module that keeps them for
+#: the package's own callers
+REMOVED_TOP_LEVEL = {
+    "platestamp.core": ("Parity",),
+    "platestamp.modal_calculus": ("OperatorId", "RatioKind", "stable_ratio"),
+    "platestamp.strip_solution": ("calibrate_delta_ratio",),
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
@@ -69,6 +80,16 @@ def test_removed_names_unreachable(module):
             assert not hasattr(mod, name), f"{module}.{name}"
 
 
+def test_removed_top_level_names_kept_in_their_modules():
+    for module, names in REMOVED_TOP_LEVEL.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(platestamp, name), name
+            assert hasattr(mod, name), f"{module}.{name}"
+    # stamp_problem no longer re-exports the value type that core holds
+    assert not hasattr(importlib.import_module("platestamp.stamp_problem"), "FieldSample")
+
+
 def test_removed_modules_gone():
     # the four-edge Dirichlet solver lives on as test support only
     assert importlib.util.find_spec("platestamp.harmonic_rect") is None
@@ -81,6 +102,7 @@ def test_removed_members_unreachable():
 
 def test_removed_parameters():
     assert "uncorrected_shear" not in inspect.signature(assemble_series).parameters
+    assert "uncorrected_shear" not in inspect.signature(closed_profiles).parameters
     assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
     axes = inspect.signature(SharedGridFields).parameters["axes"]
     assert axes.default is inspect.Parameter.empty
@@ -91,3 +113,8 @@ def test_removed_parameters():
     # the meters check the material of the field they are given
     assert "material" not in inspect.signature(constitutive_residual).parameters
 
+
+def test_residual_report_fields():
+    # the meters report no location of the largest residual
+    fields = [f.name for f in dataclasses.fields(ResidualReport)]
+    assert fields == ["max_abs", "l2", "observed_order"]

@@ -10,13 +10,13 @@ from platestamp import (
     BoundaryProfile,
     DomainError,
     assemble_series,
-    calibrate_delta_ratio,
     contact_pressure,
     sine_coefficients,
     total_force,
 )
 from platestamp import stamp_problem
 from platestamp.stamp_problem import sine_transform
+from platestamp.strip_solution import calibrate_delta_ratio
 
 from conftest import mode_kernel, mode_scalars
 
@@ -410,6 +410,18 @@ class TestFieldStructure:
             BoundaryProfile.single_mode(0)
         with pytest.raises(DomainError):
             BoundaryProfile.tabulated([0.0, 0.0, 1.0], [0, 1, 0])
+
+    @pytest.mark.parametrize("factory,args,name", [
+        ("single_mode", ("4",), "mode"),
+        ("single_mode", (None,), "mode"),
+        ("raised_cosine", ("1", 0.4, 0.01), "center"),
+        ("tabulated", (["a"], [1]), "xs"),
+    ], ids=["mode-str", "mode-none", "center-str", "xs-str"])
+    def test_factories_reject_non_numbers(self, factory, args, name):
+        # as sine_coefficients does for N = "4": a DomainError naming the
+        # parameter, not the TypeError or ValueError of a conversion
+        with pytest.raises(DomainError, match=f"^{name} must be finite and real, got "):
+            getattr(BoundaryProfile, factory)(*args)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("factory,args,name", [

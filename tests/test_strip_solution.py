@@ -20,7 +20,6 @@ from platestamp import (
     PlateStampError,
     SolutionPath,
     assemble_series,
-    calibrate_delta_ratio,
     evaluate_fields,
     sine_coefficients,
     BoundaryProfile,
@@ -28,13 +27,14 @@ from platestamp import (
 from platestamp.strip_solution import (
     FIELD_NAMES,
     block_profiles,
+    calibrate_delta_ratio,
     closed_profiles,
     initial_amplitudes,
     initial_profiles,
     mode_columns,
 )
 from platestamp.modal_calculus import OperatorId
-from platestamp.verification import discrepancy_report
+from platestamp.verification import _uncorrected_shear_face, discrepancy_report
 
 from conftest import mode_kernel, mode_scalars
 
@@ -149,9 +149,9 @@ class TestPathC:
         """The uncorrected shear factor leaves tau(h) != 0; in bracket units
         the violation equals sh(b)(ch(b) - sh(b)), computed stably as
         (1 - e^(-2b))/2.  The corrected factor cancels exactly."""
-        (unfixed,) = mode_kernel("C", n, geom, mat, uncorrected_shear=True)(1.0, fields=("X",))
-        (corrected,) = mode_kernel("C", n, geom, mat)(1.0, fields=("X",))
         b = mode_scalars(n, geom)[1]
+        unfixed = _uncorrected_shear_face(b, mat.nu, geom.h, 1.0)
+        (corrected,) = mode_kernel("C", n, geom, mat)(1.0, fields=("X",))
         # back out the bracket value: X(1) * h * Delta / beta^2
         bracket = float(unfixed) * geom.h * (1 - mat.nu) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0   # sh(b)(ch(b)-sh(b))
@@ -193,24 +193,22 @@ class TestBatchKernels:
     NS = (1, 2, 7, 33, 64, 200)
     ETAS = np.linspace(0.0, 1.0, 33)
 
-    @pytest.mark.parametrize("path", ["A", "B", "C", "C-uncorrected"])
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
     def test_rows_equal_per_mode_profiles(self, geom, mat, path):
         rho = calibrate_delta_ratio(geom, mat)
         ns, k, beta = mode_columns(self.NS, geom)
-        uncorrected = path == "C-uncorrected"
         if path == "A":
             batch = initial_profiles(k, beta, mat.nu, *initial_amplitudes(ns, k, beta, mat.nu),
                                      self.ETAS)
         elif path == "B":
             batch = block_profiles(k, beta, mat.nu, self.ETAS)
         else:
-            batch = closed_profiles(beta, mat.nu, geom.h, rho, self.ETAS,
-                                    uncorrected_shear=uncorrected)
+            batch = closed_profiles(beta, mat.nu, geom.h, rho, self.ETAS)
         for i, n in enumerate(self.NS):
             # the batch columns have the bits of the scalar arithmetic
             assert k[i, 0] == n * math.pi / geom.l
             assert beta[i, 0] == k[i, 0] * geom.h
-            prof = mode_kernel(path[0], n, geom, mat, rho=rho, uncorrected_shear=uncorrected)
+            prof = mode_kernel(path, n, geom, mat, rho=rho)
             for f, rows, row in zip(FIELD_NAMES, batch, prof(self.ETAS)):
                 assert np.array_equal(rows[i], row), (n, f)
 
