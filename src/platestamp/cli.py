@@ -332,7 +332,7 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         margin = VERIFY_MARGIN_FRACTION * min(geom.l, geom.h)
         # the coarse and fine grids that both residual meters read, each
         # evaluated once and freed before the artifacts are formatted
-        shared = SharedGridFields(sf, [grid.axes(geom), refined.axes(geom)])
+        shared = SharedGridFields(sf)
         eq1, eq2 = equilibrium_residual(shared, grid, refined=refined,
                                         exclusion_margin=margin)
         c1, c2, c3 = constitutive_residual(shared, grid, refined=refined,

@@ -108,6 +108,11 @@ class BoundaryProfile:
             raise DomainError(f"half_width must be positive, got {half_width}")
         if center <= 0:
             raise DomainError(f"center must be positive, got {center}")
+        if center - half_width == center or center + half_width == center:
+            # the support would round to a point, which no quadrature
+            # sample reaches: every coefficient would be 0
+            raise DomainError(f"half_width {half_width} is below the float resolution at "
+                              f"center {center}: the support rounds to a point")
         return cls(kind=kind, center=float(center), half_width=float(half_width),
                    depth=float(depth))
 
@@ -203,9 +208,18 @@ def sine_transform(f: Callable, length: float, ns: np.ndarray,
                    subintervals: int, breakpoints: tuple = ()) -> np.ndarray:
     """Raw transforms (2/length) * integral f(t) sin(n pi t / length) dt
     by composite Simpson, split at the breakpoints; a piece where f is
-    zero at every sample is skipped."""
+    zero at every sample is skipped.
+
+    A piece's P + 1 samples are indexed j = q R + r with R = isqrt(P + 1)
+    and Q = ceil((P + 1) / R), so that with phi = n pi / length and the
+    sample spacing s, sin(phi t_j) = sin(phi (lo + s r)) cos(phi s R q)
+    + cos(phi (lo + s r)) sin(phi s R q).  The tables of those angles are
+    N x R and N x Q, not N x P, and the sums are fixed-order einsums,
+    which never use BLAS.
+    """
     pts = sorted({0.0, float(length), *(float(b) for b in breakpoints
                                         if 0.0 < float(b) < length)})
+    phi = np.asarray(ns) * np.pi / length
     total = np.zeros(len(ns))
     for lo, hi in zip(pts[:-1], pts[1:]):
         width = hi - lo
@@ -227,8 +241,19 @@ def sine_transform(f: Callable, length: float, ns: np.ndarray,
             # a piece outside the data's support adds only signed zeros,
             # which leave ``total`` (never -0.0) unchanged
             continue
-        total += np.einsum("p,np->n", ft * w,
-                           np.sin(np.outer(ns, t) * np.pi / length))
+        R = math.isqrt(p + 1)
+        Q = -(-(p + 1) // R)
+        g = np.zeros(Q * R)
+        g[:p + 1] = ft * w
+        g = g.reshape(Q, R)
+        s = width / p
+        a = np.outer(phi, lo + s * np.arange(R))
+        gs = np.einsum("qr,nr->nq", g, np.sin(a), optimize=False)
+        gc = np.einsum("qr,nr->nq", g, np.cos(a), optimize=False)
+        del a
+        b = np.outer(phi, s * R * np.arange(Q))
+        total += (np.einsum("nq,nq->n", gs, np.cos(b), optimize=False)
+                  + np.einsum("nq,nq->n", gc, np.sin(b), optimize=False))
     return (2.0 / length) * total
 
 

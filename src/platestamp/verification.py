@@ -10,11 +10,14 @@ from the boundary so the central stencils stay valid) and can exclude a
 further band of physical width ``exclusion_margin``: a truncated series
 with top wavenumber k_N has a boundary layer of thickness ~1/k_N that a
 desk-scale grid cannot resolve, and convergence-order measurements are
-meaningful only outside it.  Observed orders are computed from the l2
-(root-mean-square) residual of a grid pair.  The meters read only
-``geometry``, ``material`` and ``grid_fields`` of the field they are
-given; wrapped in :class:`SharedGridFields`, one series field serves both
-meters with one evaluation per grid.
+meaningful only outside it.  A meter evaluates only the grid rows its
+stencils read: the rows outside the band, and one more on either side.
+Observed orders are computed from the l2 (root-mean-square) residual of
+a grid pair.  The meters read only ``geometry``, ``material`` and
+``grid_fields`` of the field they are given.  :class:`SharedGridFields`
+is a memo of a series field's ``grid_fields``: it evaluates a grid the
+first time a meter asks for it and hands the kept fields to the next, so
+one instance given to both meters evaluates each grid once.
 """
 from __future__ import annotations
 
@@ -99,29 +102,36 @@ class ResidualReport:
     observed_order: Optional[float] = None
 
 
-def _stats(res: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    vals = res[mask]
-    if vals.size == 0:
-        raise DomainError("exclusion margin leaves no interior points")
+def _stats(vals: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))
 
 
 def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
            exclusion_margin: float, terms) -> tuple:
     """One report per residual array that ``terms(f, dx, dy)`` builds from
-    the fields ``f = fields_on(xs, ys)`` of a grid's full sample axes, over
-    the grid's interior points outside the exclusion margin; with a
-    ``refined`` grid, each report carries the observed order."""
+    the fields ``f = fields_on(xs, ys)`` of a grid, over the grid's interior
+    points outside the exclusion margin; with a ``refined`` grid, each
+    report carries the observed order.
+
+    The fields are evaluated on the full x axis and on the y rows from one
+    below the first interior row outside the margin to one above the last,
+    the rows that the central differences on those rows read."""
     m = exclusion_margin
 
     def run(g: GridSpec):
         dx, dy = g.spacing(geom)
         xs, ys = g.axes(geom)
-        residuals = terms(fields_on(xs, ys), dx, dy)
         xi, yi = xs[1:-1], ys[1:-1]
-        mask = (((yi >= m) & (yi <= geom.h - m))[:, None]
-                & ((xi >= m) & (xi <= geom.l - m)))
-        return [_stats(res, mask) for res in residuals], dx
+        cols = (xi >= m) & (xi <= geom.l - m)
+        (rows,) = np.nonzero((yi >= m) & (yi <= geom.h - m))
+        if not (rows.size and cols.any()):
+            raise DomainError("exclusion margin leaves no interior points")
+        # interior row i is sample row i + 1, so its stencil spans sample
+        # rows i..i + 2
+        residuals = terms(fields_on(xs, ys[rows[0]:rows[-1] + 3]), dx, dy)
+        # raveled, the band sums in the order of a full-grid mask; the mean
+        # of the 2-D block sums in another order, with other bits
+        return [_stats(res[:, cols].ravel()) for res in residuals], dx
 
     stats, dx = run(grid)
     if refined is None:
@@ -174,25 +184,24 @@ class SharedGridFields:
     """A series field whose grid evaluations are kept, so that the residual
     meters, given the same instance, evaluate each grid once between them.
 
-    Forwards ``geometry`` and ``material``.  Each ``(xs, ys)`` pair of
-    ``axes`` is evaluated up front by one ``grid_fields`` call of the
-    wrapped field.  ``grid_fields`` returns the kept fields of equal axes,
-    which callers must not modify, and raises :class:`KeyError` for axes
-    that were not given.  It holds every grid it was given, so it is meant
-    to live for one run.
+    Forwards ``geometry`` and ``material``.  ``grid_fields`` evaluates a
+    pair of axes by one ``grid_fields`` call of the wrapped field the first
+    time it is asked for, and returns the kept fields of equal axes after
+    that; callers must not modify them.  It holds every grid it was asked
+    for, so it is meant to live for one run.
     """
 
-    def __init__(self, sf, axes):
+    def __init__(self, sf):
         self.geometry = sf.geometry
         self.material = sf.material
-        self._kept = {self._key(a): sf.grid_fields(*a) for a in axes}
-
-    @staticmethod
-    def _key(axes) -> tuple:
-        return tuple(np.asarray(a, dtype=float).tobytes() for a in axes)
+        self._sf = sf
+        self._kept = {}
 
     def grid_fields(self, xs, ys) -> dict:
-        return self._kept[self._key((xs, ys))]
+        key = tuple(np.asarray(a, dtype=float).tobytes() for a in (xs, ys))
+        if key not in self._kept:
+            self._kept[key] = self._sf.grid_fields(xs, ys)
+        return self._kept[key]
 
 
 def equilibrium_residual(

@@ -220,7 +220,9 @@ class TestRun:
 
     def test_verified_run_evaluates_each_grid_once(self, tmp_path, monkeypatch):
         # one evaluation each of the output grid and of the coarse and fine
-        # residual grids that both meters share
+        # residual grids that both meters share; the residual grids hold
+        # the rows outside the exclusion band of 0.15 (y in [0.15, 0.85]),
+        # and one more on either side: rows 1..11 of 13 and 3..19 of 23
         calls = []
         original = SeriesField.grid_fields
 
@@ -230,24 +232,24 @@ class TestRun:
 
         monkeypatch.setattr(SeriesField, "grid_fields", counted)
         run(parse_config(SMALL_VERIFY), output_dir=tmp_path / "out")
-        assert calls == [(13, 11), (15, 13), (27, 23)]
+        assert calls == [(13, 11), (15, 11), (27, 17)]
 
-    def test_prefilled_and_lazy_shared_grids_write_same_bytes(self, tmp_path, monkeypatch):
-        # the one-pass evaluation and a stand-in that makes one grid_fields
+    def test_shared_and_unshared_grids_write_same_bytes(self, tmp_path, monkeypatch):
+        # the kept evaluations and a stand-in that makes one grid_fields
         # call for each grid a reader asks for give the same artifacts
-        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "prefilled")
+        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "shared")
 
-        class Lazy:
-            def __init__(self, sf, axes):
+        class Unshared:
+            def __init__(self, sf):
                 self.geometry, self.material, self._sf = sf.geometry, sf.material, sf
 
             def grid_fields(self, xs, ys):
                 return self._sf.grid_fields(xs, ys)
 
-        monkeypatch.setattr(cli, "SharedGridFields", Lazy)
-        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "lazy")
+        monkeypatch.setattr(cli, "SharedGridFields", Unshared)
+        run(parse_config(DESK_VERIFY), output_dir=tmp_path / "unshared")
         names = ["field_grid.csv", "pressure_profile.csv", "summary.txt", "report.txt"]
-        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "prefilled", tmp_path / "lazy",
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "shared", tmp_path / "unshared",
                                                    names, shallow=False)
         assert match == names, (mismatch, errors)
 
@@ -272,8 +274,8 @@ class TestRun:
         made = []
 
         class Recorded(SharedGridFields):
-            def __init__(self, sf, axes):
-                super().__init__(sf, axes)
+            def __init__(self, sf):
+                super().__init__(sf)
                 made.append(weakref.ref(self))
 
         monkeypatch.setattr(cli, "SharedGridFields", Recorded)
@@ -500,6 +502,23 @@ path = A
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"[stamp] {key}:" in err
+
+    @pytest.mark.parametrize("old,new", [
+        ("half_width = 0.4", "half_width = 1e-17"),
+        ("l = 2\nh = 1\n", "l = 1e200\nh = 1e200\n"),
+    ], ids=["desk", "huge-plate"])
+    @pytest.mark.parametrize("kind", ["raised_cosine", "flat_stamp", "parabolic_bump"])
+    def test_support_below_resolution_exit_two(self, tmp_path, capsys, kind, old, new):
+        # center +- half_width rounds to center (at center 1, and at center
+        # 5e199 with half_width 0.4): such a run solved to an all-zero field
+        text = MINIMAL.replace("kind = raised_cosine", f"kind = {kind}").replace(old, new)
+        if "1e200" in new:
+            text = text.replace("center = 1\n", "center = 5e199\n")
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for [stamp] half_width: half_width ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,args", [
         (SINGLE_MODE_VERIFY.replace("grid = 21x21", "grid = 2x2"), []),

@@ -104,8 +104,8 @@ def test_removed_parameters():
     assert "uncorrected_shear" not in inspect.signature(assemble_series).parameters
     assert "uncorrected_shear" not in inspect.signature(closed_profiles).parameters
     assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
-    axes = inspect.signature(SharedGridFields).parameters["axes"]
-    assert axes.default is inspect.Parameter.empty
+    # the shared grids are evaluated when a meter first asks for them
+    assert list(inspect.signature(SharedGridFields).parameters) == ["sf"]
     # ``panels`` is the one quadrature setting
     coeffs = inspect.signature(sine_coefficients).parameters
     assert "quad" not in coeffs and "force_quadrature" not in coeffs

@@ -1,5 +1,6 @@
 """Tests for stamp profiles, their sine coefficients, pressure and force."""
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -168,12 +169,12 @@ class TestSineCoefficients:
             sine_coefficients(BoundaryProfile.single_mode(9), geom, 8)
 
 
-def _unskipped_sine_transform(f, length, ns, subintervals, breakpoints=()):
-    """Reference for sine_transform: the same piecewise Simpson sums, with
-    every piece added, including pieces where the data is zero."""
+def _simpson_pieces(f, length, subintervals, breakpoints):
+    """The pieces of sine_transform's composite Simpson rule: per piece,
+    its ends, its subinterval count, its abscissae and its weighted
+    samples, every piece included."""
     pts = sorted({0.0, float(length), *(float(b) for b in breakpoints
                                         if 0.0 < float(b) < length)})
-    total = np.zeros(len(ns))
     for lo, hi in zip(pts[:-1], pts[1:]):
         width = hi - lo
         p = max(2, int(round(subintervals * width / length)))
@@ -189,8 +190,36 @@ def _unskipped_sine_transform(f, length, ns, subintervals, breakpoints=()):
         ft = np.asarray(f(t_eval), dtype=float)
         if ft.shape != t.shape:
             ft = np.broadcast_to(ft, t.shape)
-        total += np.einsum("p,np->n", ft * w,
-                           np.sin(np.outer(ns, t) * np.pi / length))
+        yield lo, hi, p, t, ft * w
+
+
+def _unskipped_sine_transform(f, length, ns, subintervals, breakpoints=()):
+    """Reference for sine_transform: the same angle-table sums, with every
+    piece added, including pieces where the data is zero."""
+    phi = np.asarray(ns) * np.pi / length
+    total = np.zeros(len(ns))
+    for lo, hi, p, _, samples in _simpson_pieces(f, length, subintervals, breakpoints):
+        R = math.isqrt(p + 1)
+        Q = -(-(p + 1) // R)
+        g = np.zeros(Q * R)
+        g[:p + 1] = samples
+        g = g.reshape(Q, R)
+        s = (hi - lo) / p
+        a = np.outer(phi, lo + s * np.arange(R))
+        b = np.outer(phi, s * R * np.arange(Q))
+        gs = np.einsum("qr,nr->nq", g, np.sin(a), optimize=False)
+        gc = np.einsum("qr,nr->nq", g, np.cos(a), optimize=False)
+        total += (np.einsum("nq,nq->n", gs, np.cos(b), optimize=False)
+                  + np.einsum("nq,nq->n", gc, np.sin(b), optimize=False))
+    return (2.0 / length) * total
+
+
+def _direct_sine_transform(f, length, ns, subintervals, breakpoints=()):
+    """The same Simpson rule summed over an N x P table of
+    sin(n pi t / length), every piece included."""
+    total = np.zeros(len(ns))
+    for _, _, _, t, samples in _simpson_pieces(f, length, subintervals, breakpoints):
+        total += np.einsum("p,np->n", samples, np.sin(np.outer(ns, t) * np.pi / length))
     return (2.0 / length) * total
 
 
@@ -231,6 +260,53 @@ class TestSineTransform:
                                          np.arange(1, N + 1), 8 * N,
                                          profile.breakpoints(geom))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N", [64, 256, 1024])
+    @pytest.mark.parametrize("stamp,panels", [
+        ("raised_cosine", False), ("tabulated", False),
+        ("flat_stamp", True), ("parabolic_bump", True),
+    ])
+    def test_angle_tables_match_direct_table_sum(self, geom, stamp, panels, N):
+        # the verify-desk stamp and its kin: supports [0.5, 1.5] and knots
+        # at multiples of 0.5; flat and parabolic stamps have closed forms,
+        # so they reach the quadrature through ``panels``
+        profile = {
+            "raised_cosine": BoundaryProfile.raised_cosine(1.0, 0.5, 0.01),
+            "tabulated": BoundaryProfile.tabulated([0.0, 0.5, 1.0, 1.5, 2.0],
+                                                   [0.0, 0.004, 0.01, 0.004, 0.0]),
+            "flat_stamp": BoundaryProfile.flat_stamp(1.0, 0.5, 0.01),
+            "parabolic_bump": BoundaryProfile.parabolic_bump(1.0, 0.5, 0.01),
+        }[stamp]
+        got = sine_coefficients(profile, geom, N, panels=8 * N if panels else None)
+        want = _direct_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
+                                      np.arange(1, N + 1), 8 * N, profile.breakpoints(geom))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [64, 256, 1024])
+    @pytest.mark.parametrize("stamp", sorted(_SUPPORTED_STAMPS))
+    def test_angle_tables_match_direct_table_sum_inexact_breakpoints(self, geom, stamp, N):
+        # breakpoints such as 0.6 and 1.4 make every abscissa inexact; at
+        # N = 1024 the direct table sum itself is then up to 1.4e-14 of
+        # max|c| off an 80-bit long-double sum of the same rule (measured on
+        # x86-64), and the two float sums differ by as much (up to 1.4e-14)
+        profile = _SUPPORTED_STAMPS[stamp]
+        got = sine_coefficients(profile, geom, N, panels=8 * N)
+        want = _direct_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
+                                      np.arange(1, N + 1), 8 * N, profile.breakpoints(geom))
+        tol = 1e-14 if N <= 256 else 2e-14
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_quadrature_memory_grows_as_n_root_p(self, geom):
+        # the angle tables are N x sqrt(P); an N x P table of float64 at
+        # N = 2048 and P = 8 N would alone take 256 MiB
+        profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
+        tracemalloc.start()
+        try:
+            sine_coefficients(profile, geom, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_all_zero_data_transforms_to_positive_zero(self, geom):
         got = sine_transform(lambda t: np.zeros_like(t), geom.l, np.arange(1, 9), 64, (0.5,))
@@ -422,6 +498,23 @@ class TestFieldStructure:
         # parameter, not the TypeError or ValueError of a conversion
         with pytest.raises(DomainError, match=f"^{name} must be finite and real, got "):
             getattr(BoundaryProfile, factory)(*args)
+
+    @pytest.mark.parametrize("center,half_width", [(1.0, 1e-17), (1.0, 1e-16), (5e199, 0.4)],
+                             ids=["both-sides", "one-side", "huge-center"])
+    @pytest.mark.parametrize("kind", ["raised_cosine", "flat_stamp", "parabolic_bump"])
+    def test_support_below_resolution_rejected(self, kind, center, half_width):
+        # center + half_width rounds to center, and so does center -
+        # half_width but in the one-side case: every coefficient came out 0
+        assert center + half_width == center
+        with pytest.raises(DomainError, match=f"^half_width {half_width} is below the float "):
+            getattr(BoundaryProfile, kind)(center, half_width, 0.01)
+
+    @pytest.mark.parametrize("kind", ["raised_cosine", "flat_stamp", "parabolic_bump"])
+    def test_narrowest_support_accepted(self, geom, kind):
+        # both ends one ulp or more away from the center: a nonzero stamp
+        profile = getattr(BoundaryProfile, kind)(1.0, 3e-16, 0.01)
+        lo, hi = profile.breakpoints(geom)
+        assert lo < 1.0 < hi
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("factory,args,name", [

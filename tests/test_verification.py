@@ -1,4 +1,5 @@
 """Tests for the residual meters and the discrepancy report."""
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from platestamp import (
     equilibrium_residual,
     sine_coefficients,
 )
+from platestamp import verification
 from platestamp.verification import SharedGridFields
 
 from conftest import mode_kernel, mode_scalars
@@ -141,14 +143,16 @@ class TestPhysicsMeters:
                 calls.append((len(xs), len(ys)))
                 return raised_cosine_field.grid_fields(xs, ys)
 
-        shared = SharedGridFields(Counted(), [grid.axes(geom), refined.axes(geom)])
+        shared = SharedGridFields(Counted())
         eq = equilibrium_residual(shared, grid, refined=refined, exclusion_margin=margin)
         con = constitutive_residual(shared, grid, refined=refined, exclusion_margin=margin)
-        assert calls == [(43, 43), (83, 83)]
-        # axes that were not given are not evaluated on demand
-        with pytest.raises(KeyError):
-            shared.grid_fields(*GridSpec(21, 21).axes(geom))
-        assert len(calls) == 2
+        # the rows outside the band y in [0.15, 0.85], and one more on
+        # either side: rows 6..36 of 43 and 12..70 of 83
+        assert calls == [(43, 31), (83, 59)]
+        # axes not asked for before are evaluated when first asked for, once
+        axes = GridSpec(21, 21).axes(geom)
+        assert shared.grid_fields(*axes) is shared.grid_fields(*axes)
+        assert calls[2:] == [(23, 23)]
         assert eq == equilibrium_residual(raised_cosine_field, grid, refined=refined,
                                           exclusion_margin=margin)
         assert con == constitutive_residual(raised_cosine_field, grid, refined=refined,
@@ -161,7 +165,7 @@ class TestPhysicsMeters:
         grid = GridSpec(41, 41)
         xs, ys = grid.axes(geom)
         scale = float(np.max(np.abs(raised_cosine_field.grid_fields(xs, ys)["sigma_x"])))
-        shared = SharedGridFields(raised_cosine_field, [grid.axes(geom)])
+        shared = SharedGridFields(raised_cosine_field)
 
         class Perturbed:
             geometry = geom
@@ -179,6 +183,61 @@ class TestPhysicsMeters:
         from platestamp import DomainError
         with pytest.raises(DomainError):
             equilibrium_residual(sf, GridSpec(5, 5), exclusion_margin=0.6 * geom.h)
+
+    @pytest.mark.parametrize("margin", [0.6, 1.2], ids=["rows", "columns"])
+    def test_empty_band_rejected_before_evaluation(self, geom, mat, margin):
+        # a band with no row (y in [0.6, 0.4]) or no column (x in [1.2, 0.8])
+        # is rejected before any grid is evaluated
+        calls = []
+
+        class Counted:
+            geometry, material = geom, mat
+
+            def grid_fields(self, xs, ys):
+                calls.append((len(xs), len(ys)))
+                return assemble_series([1.0], geom, mat).grid_fields(xs, ys)
+
+        for meter in (equilibrium_residual, constitutive_residual):
+            with pytest.raises(DomainError, match="exclusion margin leaves no interior points"):
+                meter(Counted(), GridSpec(41, 41), refined=GridSpec(81, 81),
+                      exclusion_margin=margin)
+        assert calls == []
+
+    @pytest.mark.parametrize("margin,rows", [(0.0, (43, 83)), (0.15, (31, 59)), (0.49, (3, 3))],
+                             ids=["none", "0.15h", "one-row"])
+    def test_band_rows_match_full_grid(self, geom, mat, raised_cosine_field, margin, rows):
+        # the meters evaluate only the rows their stencils read (at 0.49,
+        # y = 0.5 is the one band row of both grids); their statistics have
+        # the bits of the same residuals on the full grids, masked to the band
+        calls = []
+
+        class Counted:
+            geometry, material = geom, mat
+
+            def grid_fields(self, xs, ys):
+                calls.append(len(ys))
+                return raised_cosine_field.grid_fields(xs, ys)
+
+        def full_grid_stats(grid, terms):
+            xs, ys = grid.axes(geom)
+            xi, yi = xs[1:-1], ys[1:-1]
+            mask = (((yi >= margin) & (yi <= geom.h - margin))[:, None]
+                    & ((xi >= margin) & (xi <= geom.l - margin)))
+            residuals = terms(raised_cosine_field.grid_fields(xs, ys), *grid.spacing(geom))
+            return [(float(np.max(np.abs(r[mask]))), float(np.sqrt(np.mean(r[mask] ** 2))))
+                    for r in residuals]
+
+        grid, refined = GridSpec(41, 41), GridSpec(81, 81)
+        for meter, terms in ((equilibrium_residual, verification._equilibrium_terms),
+                             (constitutive_residual, functools.partial(
+                                 verification._constitutive_terms, mat))):
+            calls.clear()
+            reports = meter(Counted(), grid, refined=refined, exclusion_margin=margin)
+            assert tuple(calls) == rows
+            assert [(r.max_abs, r.l2) for r in reports] == full_grid_stats(grid, terms)
+            fine = meter(raised_cosine_field, refined, exclusion_margin=margin)
+            assert [(r.max_abs, r.l2) for r in fine] == full_grid_stats(refined, terms)
+            assert all(math.isfinite(r.observed_order) for r in reports)
 
 
 class TestWorkEnergyBalance:
