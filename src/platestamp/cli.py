@@ -138,6 +138,12 @@ def _grid(raw: str) -> tuple[int, int]:
     return nx, ny
 
 
+def _directory(raw: str) -> str:
+    if not raw:
+        raise ValueError("must name a directory, got an empty value")
+    return raw
+
+
 def _one_of(choices):
     def parse(raw: str) -> str:
         if raw not in choices:
@@ -163,7 +169,7 @@ _PARSERS = {
         "mode": _count, "xs": _numbers, "values": _numbers},
     "solver": {"modes": _count, "grid": _grid, "path": _one_of(("A", "B", "C")),
                "verify": _boolean},
-    "output": {"directory": str},
+    "output": {"directory": _directory},
 }
 
 
@@ -434,6 +440,8 @@ def main(argv=None) -> int:
                  "path": args.path, "verify": args.verify}
         cp.read_dict({"solver": {k: v for k, v in flags.items() if v is not None}})
         config = _build(cp)
+        if args.output == "":
+            raise ConfigError("--output must name a directory, got an empty value")
         try:
             run(config, output_dir=args.output)
         except OSError as exc:
@@ -441,6 +449,10 @@ def main(argv=None) -> int:
             source = ("--output" if args.output else
                       "[output] directory" if config.output_dir else "./platestamp_out")
             raise ConfigError(f"cannot write the artifacts to {source}: {exc}") from exc
+        except MemoryError:
+            raise ConfigError(f"out of memory with [solver] modes = {config.modes} and "
+                              f"[solver] grid = {config.grid_nx}x{config.grid_ny}; "
+                              f"lower one of them") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,8 +14,9 @@ profiles:
   and satisfies the face conditions exactly by construction.
 * path A (:func:`initial_amplitudes`, :func:`initial_profiles`) imposes
   the four boundary conditions on the transfer-operator representation,
-  solves the per-mode linear systems numerically, then assembles all five
-  fields through the full operator table.
+  solves the per-mode linear systems numerically, then assembles each
+  field from the two operator columns of the amplitudes u0 and y0 (the
+  face y = 0 pins the other two amplitudes to zero).
 * path C (:func:`closed_profiles`) evaluates the closed-form modal
   series, with its per-mode amplitude pinned to the sine coefficient by
   least-squares calibration against path B and with the second factor of
@@ -61,9 +62,8 @@ from .core import (
     ModeDegeneracyError,
     Parity,
     PathDivergenceError,
-    PlateStampError,
 )
-from .modal_calculus import OperatorId, RatioKind, _operator_multiplier, stable_ratio
+from .modal_calculus import RatioKind, stable_ratio
 
 __all__ = [
     "SolutionPath",
@@ -168,46 +168,52 @@ def block_profiles(k, beta, nu: float, eta, *, fields=FIELD_NAMES) -> tuple:
 # path A: boundary solve on the operator table
 # ---------------------------------------------------------------------------
 
-def _scaled_ops(k, beta, eta, nu: float, names):
-    """Transfer-operator multipliers divided by sh(k h), broadcast over
-    k, beta and eta."""
+def _initial_columns(k, beta, nu: float, eta, fields) -> tuple:
+    """Per field of ``fields``, its multipliers (col_u, col_y) of the
+    amplitudes (u0 sh, y0 sh): that field's entries in the U and Y columns
+    of the transfer-operator table, divided by sh(k h), each acting on its
+    amplitude's mode.
+
+    Written in s = sh(ky)/sh(kh) and c = ch(ky)/sh(kh), y = eta*h.  The
+    formulas are the operators' multipliers on sin(k x); the u0 mode is
+    cos(k x), on which an operator odd in d/dx changes sign, so the u0
+    entries of the V, Y and SX rows are negated.  The V and X columns are
+    left out: the y = 0 boundary rows pin v0 and x0 to zero.  Shapes
+    broadcast as in :func:`block_profiles`.
+    """
     y = np.asarray(eta, dtype=float) * (beta / k)
     ky = k * y
     s = stable_ratio(RatioKind.SH_SH, ky, beta)
     c = stable_ratio(RatioKind.CH_SH, ky, beta)
-    return {op: _operator_multiplier(op, k, y, s, c, nu) for op in names}
-
-
-#: operators of the y = 0 rows of the boundary system (V and X rows)
-_ZERO_ROW_OPS = (
-    OperatorId.L_VU, OperatorId.L_VV, OperatorId.L_VY, OperatorId.L_VX,
-    OperatorId.L_XU, OperatorId.L_XV, OperatorId.L_XY, OperatorId.L_XX,
-)
-
-#: per field, the operators acting on the two live amplitudes (u0 sh, y0 sh)
-#: with the sign that folds the odd-operator action on the cosine column u0;
-#: the v0 and x0 columns drop out because those amplitudes are exactly zero
-_INITIAL_ROWS = {
-    "U": ((OperatorId.L_UU, 1), (OperatorId.L_UY, 1)),
-    "V": ((OperatorId.L_VU, -1), (OperatorId.L_VY, 1)),
-    "Y": ((OperatorId.L_YU, -1), (OperatorId.L_YY, 1)),
-    "X": ((OperatorId.L_XU, 1), (OperatorId.L_XY, 1)),
-    "SX": ((OperatorId.A_U, -1), (OperatorId.A_Y, 1)),
-}
+    d2 = 2.0 * (1.0 - nu)
+    formulas = {
+        "U": lambda: (c + ky * s / d2,                                    # L_UU
+                      -y * s / (2.0 * d2)),                                # L_UY
+        "V": lambda: (-((1.0 - 2.0 * nu) * s - ky * c) / d2,              # -L_VU
+                      ((3.0 - 4.0 * nu) * s / k - y * c) / (2.0 * d2)),    # L_VY
+        "Y": lambda: (2.0 * k * ky * s / d2,                              # -L_YU
+                      c - ky * s / d2),                                    # L_YY
+        "X": lambda: (2.0 * k * (s + ky * c) / d2,                         # L_XU
+                      ((1.0 - 2.0 * nu) * s - ky * c) / d2),               # L_XY
+        "SX": lambda: (-2.0 * k * (2.0 * c + ky * s) / d2,                # -A_U
+                       (2.0 * nu * c + ky * s) / d2),                      # A_Y
+    }
+    return tuple(formulas[f]() for f in fields)
 
 
 def initial_amplitudes(n, k, beta, nu: float):
     """Path A: impose the four boundary conditions on the operator table.
 
     The per-mode initial-function amplitudes (u0 for U_0 ~ cos, v0 for
-    V_0 ~ sin, y0 for Y_0 ~ sin, x0 for X_0 ~ cos) satisfy a 4x4 system;
-    the two y = 0 rows are identity rows (checked here), which pins
-    v0 = x0 = 0 exactly and reduces the system to 2x2.  That system is
-    solved in the sh(k h)-scaled amplitudes (u0 sh, y0 sh) by an
-    extended-precision Cramer solve with one refinement step, so the face
-    conditions hold to roundoff of the profiles; conditioning is judged
-    on the dimension-balanced variant (second unknown divided by k),
-    whose entries are O(beta) with determinant -1 + O(e^(-2 beta)).
+    V_0 ~ sin, y0 for Y_0 ~ sin, x0 for X_0 ~ cos) satisfy a 4x4 system.
+    Its two y = 0 rows are identity rows, so v0 = x0 = 0 exactly and the
+    system reduces to the 2x2 system of the V and X rows of
+    :func:`_initial_columns` at y = h.  That system is solved in the
+    sh(k h)-scaled amplitudes (u0 sh, y0 sh) by an extended-precision
+    Cramer solve with one refinement step, so the face conditions hold to
+    roundoff of the profiles; conditioning is judged on the
+    dimension-balanced variant (second unknown divided by k), whose
+    entries are O(beta) with determinant -1 + O(e^(-2 beta)).
 
     ``n``, ``k`` and ``beta`` are scalars or (N, 1) columns; every mode is
     solved at once.  Returns (u0 sh, y0 sh) in long double.  The lowest
@@ -215,21 +221,10 @@ def initial_amplitudes(n, k, beta, nu: float):
     :class:`ModeDegeneracyError`, as a mode-by-mode solve would.
     """
     n, k, beta = np.broadcast_arrays(n, k, beta)
-    for op in _ZERO_ROW_OPS:
-        value = np.broadcast_to(_operator_multiplier(op, k, 0.0, 0.0, 1.0, nu), k.shape)
-        bad = (value != 0.0) & (value != 1.0)
-        if np.any(bad):
-            raise PlateStampError(f"operator {op.name} not an identity entry at y=0 "
-                                  f"for mode n={n.flat[np.argmax(bad)]}")
-
-    mh = _scaled_ops(k, beta, 1.0, nu, (
-        OperatorId.L_VU, OperatorId.L_VY, OperatorId.L_XU, OperatorId.L_XY,
-    ))
-    # raw system in the scaled amplitudes (u0 sh, y0 sh); the face rows of
-    # the assembled profiles reuse these exact entry values, so solving the
-    # raw matrix keeps the face conditions at the solve residual
-    a00, a01 = -mh[OperatorId.L_VU], mh[OperatorId.L_VY]
-    a10, a11 = mh[OperatorId.L_XU], mh[OperatorId.L_XY]
+    # the face rows of the assembled profiles reuse these exact entry
+    # values, so solving this matrix keeps the face conditions at the
+    # solve residual
+    (a00, a01), (a10, a11) = _initial_columns(k, beta, nu, 1.0, ("V", "X"))
 
     balanced = np.stack([np.stack([a00, k * a01], axis=-1),
                          np.stack([a10 / k, a11], axis=-1)], axis=-2)
@@ -260,17 +255,12 @@ def _cramer_refined(a00, a01, a10, a11):
 
 
 def initial_profiles(k, beta, nu: float, u0, y0, eta, *, fields=FIELD_NAMES) -> tuple:
-    """Path A profiles, assembled from the amplitudes (u0 sh, y0 sh) of
-    :func:`initial_amplitudes` through the full operator table, including
-    the horizontal-stress row.  Shapes broadcast as in
+    """Path A profiles ``col_u * u0 + col_y * y0`` of the amplitudes
+    (u0 sh, y0 sh) of :func:`initial_amplitudes`, with the columns of
+    :func:`_initial_columns`.  Shapes broadcast as in
     :func:`block_profiles`."""
-    ops = _scaled_ops(k, beta, eta, nu, {op for f in fields for op, _ in _INITIAL_ROWS[f]})
-    out = []
-    for f in fields:
-        (op_u, sign_u), (op_y, sign_y) = _INITIAL_ROWS[f]
-        total = sign_u * ops[op_u] * u0 + sign_y * ops[op_y] * y0
-        out.append(np.asarray(total, dtype=float))
-    return tuple(out)
+    return tuple(np.asarray(col_u * u0 + col_y * y0, dtype=float)
+                 for col_u, col_y in _initial_columns(k, beta, nu, eta, fields))
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ class TestParseConfig:
             parse_config(broken)
         assert "'h'" in str(err.value) and "geometry" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["", "   "], ids=["empty", "blank"])
+    def test_empty_output_directory_rejected(self, value):
+        # an empty directory used to fall through to ./platestamp_out
+        with pytest.raises(ConfigError, match=r"\[output\] directory"):
+            parse_config(MINIMAL + f"\n[output]\ndirectory ={value}\n")
+
     def test_incompressible_material_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("nu = 0.3", "nu = 0.5"))
@@ -450,6 +456,40 @@ class TestMain:
         assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and source in err
+
+    @pytest.mark.parametrize("source", ["[output] directory", "--output"])
+    def test_empty_output_directory_exit_two(self, tmp_path, capsys, monkeypatch, source):
+        # an empty directory used to fall through to ./platestamp_out
+        monkeypatch.chdir(tmp_path)
+        text = MINIMAL.replace("modes = 64", "modes = 4")
+        if source == "--output":
+            args = ["--output", ""]
+        else:
+            text += "\n[output]\ndirectory =\n"
+            args = []
+        assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and source in err
+        assert not (tmp_path / "platestamp_out").exists()
+
+    @pytest.mark.parametrize("owner,name,args", [
+        (cli, "sine_coefficients", []),
+        (cli, "assemble_series", []),
+        (SeriesField, "grid_fields", []),
+        (cli, "discrepancy_report", ["--verify"]),
+    ], ids=["transform", "solve", "grid", "verify"])
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, owner, name, args):
+        # a modes or grid too large for memory exits 2 naming both keys,
+        # not with a traceback, whichever stage of the run runs out
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, name, exhausted)
+        cfg = self._write(tmp_path, MINIMAL)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory")
+        assert "[solver] modes = 64" in err and "[solver] grid = 41x41" in err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # a strip with beta_1 ~ 3e7 makes the per-mode boundary system
