@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DomainError,
     Geometry,
     Material,
     MaterialError,
@@ -31,7 +32,7 @@ from .stamp_problem import (
     sine_coefficients,
     total_force,
 )
-from .strip_solution import assemble_series
+from .strip_solution import _check_closed_form_range, assemble_series
 from .verification import (
     GridSpec,
     SharedGridFields,
@@ -257,6 +258,11 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError("invalid value for [stamp] depth: verification needs a nonzero "
                           "depth; a zero stamp solves to an all-zero field, whose "
                           "residual meters observe no order")
+    if config.path == "C":
+        try:
+            _check_closed_form_range(geom)
+        except DomainError as exc:
+            raise ConfigError(f"invalid value for [solver] path: {exc}") from exc
     if profile.kind is ProfileKind.SINGLE_MODE and profile.mode > config.modes:
         raise ConfigError(f"invalid value for [stamp] mode: mode {profile.mode} is not "
                           f"representable with [solver] modes = {config.modes}")
@@ -296,8 +302,14 @@ def _field_grid_rows(xs, ys, fields):
 def run(config: RunConfig, output_dir=None) -> OutputBundle:
     """Execute one configuration and write the output bundle.
 
-    Deterministic: a fixed config produces byte-identical files.
+    The files go to ``output_dir``, else ``config.output_dir``, else
+    ``./platestamp_out``; an empty name raises :class:`ConfigError` before
+    solving.  Deterministic: a fixed config produces byte-identical files.
     """
+    directory = config.output_dir if output_dir is None else output_dir
+    if directory == "":
+        source = "RunConfig.output_dir" if output_dir is None else "output_dir"
+        raise ConfigError(f"{source} must name a directory, got an empty value")
     geom, mat = config.geometry, config.material
     coeffs = sine_coefficients(config.profile, geom, config.modes)
     sf = assemble_series(coeffs, geom, mat, path=config.path)
@@ -377,7 +389,7 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     bundle = OutputBundle(xs=xs, ys=ys, fields=fields, pressure=pressure,
                           summary=summary, report_text=report_text)
 
-    out = Path(output_dir or config.output_dir or "platestamp_out")
+    out = Path("platestamp_out" if directory is None else directory)
     out.mkdir(parents=True, exist_ok=True)
 
     bundle.files["field_grid"] = out / "field_grid.csv"

@@ -18,9 +18,8 @@ profiles:
   field from the two operator columns of the amplitudes u0 and y0 (the
   face y = 0 pins the other two amplitudes to zero).
 * path C (:func:`closed_profiles`) evaluates the closed-form modal
-  series, with its per-mode amplitude pinned to the sine coefficient by
-  least-squares calibration against path B and with the second factor of
-  the shear formula fixed to eta*ch(beta*eta): the eta*sh(beta*eta)
+  series, whose amplitude is the sine coefficient, with the second factor
+  of the shear formula fixed to eta*ch(beta*eta): the eta*sh(beta*eta)
   variant of that factor violates X(x, h) = 0, and only its face value
   is kept, in the discrepancy report of :mod:`platestamp.verification`.
 
@@ -61,7 +60,6 @@ from .core import (
     Material,
     ModeDegeneracyError,
     Parity,
-    PathDivergenceError,
 )
 from .modal_calculus import RatioKind, stable_ratio
 
@@ -74,7 +72,6 @@ __all__ = [
     "initial_amplitudes",
     "initial_profiles",
     "closed_profiles",
-    "calibrate_delta_ratio",
     "assemble_series",
     "evaluate_fields",
 ]
@@ -93,12 +90,10 @@ FIELD_NAMES = ("U", "V", "Y", "X", "SX")
 #: condition-number ceiling for the per-mode boundary solve
 _COND_LIMIT = 1e12
 
-#: calibration acceptance for the closed-form amplitude ratio
-_CALIBRATION_TOL = 1e-10
-
-#: the mode and the number of uniform eta samples of that calibration
-_CALIBRATION_MODE = 1
-_CALIBRATION_SAMPLES = 33
+#: the floor on beta_1 = pi h / l of path C: below about 3.5e-3, its
+#: brackets' eps/beta^3 cancellation puts its profiles more than 1e-8 off
+#: (against mpmath and against path B); from 5e-3 up, 3.4e-9 at most
+_CLOSED_FORM_MIN_BETA = 5e-3
 
 
 class SolutionPath(Enum):
@@ -275,14 +270,11 @@ def _exp_m2(beta):
     return np.array([math.exp(-2.0 * b) for b in np.ravel(beta)]).reshape(np.shape(beta))
 
 
-def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
-                    fields=FIELD_NAMES) -> tuple:
-    """Path C: closed-form profiles, with the corrected shear factor
-    eta*ch(beta*eta).
-
-    ``delta_ratio`` is the calibrated amplitude-to-coefficient ratio
-    (:func:`calibrate_delta_ratio`).  Shapes broadcast as in
-    :func:`block_profiles`.
+def closed_profiles(beta, nu: float, h: float, eta, *, fields=FIELD_NAMES) -> tuple:
+    """Path C: closed-form profiles per unit sine coefficient, with the
+    corrected shear factor eta*ch(beta*eta).  Shapes broadcast as in
+    :func:`block_profiles`; beta below :data:`_CLOSED_FORM_MIN_BETA` loses
+    accuracy.
 
     Internally each bracket is expanded around e^(beta(eta-1)) with
     E = e^(-2 beta), F = e^(-2 beta eta), so no large hyperbolic is formed.
@@ -292,48 +284,33 @@ def closed_profiles(beta, nu: float, h: float, delta_ratio: float, eta, *,
     # Delta with Delta = (1-nu) sh(beta)^2 cancelled against e^(2 beta)/4
     den2 = 2.0 * (1.0 - nu) * (1.0 - E2) ** 2
     den1 = (1.0 - nu) * (1.0 - E2) ** 2
-    rho = delta_ratio
     eta = np.asarray(eta, dtype=float)
     F = np.exp(-2.0 * beta * eta)
     em = np.exp(beta * (eta - 1.0))
 
     formulas = {
-        "U": lambda: -rho * em * (((1 - 2 * nu) * (1 - E2) - beta * (1 + E2)) * (1 + F)
-                                  + beta * (1 - E2) * eta * (1 - F)) / den2,
-        "V": lambda: rho * em * ((2 * (1 - nu) * (1 - E2) + beta * (1 + E2)) * (1 - F)
-                                 - beta * (1 - E2) * eta * (1 + F)) / den2,
-        "Y": lambda: rho * em * (beta / h) * (((1 - E2) + beta * (1 + E2)) * (1 + F)
-                                              - beta * (1 - E2) * eta * (1 - F)) / den1,
-        "X": lambda: rho * em * (beta * beta / h) * ((1 + E2) * (1 - F)
-                                                     - (1 - E2) * eta * (1 + F)) / den1,
-        "SX": lambda: rho * em * (beta / h) * (((1 - E2) - beta * (1 + E2)) * (1 + F)
-                                               + beta * (1 - E2) * eta * (1 - F)) / den1,
+        "U": lambda: -em * (((1 - 2 * nu) * (1 - E2) - beta * (1 + E2)) * (1 + F)
+                            + beta * (1 - E2) * eta * (1 - F)) / den2,
+        "V": lambda: em * ((2 * (1 - nu) * (1 - E2) + beta * (1 + E2)) * (1 - F)
+                           - beta * (1 - E2) * eta * (1 + F)) / den2,
+        "Y": lambda: em * (beta / h) * (((1 - E2) + beta * (1 + E2)) * (1 + F)
+                                        - beta * (1 - E2) * eta * (1 - F)) / den1,
+        "X": lambda: em * (beta * beta / h) * ((1 + E2) * (1 - F)
+                                               - (1 - E2) * eta * (1 + F)) / den1,
+        "SX": lambda: em * (beta / h) * (((1 - E2) - beta * (1 + E2)) * (1 + F)
+                                         + beta * (1 - E2) * eta * (1 - F)) / den1,
     }
     return tuple(formulas[f]() for f in fields)
 
 
-def calibrate_delta_ratio(geom: Geometry, mat: Material) -> float:
-    """Scalar ratio between the closed-form amplitude and the sine
-    coefficient, fixed by least-squares matching the closed V-profile to
-    the building-block V-profile of mode 1 at 33 uniform eta samples.
-
-    The scaled residual must drop below 1e-10 of the profile scale, which
-    pins the ratio at 1 to roundoff; a larger residual means the two
-    routes genuinely disagree and raises :class:`PathDivergenceError`.
-    """
-    _, k, beta = (a.item() for a in mode_columns([_CALIBRATION_MODE], geom))
-    etas = np.linspace(0.0, 1.0, _CALIBRATION_SAMPLES)
-    (vb,) = block_profiles(k, beta, mat.nu, etas, fields=("V",))
-    (vc,) = closed_profiles(beta, mat.nu, geom.h, 1.0, etas, fields=("V",))
-    rho = float(np.dot(vc, vb) / np.dot(vc, vc))
-    scale = float(np.max(np.abs(vb)))
-    residual = float(np.max(np.abs(rho * vc - vb)))
-    if not residual <= _CALIBRATION_TOL * scale:
-        raise PathDivergenceError(
-            f"closed-form V-profile cannot be scaled onto the block profile: "
-            f"residual {residual:.3e} exceeds {_CALIBRATION_TOL:g} x scale {scale:.3e}"
-        )
-    return rho
+def _check_closed_form_range(geom: Geometry) -> None:
+    """Raise :class:`DomainError` when beta_1 = pi h / l of ``geom``, as
+    :func:`mode_columns` computes it, is below path C's floor."""
+    beta_1 = mode_columns([1], geom)[2].item()
+    if not beta_1 >= _CLOSED_FORM_MIN_BETA:
+        raise DomainError(f"path C needs beta_1 = pi h / l >= {_CLOSED_FORM_MIN_BETA:g}, "
+                          f"got {beta_1:.6g}: its closed form loses accuracy on thinner "
+                          f"plates; use path B")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +375,7 @@ class SeriesField:
     c: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
     beta: np.ndarray = field(repr=False, compare=False)
-    #: path A: the (N, 1) amplitude columns (u0 sh, y0 sh); path C: (rho,)
+    #: path A: the (N, 1) amplitude columns (u0 sh, y0 sh); paths B and C: ()
     _path_args: tuple = field(repr=False, compare=False)
 
     def _profiles(self, index, fields, eta) -> tuple:
@@ -415,8 +392,7 @@ class SeriesField:
         if self.path is SolutionPath.A:
             u0, y0 = (a[index] for a in self._path_args)
             return initial_profiles(k, beta, nu, u0, y0, eta, fields=fields)
-        (rho,) = self._path_args
-        return closed_profiles(beta, nu, self.geometry.h, rho, eta, fields=fields)
+        return closed_profiles(beta, nu, self.geometry.h, eta, fields=fields)
 
     def face_normal_stress(self, i: int) -> float:
         """Face value Y(1) of the normal-stress profile of mode i + 1, per
@@ -476,7 +452,7 @@ def assemble_series(
 ) -> SeriesField:
     """Pair sine coefficients c_1..c_N of V_h with the path's kernel
     arguments, computed for all modes at once; path A solves every mode's
-    boundary system in one batch.
+    boundary system in one batch; path C checks its beta floor.
     """
     path = SolutionPath(path) if not isinstance(path, SolutionPath) else path
     c = np.array([float(c) for c in coeffs]).reshape(-1, 1)
@@ -486,13 +462,10 @@ def assemble_series(
     if np.any(bad):
         i = int(np.argmax(bad))
         raise DomainError(f"sine coefficient of mode {i + 1} is not finite: {c[i, 0]}")
+    if path is SolutionPath.C:
+        _check_closed_form_range(geom)
     ns, k, beta = mode_columns(range(1, c.size + 1), geom)
-    if path is SolutionPath.A:
-        path_args = initial_amplitudes(ns, k, beta, mat.nu)
-    elif path is SolutionPath.C:
-        path_args = (calibrate_delta_ratio(geom, mat),)
-    else:
-        path_args = ()
+    path_args = initial_amplitudes(ns, k, beta, mat.nu) if path is SolutionPath.A else ()
     return SeriesField(material=mat, geometry=geom, N=c.size, path=path,
                        c=c, k=k, beta=beta, _path_args=path_args)
 

@@ -39,7 +39,6 @@ from .strip_solution import (
     FIELD_NAMES,
     _exp_m2,
     block_profiles,
-    calibrate_delta_ratio,
     closed_profiles,
     initial_amplitudes,
     initial_profiles,
@@ -238,7 +237,7 @@ class ModeDiscrepancy:
     beta: float
     rel_diff_ab: float
     rel_diff_cb: float
-    delta_ratio: float
+    amplitude_ratio: float
     uncorrected_shear_face: float   # closed-form tau_xy(h) before the factor fix
     corrected_shear_face: float
 
@@ -272,7 +271,7 @@ class DiscrepancyReport:
         for r in self.rows:
             lines.append(
                 f"    {r.n:4d}  {r.beta:12.6g}  {r.rel_diff_ab:9.3e}  "
-                f"{r.rel_diff_cb:9.3e}  {r.delta_ratio:.12f}  "
+                f"{r.rel_diff_cb:9.3e}  {r.amplitude_ratio:.12f}  "
                 f"{r.uncorrected_shear_face: .6e}  {r.corrected_shear_face: .6e}")
         lines.append(
             "  note: the uncorrected closed-form shear factor eta*sh(beta*eta) "
@@ -294,7 +293,17 @@ def _layer_etas(beta):
     return np.maximum(1.0 - _LAYER_S / beta, 0.0)
 
 
-def _uncorrected_shear_face(beta, nu: float, h: float, rho: float):
+def _calibration_ratio(geom: Geometry, mat: Material) -> float:
+    """Least-squares ratio that scales path C's mode-1 V-profile onto
+    path B's at 33 uniform eta samples: 1 analytically."""
+    _, k, beta = (a.item() for a in mode_columns([1], geom))
+    etas = np.linspace(0.0, 1.0, 33)
+    (vb,) = block_profiles(k, beta, mat.nu, etas, fields=("V",))
+    (vc,) = closed_profiles(beta, mat.nu, geom.h, etas, fields=("V",))
+    return float(np.dot(vc, vb) / np.dot(vc, vc))
+
+
+def _uncorrected_shear_face(beta, nu: float, h: float):
     """Face value X(1) of path C's shear profile with the uncorrected
     factor eta*sh(beta*eta) for eta*ch(beta*eta) (:func:`closed_profiles`),
     per mode of ``beta``.  There its bracket is (1 - F) 2E, with the
@@ -302,7 +311,7 @@ def _uncorrected_shear_face(beta, nu: float, h: float, rho: float):
     keeps the violation, exponentially small in beta, in floats."""
     E2 = _exp_m2(beta)
     F = np.exp(-2.0 * beta)
-    return rho * (beta * beta / h) * ((1 - F) * (2 * E2)) / ((1 - nu) * (1 - E2) ** 2)
+    return (beta * beta / h) * ((1 - F) * (2 * E2)) / ((1 - nu) * (1 - E2) ** 2)
 
 
 def discrepancy_report(geom: Geometry, mat: Material,
@@ -319,9 +328,9 @@ def discrepancy_report(geom: Geometry, mat: Material,
     Path disagreements are report content, with one exception: a
     boundary-solve vs blocks divergence beyond 1e-8 means the solver
     itself is broken (those two routes share no formulas) and raises
-    :class:`PathDivergenceError`.
+    :class:`PathDivergenceError`.  Path C is compared below its beta floor
+    too, and its amplitude ratios (:func:`_calibration_ratio`) are content.
     """
-    rho = calibrate_delta_ratio(geom, mat)
     ns, k, beta = mode_columns(modes, geom)
     nu, h = mat.nu, geom.h
     u0, y0 = initial_amplitudes(ns, k, beta, nu)
@@ -335,24 +344,24 @@ def discrepancy_report(geom: Geometry, mat: Material,
                        np.max(np.abs(b_layer), axis=2, keepdims=True))
     scale = np.where(scale == 0.0, 1.0, scale)
     a_cmp = np.stack(initial_profiles(k, beta, nu, u0, y0, _CMP_ETAS))
-    c_cmp = np.stack(closed_profiles(beta, nu, h, rho, _CMP_ETAS))
+    c_cmp = np.stack(closed_profiles(beta, nu, h, _CMP_ETAS))
     d_ab = np.max(np.abs(a_cmp - b_cmp) / scale, axis=(0, 2))
     d_cb = np.max(np.abs(c_cmp - b_cmp) / scale, axis=(0, 2))
 
-    # per-mode least-squares amplitude ratio of the uncalibrated closed form;
-    # the stacked row products give the same bits as one np.dot per mode
-    (vc,) = closed_profiles(beta, nu, h, 1.0, _SCALE_ETAS, fields=("V",))
+    # per-mode least-squares amplitude ratio of the closed form; the
+    # stacked row products give the same bits as one np.dot per mode
+    (vc,) = closed_profiles(beta, nu, h, _SCALE_ETAS, fields=("V",))
     vb = b_fine[FIELD_NAMES.index("V")]
     delta = ((vc[:, None, :] @ vb[:, :, None]) / (vc[:, None, :] @ vc[:, :, None])).ravel()
 
-    unfixed = _uncorrected_shear_face(beta, nu, h, rho)
-    (fixed,) = closed_profiles(beta, nu, h, rho, 1.0, fields=("X",))
+    unfixed = _uncorrected_shear_face(beta, nu, h)
+    (fixed,) = closed_profiles(beta, nu, h, 1.0, fields=("X",))
 
     rows = tuple(
         ModeDiscrepancy(
             n=int(ns[i, 0]), beta=float(beta[i, 0]),
             rel_diff_ab=float(d_ab[i]), rel_diff_cb=float(d_cb[i]),
-            delta_ratio=float(delta[i]),
+            amplitude_ratio=float(delta[i]),
             uncorrected_shear_face=float(unfixed[i, 0]),
             corrected_shear_face=float(fixed[i, 0]),
         )
@@ -363,5 +372,6 @@ def discrepancy_report(geom: Geometry, mat: Material,
         raise PathDivergenceError(
             f"boundary-solve profiles diverge from block profiles by "
             f"{max_ab:.3e} (> {_PATH_AB_HARD_LIMIT:g})")
-    return DiscrepancyReport(geometry=geom, material=mat, calibration_ratio=rho,
+    return DiscrepancyReport(geometry=geom, material=mat,
+                             calibration_ratio=_calibration_ratio(geom, mat),
                              rows=rows, max_rel_ab=max_ab, max_rel_cb=max_cb)

@@ -1,10 +1,12 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from platestamp import Geometry, Material
 from platestamp.strip_solution import (
+    _CLOSED_FORM_MIN_BETA,
     block_profiles,
     closed_profiles,
     initial_amplitudes,
@@ -35,11 +37,11 @@ def mode_scalars(n, geom):
     return k.item(), beta.item()
 
 
-def mode_kernel(path, n, geom, mat, *, rho=1.0):
+def mode_kernel(path, n, geom, mat):
     """The kernel of path "A", "B" or "C" bound to mode n alone, on its
-    scalar k and beta (path A: its own boundary solve; path C: amplitude
-    ratio ``rho``).  Calling it on eta, with the kernel's optional
-    ``fields``, returns the profiles U, V, Y, X, SX (or ``fields``)."""
+    scalar k and beta (path A: its own boundary solve).  Calling it on
+    eta, with the kernel's optional ``fields``, returns the profiles U, V,
+    Y, X, SX (or ``fields``)."""
     k, beta = mode_scalars(n, geom)
     nu = mat.nu
     if path == "A":
@@ -47,4 +49,19 @@ def mode_kernel(path, n, geom, mat, *, rho=1.0):
                                  *initial_amplitudes(n, k, beta, nu))
     if path == "B":
         return functools.partial(block_profiles, k, beta, nu)
-    return functools.partial(closed_profiles, beta, nu, geom.h, rho)
+    return functools.partial(closed_profiles, beta, nu, geom.h)
+
+
+def closed_form_floor_heights(l):
+    """Two heights one ulp apart, (h_below, h_at), of plates of length
+    ``l``: beta_1 = pi h / l, as ``mode_columns`` computes it, is just
+    below path C's floor at h_below and at or just above it at h_at."""
+    def beta_1(h):
+        return mode_scalars(1, Geometry(l, h))[1]
+
+    h = _CLOSED_FORM_MIN_BETA / (math.pi / l)
+    while beta_1(h) < _CLOSED_FORM_MIN_BETA:
+        h = math.nextafter(h, math.inf)
+    while beta_1(math.nextafter(h, 0.0)) >= _CLOSED_FORM_MIN_BETA:
+        h = math.nextafter(h, 0.0)
+    return math.nextafter(h, 0.0), h

@@ -23,7 +23,7 @@ from platestamp import (
     total_force,
 )
 from platestamp.stamp_problem import contact_pressure
-from platestamp.strip_solution import _ratios, calibrate_delta_ratio
+from platestamp.strip_solution import _ratios
 from platestamp.verification import _uncorrected_shear_face
 
 from conftest import mode_kernel, mode_scalars
@@ -56,9 +56,8 @@ def raised_cosine_series():
 
 @pytest.fixture(scope="module")
 def all_paths_per_mode():
-    rho = calibrate_delta_ratio(GEOM, MAT)
     return [(mode_kernel("A", n, GEOM, MAT), mode_kernel("B", n, GEOM, MAT),
-             mode_kernel("C", n, GEOM, MAT, rho=rho)) for n in range(1, N_MODES + 1)]
+             mode_kernel("C", n, GEOM, MAT)) for n in range(1, N_MODES + 1)]
 
 
 def test_criterion_1_three_path_equivalence():
@@ -204,7 +203,7 @@ def test_criterion_5_shear_typo_regression():
     worst = 0.0
     for n in range(1, N_MODES + 1):
         b = mode_scalars(n, GEOM)[1]
-        unfixed = _uncorrected_shear_face(b, NU, H, 1.0)
+        unfixed = _uncorrected_shear_face(b, NU, H)
         (corrected,) = mode_kernel("C", n, GEOM, MAT)(1.0, fields=("X",))
         bracket = float(unfixed) * H * (1 - NU) * math.sinh(b) ** 2 / b**2
         reference = -math.expm1(-2.0 * b) / 2.0    # sh(b)(ch(b) - sh(b))

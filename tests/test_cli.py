@@ -1,5 +1,6 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
 import dataclasses
+import functools
 import filecmp
 import gc
 import os
@@ -32,6 +33,8 @@ from platestamp.cli import FIELD_GRID_HEADER, PRESSURE_HEADER, main
 from platestamp.stamp_problem import ProfileKind
 from platestamp.strip_solution import SeriesField
 from platestamp.verification import SharedGridFields
+
+from conftest import closed_form_floor_heights
 
 SRC = str(Path(platestamp.__file__).resolve().parents[1])
 
@@ -186,6 +189,19 @@ class TestRun:
         for arr in bundle.fields.values():
             assert np.all(arr == 0.0)
         assert np.all(bundle.pressure == 0.0)
+
+    @pytest.mark.parametrize("source", ["output_dir", "RunConfig.output_dir"])
+    def test_empty_output_directory_rejected(self, tmp_path, monkeypatch, source):
+        # an empty directory used to fall through to ./platestamp_out
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(MINIMAL.replace("modes = 64", "modes = 4"))
+        if source == "output_dir":
+            call = functools.partial(run, cfg, output_dir="")
+        else:
+            call = functools.partial(run, dataclasses.replace(cfg, output_dir=""))
+        with pytest.raises(ConfigError, match=f"^{re.escape(source)} must name a directory"):
+            call()
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = parse_config(MINIMAL)
@@ -672,6 +688,21 @@ path = A
                      "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{named}:" in err
+
+    def test_path_c_below_floor_exit_two(self, tmp_path, capsys):
+        # one ulp of h below path C's beta floor: path C exits 2 naming its
+        # key, path B solves the same plate, and path C solves at the floor
+        h_below, h_at = closed_form_floor_heights(2.0)
+        text = MINIMAL.replace("h = 1", f"h = {h_below!r}").replace(
+            "modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "c"), "--path", "C"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid value for [solver] path: path C needs beta_1")
+        assert not (tmp_path / "c").exists()
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "b"), "--path", "B"]) == 0
+        cfg = self._write(tmp_path, text.replace(repr(h_below), repr(h_at)))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "c"), "--path", "C"]) == 0
 
     def test_thick_plate_verify_exit_zero(self, tmp_path):
         # h/l = 10: the verification margin follows the shorter side, and the

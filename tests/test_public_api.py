@@ -12,9 +12,9 @@ import platestamp
 from platestamp import Geometry, Material
 from platestamp.core import Parity
 from platestamp.stamp_problem import sine_coefficients
-from platestamp.strip_solution import (SeriesField, assemble_series, calibrate_delta_ratio,
-                                       closed_profiles)
-from platestamp.verification import ResidualReport, SharedGridFields, constitutive_residual
+from platestamp.strip_solution import SeriesField, assemble_series, closed_profiles
+from platestamp.verification import (ModeDiscrepancy, ResidualReport, SharedGridFields,
+                                     constitutive_residual)
 
 MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp.__path__)
                  if m.name != "__main__")
@@ -33,6 +33,8 @@ REMOVED = {
     "platestamp.strip_solution": (
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed", "_scaled_ops", "_ZERO_ROW_OPS", "_INITIAL_ROWS",
+        "calibrate_delta_ratio", "_CALIBRATION_TOL", "_CALIBRATION_MODE",
+        "_CALIBRATION_SAMPLES",
     ),
     "platestamp.verification": ("path_profile_difference", "fd_laplace_solve",
                                 "laplacian_residual"),
@@ -42,7 +44,6 @@ REMOVED = {
 REMOVED_TOP_LEVEL = {
     "platestamp.core": ("Parity",),
     "platestamp.modal_calculus": ("RatioKind", "stable_ratio"),
-    "platestamp.strip_solution": ("calibrate_delta_ratio",),
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
@@ -103,7 +104,10 @@ def test_removed_members_unreachable():
 def test_removed_parameters():
     assert "uncorrected_shear" not in inspect.signature(assemble_series).parameters
     assert "uncorrected_shear" not in inspect.signature(closed_profiles).parameters
-    assert list(inspect.signature(calibrate_delta_ratio).parameters) == ["geom", "mat"]
+    # path C's amplitude is the sine coefficient, with no calibrated ratio;
+    # the report's per-mode delta/c column is its amplitude_ratio
+    assert "delta_ratio" not in inspect.signature(closed_profiles).parameters
+    assert "delta_ratio" not in [f.name for f in dataclasses.fields(ModeDiscrepancy)]
     # the shared grids are evaluated when a meter first asks for them
     assert list(inspect.signature(SharedGridFields).parameters) == ["sf"]
     # ``panels`` is the one quadrature setting

@@ -10,6 +10,7 @@ from platestamp import (
     BoundaryCompatibilityError,
     BoundaryProfile,
     DomainError,
+    Geometry,
     assemble_series,
     contact_pressure,
     sine_coefficients,
@@ -17,7 +18,6 @@ from platestamp import (
 )
 from platestamp import stamp_problem
 from platestamp.stamp_problem import sine_transform
-from platestamp.strip_solution import calibrate_delta_ratio
 
 from conftest import mode_kernel, mode_scalars
 
@@ -408,6 +408,17 @@ class TestTotalForce:
         sf = assemble_series([1.0], geom, mat)
         assert total_force(sf) == pytest.approx(FORCE_SINGLE_MODE1, rel=1e-13)
 
+    @pytest.mark.parametrize("h", [1e5, 1e10])
+    def test_thick_plate_path_c_force_matches_path_b(self, mat, h):
+        # the README stamp: path C's amplitude is the sine coefficient, so
+        # its force lands on path B's; scaled by mode 1's least-squares
+        # ratio, it was 2.7e-7 off at h = 1e10
+        geom = Geometry(2.0, h)
+        coeffs = sine_coefficients(BoundaryProfile.raised_cosine(1.0, 0.4, 0.01), geom, 64)
+        force_b, force_c = (total_force(assemble_series(coeffs, geom, mat, path=p))
+                            for p in "BC")
+        assert abs(force_c - force_b) <= 1e-12 * abs(force_b)
+
     def test_matches_pressure_quadrature(self, geom, mat):
         # analytic odd-mode sum vs composite Simpson of the pressure profile
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
@@ -426,12 +437,11 @@ def per_mode_face_sums(sf, xs):
     """Pressure at ``xs`` and total force summed mode by mode in mode order,
     each mode's face value Y(1) from its own kernel call."""
     geom, mat = sf.geometry, sf.material
-    rho = calibrate_delta_ratio(geom, mat)
     pressure, force = np.zeros(xs.shape), 0.0
     for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
         if c == 0.0:
             continue
-        (y1,) = mode_kernel(sf.path.value, n, geom, mat, rho=rho)(1.0, fields=("Y",))
+        (y1,) = mode_kernel(sf.path.value, n, geom, mat)(1.0, fields=("Y",))
         pressure += c * (float(y1) * np.sin(mode_scalars(n, geom)[0] * xs))
         if n % 2:
             force += c * float(y1) * 2.0 * geom.l / (n * math.pi)

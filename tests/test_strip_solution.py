@@ -25,9 +25,9 @@ from platestamp import (
     BoundaryProfile,
 )
 from platestamp.strip_solution import (
+    _CLOSED_FORM_MIN_BETA,
     FIELD_NAMES,
     block_profiles,
-    calibrate_delta_ratio,
     closed_profiles,
     initial_amplitudes,
     initial_profiles,
@@ -35,7 +35,7 @@ from platestamp.strip_solution import (
 )
 from platestamp.verification import _uncorrected_shear_face, discrepancy_report
 
-from conftest import mode_kernel, mode_scalars
+from conftest import closed_form_floor_heights, mode_kernel, mode_scalars
 
 mp.mp.dps = 40
 
@@ -108,9 +108,8 @@ class TestPathEquivalence:
     def test_equivalence_across_materials_and_shapes(self, l, h, nu):
         geom = Geometry(l, h)
         mat = Material(E=1.0, nu=nu)
-        rho = calibrate_delta_ratio(geom, mat)
-        assert rho == pytest.approx(1.0, abs=1e-12)
         rep = discrepancy_report(geom, mat, [1, 5, 40])
+        assert rep.calibration_ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.max_rel_ab < 1e-10
         assert rep.max_rel_cb < 1e-10
 
@@ -125,8 +124,9 @@ class TestPathEquivalence:
 
 class TestPathC:
     def test_calibration_ratio_is_unity(self, geom, mat):
-        rho = calibrate_delta_ratio(geom, mat)
-        assert rho == pytest.approx(1.0, abs=1e-12)
+        # reported, not applied: path C's amplitude is the sine coefficient
+        rep = discrepancy_report(geom, mat, [1])
+        assert rep.calibration_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_calibration_holds_for_all_modes(self, geom, mat):
         # the same scalar works mode by mode (checked through V-profile fits)
@@ -149,7 +149,7 @@ class TestPathC:
         the violation equals sh(b)(ch(b) - sh(b)), computed stably as
         (1 - e^(-2b))/2.  The corrected factor cancels exactly."""
         b = mode_scalars(n, geom)[1]
-        unfixed = _uncorrected_shear_face(b, mat.nu, geom.h, 1.0)
+        unfixed = _uncorrected_shear_face(b, mat.nu, geom.h)
         (corrected,) = mode_kernel("C", n, geom, mat)(1.0, fields=("X",))
         # back out the bracket value: X(1) * h * Delta / beta^2
         bracket = float(unfixed) * geom.h * (1 - mat.nu) * math.sinh(b) ** 2 / b**2
@@ -157,32 +157,83 @@ class TestPathC:
         assert abs(bracket - reference) < 1e-12
         assert corrected == 0.0
 
-    def test_bad_closed_form_fails_calibration(self, geom, mat, monkeypatch):
-        # sanity: the calibration residual check has teeth; a profile pair
-        # that differs by more than a scalar cannot be least-squares matched
-        from platestamp import PathDivergenceError
-        import platestamp.strip_solution as ss
+    def test_bad_closed_form_shows_in_calibration_ratio(self, geom, mat, monkeypatch):
+        # a path-C V-profile that differs from path B's by more than a
+        # scalar is report content: the least-squares ratio leaves 1 and
+        # C-B grows, with no raise.  (A broken block profile would break
+        # the A-B comparison as well, which raises.)
+        import platestamp.verification as verif
 
-        orig = ss.block_profiles
+        orig = verif.closed_profiles
 
-        def broken(k, beta, nu, eta, *, fields=FIELD_NAMES):
-            prof = dict(zip(fields, orig(k, beta, nu, eta, fields=fields)))
+        def broken(beta, nu, h, eta, *, fields=FIELD_NAMES):
+            prof = dict(zip(fields, orig(beta, nu, h, eta, fields=fields)))
             if "V" in prof:
                 prof["V"] = prof["V"] + 0.05 * np.asarray(eta)
             return tuple(prof[f] for f in fields)
 
-        monkeypatch.setattr(ss, "block_profiles", broken)
-        with pytest.raises(PathDivergenceError):
-            calibrate_delta_ratio(geom, mat)
+        monkeypatch.setattr(verif, "closed_profiles", broken)
+        rep = discrepancy_report(geom, mat, [1, 2])
+        assert abs(rep.calibration_ratio - 1.0) > 1e-3
+        assert rep.max_rel_cb > 1e-3
+        assert rep.max_rel_ab < 1e-10
 
-    def test_nan_residual_fails_calibration(self, mat):
-        # at h = 1e-20 the closed form is NaN, which a plain "greater than
-        # the tolerance" test let through as rho = nan
+    def test_nan_closed_form_plate_fails_report(self, mat):
+        # at h = 1e-20 the closed form is NaN: path C refuses the plate
+        # (its beta floor), and the report raises through its A-B check
         from platestamp import PathDivergenceError
 
+        geom = Geometry(2.0, 1e-20)
+        with pytest.raises(DomainError, match="beta_1"):
+            assemble_series([1.0], geom, mat, path="C")
         with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(PathDivergenceError, match="residual nan"):
-            calibrate_delta_ratio(Geometry(2.0, 1e-20), mat)
+                pytest.raises(PathDivergenceError, match="block profiles by"):
+            discrepancy_report(geom, mat, range(1, 65))
+
+
+def exact_profiles(k, beta, nu, etas):
+    """Path B's formulas (:func:`block_profiles`) at 40 digits, rounded
+    once: the five profiles of one mode on ``etas``, shape (5, len(etas))."""
+    k, b, nu = mp.mpf(k), mp.mpf(beta), mp.mpf(nu)
+    sh, ch = mp.sinh(b), mp.cosh(b)
+    rows = []
+    for eta in etas:
+        be = b * mp.mpf(float(eta))
+        shr, chr_ = mp.sinh(be) / sh, mp.cosh(be) / sh
+        ccr, scr = chr_ * ch / sh, shr * ch / sh
+        rows.append([(-(1 - 2 * nu) * chr_ - be * shr + b * ccr) / (2 * (1 - nu)),
+                     shr + (b * scr - be * chr_) / (2 * (1 - nu)),
+                     (k / (1 - nu)) * (chr_ - be * shr + b * ccr),
+                     (k * b / (1 - nu)) * (scr - mp.mpf(float(eta)) * chr_),
+                     (k / (1 - nu)) * (chr_ + be * shr - b * ccr)])
+    return np.array(rows, dtype=float).T
+
+
+class TestClosedFormFloor:
+    """Path C solves only plates whose beta_1 = pi h / l is at or above
+    its floor, where its profiles stay within 1e-8 of the exact ones."""
+
+    def test_below_floor_raises(self, mat):
+        h_below, _ = closed_form_floor_heights(2.0)
+        geom = Geometry(2.0, h_below)
+        with pytest.raises(DomainError, match=r"beta_1 = pi h / l >= 0\.005, got .*path B"):
+            assemble_series([1.0, 0.5], geom, mat, path="C")
+        for path in "AB":
+            assemble_series([1.0, 0.5], geom, mat, path=path)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.49])
+    def test_at_floor_within_limit(self, nu):
+        _, h_at = closed_form_floor_heights(2.0)
+        geom, mat = Geometry(2.0, h_at), Material(E=1.0, nu=nu)
+        assemble_series([1.0], geom, mat, path="C")
+        k, beta = mode_scalars(1, geom)
+        assert beta >= _CLOSED_FORM_MIN_BETA
+        etas = np.linspace(0.0, 1.0, 101)
+        exact = exact_profiles(k, beta, nu, etas)
+        got = np.array(mode_kernel("C", 1, geom, mat)(etas))
+        scale = np.max(np.abs(exact), axis=1, keepdims=True)
+        assert np.max(np.abs(got - exact) / scale) <= 1e-8
+        assert discrepancy_report(geom, mat, range(1, 65)).max_rel_cb <= 1e-8
 
 
 class TestBatchKernels:
@@ -194,7 +245,6 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("path", ["A", "B", "C"])
     def test_rows_equal_per_mode_profiles(self, geom, mat, path):
-        rho = calibrate_delta_ratio(geom, mat)
         ns, k, beta = mode_columns(self.NS, geom)
         if path == "A":
             batch = initial_profiles(k, beta, mat.nu, *initial_amplitudes(ns, k, beta, mat.nu),
@@ -202,12 +252,12 @@ class TestBatchKernels:
         elif path == "B":
             batch = block_profiles(k, beta, mat.nu, self.ETAS)
         else:
-            batch = closed_profiles(beta, mat.nu, geom.h, rho, self.ETAS)
+            batch = closed_profiles(beta, mat.nu, geom.h, self.ETAS)
         for i, n in enumerate(self.NS):
             # the batch columns have the bits of the scalar arithmetic
             assert k[i, 0] == n * math.pi / geom.l
             assert beta[i, 0] == k[i, 0] * geom.h
-            prof = mode_kernel(path, n, geom, mat, rho=rho)
+            prof = mode_kernel(path, n, geom, mat)
             for f, rows, row in zip(FIELD_NAMES, batch, prof(self.ETAS)):
                 assert np.array_equal(rows[i], row), (n, f)
 
@@ -222,12 +272,11 @@ def outer_product_fields(sf, xs, ys):
     """Reference for SeriesField.grid_fields: the mode-by-mode sum of
     outer products of each mode's own profiles, accumulated in mode order."""
     geom, mat = sf.geometry, sf.material
-    rho = calibrate_delta_ratio(geom, mat)
     eta = ys / geom.h
     acc = {f: np.zeros((ys.size, xs.size)) for f in FIELD_NAMES}
     for n, c in enumerate(sf.c[:, 0].tolist(), start=1):
         k = mode_scalars(n, geom)[0]
-        for f, prof in zip(FIELD_NAMES, mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta)):
+        for f, prof in zip(FIELD_NAMES, mode_kernel(sf.path.value, n, geom, mat)(eta)):
             trig = np.cos if f in ("U", "X") else np.sin
             acc[f] += c * np.outer(prof, trig(k * xs))
     G = mat.G
@@ -373,10 +422,9 @@ def per_mode_grid_fields(sf, xs, ys):
     own kernel call on its scalar arguments, then contracted with the
     same fixed-order einsum."""
     geom, mat = sf.geometry, sf.material
-    rho = calibrate_delta_ratio(geom, mat)
     eta = ys / geom.h
     active = [(n, c) for n, c in enumerate(sf.c[:, 0].tolist(), start=1) if c != 0.0]
-    profs = [mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta) for n, _ in active]
+    profs = [mode_kernel(sf.path.value, n, geom, mat)(eta) for n, _ in active]
     c = np.array([c for _, c in active]).reshape(-1, 1)
     k = [mode_scalars(n, geom)[0] for n, _ in active]
     total = {}
@@ -395,10 +443,9 @@ def exact_uniform_grid_fields(sf, xs, ys):
     at 40 digits with sin(pi n i / M) and cos(pi n i / M); rounded once."""
     geom, mat = sf.geometry, sf.material
     M = len(xs) - 1
-    rho = calibrate_delta_ratio(geom, mat)
     eta = ys / geom.h
     active = [(n, c) for n, c in enumerate(sf.c[:, 0].tolist(), start=1) if c != 0.0]
-    profs = [mode_kernel(sf.path.value, n, geom, mat, rho=rho)(eta) for n, _ in active]
+    profs = [mode_kernel(sf.path.value, n, geom, mat)(eta) for n, _ in active]
     with mp.workdps(40):
         trig = {}
         for parity, fn in (("sin", mp.sin), ("cos", mp.cos)):
@@ -467,7 +514,7 @@ class TestGridPass:
                             lambda *args: solves.append(args) or amplitudes(*args))
         sf = self.series(geom, mat, path, 37)
         assert len(solves) == (1 if path == "A" else 0)
-        calls.clear()   # path C's calibration calls two kernels
+        assert calls == []
         grids = self.grids(geom)
         for xs, ys in grids:
             sf.grid_fields(xs, ys)
@@ -550,12 +597,15 @@ class TestFaceMultiplier:
     # 4.8e-7 at beta = 1e5, so its face values are checked up to beta = 20
     # only.  The loss already shows below that on other plates: with l = pi
     # (k = 1), path A is off by 3.4e-14 at beta = 17.8
-    @pytest.mark.parametrize("path,b_max,tol", [("B", 1e5, 1e-14), ("C", 1e5, 1e-11),
-                                                ("A", 20.0, 1e-14)])
-    def test_face_normal_stress_matches_closed_form(self, geom, mat, path, b_max, tol):
+    # path C solves from its beta floor on
+    @pytest.mark.parametrize("path,b_min,b_max,tol", [
+        pytest.param("B", 0.0, 1e5, 1e-14, id="B-100000.0-1e-14"),
+        pytest.param("C", _CLOSED_FORM_MIN_BETA, 1e5, 1e-11, id="C-0.005-100000.0-1e-11"),
+        pytest.param("A", 0.0, 20.0, 1e-14, id="A-20.0-1e-14")])
+    def test_face_normal_stress_matches_closed_form(self, geom, mat, path, b_min, b_max, tol):
         # mode 1 of the desk plate (k = pi/2) on plates of height 2 b / pi
         worst = 0.0
-        for b in _FACE_BETAS[_FACE_BETAS <= b_max]:
+        for b in _FACE_BETAS[(_FACE_BETAS >= b_min) & (_FACE_BETAS <= b_max)]:
             sf = assemble_series([1.0], Geometry(l=geom.l, h=float(b) / (math.pi / geom.l)),
                                  mat, path=path)
             want = sf.k[0, 0] * _face_multiplier(sf.beta[0, 0], mat.nu)
