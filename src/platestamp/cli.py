@@ -36,6 +36,8 @@ from .strip_solution import _check_closed_form_range, assemble_series
 from .verification import (
     GridSpec,
     SharedGridFields,
+    _exclusion_band,
+    _refined_grid,
     constitutive_residual,
     discrepancy_report,
     equilibrium_residual,
@@ -45,13 +47,6 @@ __all__ = ["RunConfig", "OutputBundle", "parse_config", "run", "main"]
 
 FIELD_GRID_HEADER = "x,y,u,v,sigma_x,sigma_y,tau_xy"
 PRESSURE_HEADER = "x,sigma_y_at_h"
-
-#: physical band excluded by the verification order meters (see
-#: platestamp.verification: the truncated series is unresolvable by the
-#: run grid inside a ~1/k_N boundary layer), as a fraction of the plate's
-#: shorter side: the band runs along all four sides, so a fraction of the
-#: longer side can leave no interior point.
-VERIFY_MARGIN_FRACTION = 0.15
 
 #: per stamp kind, its keys in the order its BoundaryProfile factory takes them
 _STAMP_KEYS = {
@@ -346,16 +341,13 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     if config.verify:
         disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
         grid = GridSpec(config.grid_nx, config.grid_ny)
-        refined = GridSpec(2 * config.grid_nx - 1, 2 * config.grid_ny - 1)
-        margin = VERIFY_MARGIN_FRACTION * min(geom.l, geom.h)
         # the coarse and fine grids that both residual meters read, each
         # evaluated once and freed before the artifacts are formatted
         shared = SharedGridFields(sf)
-        eq1, eq2 = equilibrium_residual(shared, grid, refined=refined,
-                                        exclusion_margin=margin)
-        c1, c2, c3 = constitutive_residual(shared, grid, refined=refined,
-                                           exclusion_margin=margin)
+        eq1, eq2 = equilibrium_residual(shared, grid)
+        c1, c2, c3 = constitutive_residual(shared, grid)
         del shared
+        refined = _refined_grid(grid)
         summary.update(disc.as_dict())
         summary.update({
             "equilibrium_order_x": eq1.observed_order,
@@ -372,7 +364,7 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
             "",
             "residual meters (central differences, grid pair "
             f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
-            f"exclusion margin {margin:g}):",
+            f"exclusion margin {_exclusion_band(geom):g}):",
             f"  equilibrium x: max {eq1.max_abs:.3e}, observed order {eq1.observed_order:.3f}",
             f"  equilibrium y: max {eq2.max_abs:.3e}, observed order {eq2.observed_order:.3f}",
             f"  constitutive sigma_x: order {c1.observed_order:.3f}",
@@ -443,8 +435,8 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cp = _read(text)
         # the flags are [solver] values, checked with the rest of the config

@@ -257,20 +257,12 @@ def sine_transform(f: Callable, length: float, ns: np.ndarray,
     return (2.0 / length) * total
 
 
-def sine_coefficients(
-    profile: BoundaryProfile,
-    geom: Geometry,
-    N: int,
-    panels: int | None = None,
-) -> np.ndarray:
+def sine_coefficients(profile: BoundaryProfile, geom: Geometry, N: int) -> np.ndarray:
     """Sine coefficients c_1..c_N of V_h.
 
-    By default, closed forms where the profile has them (single mode,
-    flat stamp, parabolic bump) and composite Simpson with 8 N
-    subintervals elsewhere; an explicit ``panels`` asks for Simpson with
-    that many subintervals for every kind.  The two routes agree to
-    1e-10 for resolutions beyond the default (the comparison is part of
-    the test suite).
+    Closed forms where the profile has them (single mode, flat stamp,
+    parabolic bump), composite Simpson with 8 N subintervals
+    (:func:`sine_transform`) elsewhere.
     """
     N = _positive_integer(N, "N")
     profile.validate_edges(geom)
@@ -279,12 +271,11 @@ def sine_coefficients(
             f"single-mode profile at mode {profile.mode} is not representable "
             f"with N={N} coefficients")
     ns = np.arange(1, N + 1)
-    if panels is None:
-        exact = profile.exact_transform(ns, geom)
-        if exact is not None:
-            return np.asarray(exact, dtype=float)
-    return sine_transform(lambda t: profile.evaluate(t, geom), geom.l, ns,
-                          8 * N if panels is None else panels, profile.breakpoints(geom))
+    exact = profile.exact_transform(ns, geom)
+    if exact is not None:
+        return np.asarray(exact, dtype=float)
+    return sine_transform(lambda t: profile.evaluate(t, geom), geom.l, ns, 8 * N,
+                          profile.breakpoints(geom))
 
 
 def contact_pressure(sf: SeriesField, x):

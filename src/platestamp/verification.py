@@ -6,14 +6,18 @@ report runs the three per-mode solution routes against each other and
 documents the closed-form corrections.
 
 Residual meters evaluate on the interior of a uniform grid (one cell
-from the boundary so the central stencils stay valid) and can exclude a
-further band of physical width ``exclusion_margin``: a truncated series
-with top wavenumber k_N has a boundary layer of thickness ~1/k_N that a
+from the boundary so the central stencils stay valid) outside a band of
+width ``0.15 * min(l, h)`` along all four sides: a truncated series with
+top wavenumber k_N has a boundary layer of thickness ~1/k_N that a
 desk-scale grid cannot resolve, and convergence-order measurements are
 meaningful only outside it.  A meter evaluates only the grid rows its
 stencils read: the rows outside the band, and one more on either side.
-Observed orders are computed from the l2 (root-mean-square) residual of
-a grid pair.  The meters read only ``geometry``, ``material`` and
+Each meter measures the grid it is given and its refinement, with
+2 n - 1 interior points per axis for n, and computes the observed order
+from the l2 (root-mean-square) residuals of that pair.  The band and the
+refinement are the meters' own (:func:`_exclusion_band`,
+:func:`_refined_grid`); a caller passes only the coarse grid.  The
+meters read only ``geometry``, ``material`` and
 ``grid_fields`` of the field they are given.  :class:`SharedGridFields`
 is a memo of a series field's ``grid_fields``: it evaluates a grid the
 first time a meter asks for it and hands the kept fields to the next, so
@@ -24,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,31 +95,44 @@ class GridSpec:
 class ResidualReport:
     """Residual statistics over the evaluated interior points.
 
-    ``l2`` is the root-mean-square residual; ``observed_order`` (from the
-    l2 of a coarse/fine grid pair) is present only when a refined grid
-    was supplied, and is NaN when either grid's l2 is 0.
+    ``l2`` is the root-mean-square residual; ``observed_order`` comes
+    from the l2 of the grid and its refinement, and is NaN when either
+    grid's l2 is 0.
     """
 
     max_abs: float
     l2: float
-    observed_order: Optional[float] = None
+    observed_order: float
 
 
 def _stats(vals: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))
 
 
-def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
-           exclusion_margin: float, terms) -> tuple:
+def _refined_grid(grid: GridSpec) -> GridSpec:
+    """The fine grid of a meter's pair: 2 n - 1 interior points per axis
+    for n."""
+    return GridSpec(2 * grid.nx - 1, 2 * grid.ny - 1)
+
+
+def _exclusion_band(geom: Geometry) -> float:
+    """Width of the band along all four sides that the meters leave out,
+    a fraction of the plate's shorter side (a fraction of the longer side
+    could leave no interior point).  The fraction is below 1/4, so every
+    grid of at least 3x3 interior points keeps a row and a column."""
+    return 0.15 * min(geom.l, geom.h)
+
+
+def _meter(fields_on, geom: Geometry, grid: GridSpec, terms) -> tuple:
     """One report per residual array that ``terms(f, dx, dy)`` builds from
     the fields ``f = fields_on(xs, ys)`` of a grid, over the grid's interior
-    points outside the exclusion margin; with a ``refined`` grid, each
-    report carries the observed order.
+    points outside the exclusion band, with the observed order from the
+    grid and its refinement.
 
     The fields are evaluated on the full x axis and on the y rows from one
-    below the first interior row outside the margin to one above the last,
+    below the first interior row outside the band to one above the last,
     the rows that the central differences on those rows read."""
-    m = exclusion_margin
+    m = _exclusion_band(geom)
 
     def run(g: GridSpec):
         dx, dy = g.spacing(geom)
@@ -123,8 +140,6 @@ def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
         xi, yi = xs[1:-1], ys[1:-1]
         cols = (xi >= m) & (xi <= geom.l - m)
         (rows,) = np.nonzero((yi >= m) & (yi <= geom.h - m))
-        if not (rows.size and cols.any()):
-            raise DomainError("exclusion margin leaves no interior points")
         # interior row i is sample row i + 1, so its stencil spans sample
         # rows i..i + 2
         residuals = terms(fields_on(xs, ys[rows[0]:rows[-1] + 3]), dx, dy)
@@ -133,9 +148,7 @@ def _meter(fields_on, geom: Geometry, grid: GridSpec, refined: GridSpec | None,
         return [_stats(res[:, cols].ravel()) for res in residuals], dx
 
     stats, dx = run(grid)
-    if refined is None:
-        return tuple(ResidualReport(*s) for s in stats)
-    stats_f, dx_f = run(refined)
+    stats_f, dx_f = run(_refined_grid(grid))
 
     def order(l2, l2_f):
         """The observed order from the l2 residuals of the grid pair; a
@@ -203,27 +216,18 @@ class SharedGridFields:
         return self._kept[key]
 
 
-def equilibrium_residual(
-    sf,
-    grid: GridSpec,
-    refined: GridSpec | None = None,
-    exclusion_margin: float = 0.0,
-) -> tuple[ResidualReport, ResidualReport]:
+def equilibrium_residual(sf, grid: GridSpec) -> tuple[ResidualReport, ResidualReport]:
     """Central-difference residuals of the two force-balance equations
     d(sigma_x)/dx + d(tau_xy)/dy and d(tau_xy)/dx + d(sigma_y)/dy."""
-    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin,
-                  _equilibrium_terms)
+    return _meter(sf.grid_fields, sf.geometry, grid, _equilibrium_terms)
 
 
 def constitutive_residual(
-    sf,
-    grid: GridSpec,
-    refined: GridSpec | None = None,
-    exclusion_margin: float = 0.0,
+    sf, grid: GridSpec,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
     """Residuals of the three plane-strain stress-strain relations of
     ``sf.material``, with strains from central differences of u and v."""
-    return _meter(sf.grid_fields, sf.geometry, grid, refined, exclusion_margin,
+    return _meter(sf.grid_fields, sf.geometry, grid,
                   functools.partial(_constitutive_terms, sf.material))
 
 

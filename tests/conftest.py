@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from platestamp import Geometry, Material
+from platestamp.stamp_problem import sine_transform
 from platestamp.strip_solution import (
     _CLOSED_FORM_MIN_BETA,
     block_profiles,
@@ -50,6 +51,15 @@ def mode_kernel(path, n, geom, mat):
     if path == "B":
         return functools.partial(block_profiles, k, beta, nu)
     return functools.partial(closed_profiles, beta, nu, geom.h)
+
+
+def simpson_coefficients(profile, geom, N, subintervals):
+    """Sine coefficients c_1..c_N of ``profile`` by composite Simpson with
+    ``subintervals`` subintervals, for every kind, closed form or not: the
+    quadrature that ``sine_coefficients`` runs, with 8 N subintervals, for
+    a kind without one.  The profile's edges are not checked."""
+    return sine_transform(lambda t: profile.evaluate(t, geom), geom.l, np.arange(1, N + 1),
+                          subintervals, profile.breakpoints(geom))
 
 
 def closed_form_floor_heights(l):

@@ -281,10 +281,8 @@ class TestRun:
         geom = cfg.geometry
         sf = assemble_series(sine_coefficients(cfg.profile, geom, cfg.modes), geom,
                              cfg.material)
-        pair = dict(grid=GridSpec(13, 11), refined=GridSpec(25, 21),
-                    exclusion_margin=0.15 * min(geom.l, geom.h))
-        eq = equilibrium_residual(sf, **pair)
-        con = constitutive_residual(sf, **pair)
+        eq = equilibrium_residual(sf, GridSpec(13, 11))
+        con = constitutive_residual(sf, GridSpec(13, 11))
         assert [summary[f"equilibrium_order_{a}"] for a in "xy"] == \
             [r.observed_order for r in eq]
         assert [summary[f"equilibrium_max_abs_{a}"] for a in "xy"] == [r.max_abs for r in eq]
@@ -457,6 +455,16 @@ class TestMain:
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", MINIMAL.encode("utf-16")],
+                             ids=["bytes", "utf-16"])
+    def test_undecodable_config_file_exit_two(self, tmp_path, capsys, data):
+        # a config file is read as UTF-8; one that is not is named, not a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(data)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["--output", "[output] directory"])
     def test_unwritable_output_exit_two(self, tmp_path, capsys, source):

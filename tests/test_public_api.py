@@ -14,13 +14,14 @@ from platestamp.core import Parity
 from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, closed_profiles
 from platestamp.verification import (ModeDiscrepancy, ResidualReport, SharedGridFields,
-                                     constitutive_residual)
+                                     constitutive_residual, equilibrium_residual)
 
 MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp.__path__)
                  if m.name != "__main__")
 
 #: names removed from the package, by the module that held them
 REMOVED = {
+    "platestamp.cli": ("VERIFY_MARGIN_FRACTION",),
     "platestamp.core": ("ModeIndex", "QuadratureError", "FdSolveError"),
     "platestamp.modal_calculus": (
         "ModalValue", "apply_parity", "building_block", "_block_value",
@@ -110,15 +111,20 @@ def test_removed_parameters():
     assert "delta_ratio" not in [f.name for f in dataclasses.fields(ModeDiscrepancy)]
     # the shared grids are evaluated when a meter first asks for them
     assert list(inspect.signature(SharedGridFields).parameters) == ["sf"]
-    # ``panels`` is the one quadrature setting
+    # the quadrature has no setting: tests force it through sine_transform
     coeffs = inspect.signature(sine_coefficients).parameters
-    assert "quad" not in coeffs and "force_quadrature" not in coeffs
-    assert coeffs["panels"].default is None
+    assert list(coeffs) == ["profile", "geom", "N"]
+    # the meters work out their own grid pair and exclusion band
+    for meter in (equilibrium_residual, constitutive_residual):
+        params = inspect.signature(meter).parameters
+        assert "refined" not in params and "exclusion_margin" not in params
     # the meters check the material of the field they are given
     assert "material" not in inspect.signature(constitutive_residual).parameters
 
 
 def test_residual_report_fields():
     # the meters report no location of the largest residual
-    fields = [f.name for f in dataclasses.fields(ResidualReport)]
-    assert fields == ["max_abs", "l2", "observed_order"]
+    fields = dataclasses.fields(ResidualReport)
+    assert [f.name for f in fields] == ["max_abs", "l2", "observed_order"]
+    # every meter measures a grid pair, so every report has an order
+    assert all(f.default is dataclasses.MISSING for f in fields)

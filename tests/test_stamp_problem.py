@@ -19,7 +19,7 @@ from platestamp import (
 from platestamp import stamp_problem
 from platestamp.stamp_problem import sine_transform
 
-from conftest import mode_kernel, mode_scalars
+from conftest import mode_kernel, mode_scalars, simpson_coefficients
 
 mp.mp.dps = 40
 
@@ -60,20 +60,20 @@ class TestSineCoefficients:
         # reproduces the closed form to 1e-10 for every retained mode
         profile = BoundaryProfile.flat_stamp(center=1.0, half_width=0.4, depth=0.01)
         closed = sine_coefficients(profile, geom, 64)
-        quad = sine_coefficients(profile, geom, 64, panels=2**16)
+        quad = simpson_coefficients(profile, geom, 64, 2**16)
         assert np.max(np.abs(closed - quad)) < 1e-10
 
     def test_parabolic_closed_form_vs_quadrature(self, geom):
         profile = BoundaryProfile.parabolic_bump(center=1.0, half_width=0.4, depth=0.01)
         closed = sine_coefficients(profile, geom, 64)
-        quad = sine_coefficients(profile, geom, 64, panels=2**16)
+        quad = simpson_coefficients(profile, geom, 64, 2**16)
         assert np.max(np.abs(closed - quad)) < 1e-12
 
     def test_raised_cosine_quadrature_converged(self, geom):
         # default 8N-panel Simpson is converged to ~1e-9 per coefficient
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
         base = sine_coefficients(profile, geom, 64)
-        fine = sine_coefficients(profile, geom, 64, panels=2**14)
+        fine = simpson_coefficients(profile, geom, 64, 2**14)
         assert np.max(np.abs(base - fine)) < 1e-9
 
     def test_tabulated_profile(self, geom):
@@ -113,12 +113,11 @@ class TestSineCoefficients:
         BoundaryProfile.tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
     ], ids=["raised_cosine-at-l", "parabolic_bump-beyond-l", "flat_stamp-at-l",
             "tabulated-beyond-l", "tabulated-zero"])
-    @pytest.mark.parametrize("panels", [None, 2048])
-    def test_stamp_off_the_face_rejected(self, geom, profile, panels):
+    def test_stamp_off_the_face_rejected(self, geom, profile):
         # each would integrate to all-zero or off-face coefficients
         assert not profile.touches_face(geom)
         with pytest.raises(DomainError, match="untouched"):
-            sine_coefficients(profile, geom, 8, panels=panels)
+            sine_coefficients(profile, geom, 8)
 
     @pytest.mark.parametrize("profile", [
         BoundaryProfile.single_mode(3, 0.0),
@@ -255,21 +254,21 @@ class TestSineTransform:
         profile = _SUPPORTED_STAMPS[stamp]
         # the first piece lies left of the support, so one piece is skipped
         assert not np.any(profile.evaluate(np.linspace(0.0, 0.1, 9), geom))
-        got = sine_coefficients(profile, geom, N, panels=8 * N)
+        got = simpson_coefficients(profile, geom, N, 8 * N)
         want = _unskipped_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
                                          np.arange(1, N + 1), 8 * N,
                                          profile.breakpoints(geom))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("N", [64, 256, 1024])
-    @pytest.mark.parametrize("stamp,panels", [
+    @pytest.mark.parametrize("stamp,closed_form", [
         ("raised_cosine", False), ("tabulated", False),
         ("flat_stamp", True), ("parabolic_bump", True),
     ])
-    def test_angle_tables_match_direct_table_sum(self, geom, stamp, panels, N):
+    def test_angle_tables_match_direct_table_sum(self, geom, stamp, closed_form, N):
         # the verify-desk stamp and its kin: supports [0.5, 1.5] and knots
         # at multiples of 0.5; flat and parabolic stamps have closed forms,
-        # so they reach the quadrature through ``panels``
+        # so they reach the quadrature through ``simpson_coefficients``
         profile = {
             "raised_cosine": BoundaryProfile.raised_cosine(1.0, 0.5, 0.01),
             "tabulated": BoundaryProfile.tabulated([0.0, 0.5, 1.0, 1.5, 2.0],
@@ -277,7 +276,8 @@ class TestSineTransform:
             "flat_stamp": BoundaryProfile.flat_stamp(1.0, 0.5, 0.01),
             "parabolic_bump": BoundaryProfile.parabolic_bump(1.0, 0.5, 0.01),
         }[stamp]
-        got = sine_coefficients(profile, geom, N, panels=8 * N if panels else None)
+        got = (simpson_coefficients(profile, geom, N, 8 * N) if closed_form
+               else sine_coefficients(profile, geom, N))
         want = _direct_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
                                       np.arange(1, N + 1), 8 * N, profile.breakpoints(geom))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -290,7 +290,7 @@ class TestSineTransform:
         # max|c| off an 80-bit long-double sum of the same rule (measured on
         # x86-64), and the two float sums differ by as much (up to 1.4e-14)
         profile = _SUPPORTED_STAMPS[stamp]
-        got = sine_coefficients(profile, geom, N, panels=8 * N)
+        got = simpson_coefficients(profile, geom, N, 8 * N)
         want = _direct_sine_transform(lambda t: profile.evaluate(t, geom), geom.l,
                                       np.arange(1, N + 1), 8 * N, profile.breakpoints(geom))
         tol = 1e-14 if N <= 256 else 2e-14
@@ -322,8 +322,7 @@ class TestSineTransform:
     def test_quadrature_goes_through_module_global(self, geom, monkeypatch, profile, closed):
         # sine_coefficients looks sine_transform up in its module on every
         # call, so a wrapper set there (perfbench/spans.py sets one) sees each
-        # quadrature: 8 N subintervals unless the kind has a closed form, and
-        # an explicit panel count for every kind
+        # quadrature: 8 N subintervals unless the kind has a closed form
         calls = []
 
         def recording(f, length, ns, subintervals, breakpoints=()):
@@ -331,14 +330,10 @@ class TestSineTransform:
             return sine_transform(f, length, ns, subintervals, breakpoints)
 
         monkeypatch.setattr(stamp_problem, "sine_transform", recording)
-        sine_coefficients(profile, geom, 16)
+        got = sine_coefficients(profile, geom, 16)
         assert calls == ([] if closed else [128])
-        calls.clear()
-        got = sine_coefficients(profile, geom, 16, panels=256)
-        assert calls == [256]
-        want = sine_transform(lambda t: profile.evaluate(t, geom), geom.l, np.arange(1, 17),
-                              256, profile.breakpoints(geom))
-        assert got.tobytes() == want.tobytes()
+        if not closed:
+            assert got.tobytes() == simpson_coefficients(profile, geom, 16, 128).tobytes()
 
 
 class TestContactPressure:

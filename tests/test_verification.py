@@ -61,9 +61,8 @@ class TestPhysicsMeters:
         # a residual of 0 on both grids gives no observed order, rather
         # than dividing by it
         sf = assemble_series([0.0, 0.0], geom, mat)
-        g, fine = GridSpec(11, 11), GridSpec(21, 21)
-        for rep in (*equilibrium_residual(sf, g, refined=fine),
-                    *constitutive_residual(sf, g, refined=fine)):
+        for rep in (*equilibrium_residual(sf, GridSpec(11, 11)),
+                    *constitutive_residual(sf, GridSpec(11, 11))):
             assert rep.l2 == 0.0 and math.isnan(rep.observed_order)
 
     def test_residuals_scale_linearly(self, geom, mat):
@@ -74,21 +73,19 @@ class TestPhysicsMeters:
             assert r2.max_abs == pytest.approx(2.0 * r1.max_abs, rel=1e-12)
 
     def test_single_mode_second_order(self, geom, mat):
-        # one well-resolved mode: clean O(spacing^2) without any margin
+        # one well-resolved mode: clean O(spacing^2) between 31x31 and 61x61
         sf = assemble_series([0.01], geom, mat)
-        eq = equilibrium_residual(sf, GridSpec(31, 31), refined=GridSpec(63, 63))
-        con = constitutive_residual(sf, GridSpec(31, 31), refined=GridSpec(63, 63))
+        eq = equilibrium_residual(sf, GridSpec(31, 31))
+        con = constitutive_residual(sf, GridSpec(31, 31))
         for rep in (*eq, *con):
             assert rep.observed_order > 1.9
 
     def test_truncated_series_orders_with_margin(self, geom, mat, raised_cosine_field):
-        # N=64 on desk grids: meaningful only outside the unresolved
-        # boundary layer at the loaded face
-        margin = 0.15 * geom.h
-        eq = equilibrium_residual(raised_cosine_field, GridSpec(41, 41),
-                                  refined=GridSpec(81, 81), exclusion_margin=margin)
-        con = constitutive_residual(raised_cosine_field, GridSpec(41, 41),
-                                    refined=GridSpec(81, 81), exclusion_margin=margin)
+        # N=64 on desk grids 41x41 and 81x81: meaningful only outside the
+        # unresolved boundary layer at the loaded face, which the meters'
+        # band of 0.15 h leaves out
+        eq = equilibrium_residual(raised_cosine_field, GridSpec(41, 41))
+        con = constitutive_residual(raised_cosine_field, GridSpec(41, 41))
         for rep in (*eq, *con):
             assert rep.observed_order > 1.9
 
@@ -132,8 +129,7 @@ class TestPhysicsMeters:
     def test_shared_evaluation_matches_independent_meters(self, geom, mat,
                                                           raised_cosine_field):
         # one evaluation per grid serves both meters, with the same bits
-        grid, refined = GridSpec(41, 41), GridSpec(81, 81)
-        margin = 0.15 * geom.h
+        grid = GridSpec(41, 41)
         calls = []
 
         class Counted:
@@ -144,19 +140,18 @@ class TestPhysicsMeters:
                 return raised_cosine_field.grid_fields(xs, ys)
 
         shared = SharedGridFields(Counted())
-        eq = equilibrium_residual(shared, grid, refined=refined, exclusion_margin=margin)
-        con = constitutive_residual(shared, grid, refined=refined, exclusion_margin=margin)
-        # the rows outside the band y in [0.15, 0.85], and one more on
-        # either side: rows 6..36 of 43 and 12..70 of 83
+        eq = equilibrium_residual(shared, grid)
+        con = constitutive_residual(shared, grid)
+        # the 41x41 grid and its 81x81 refinement, on the rows outside the
+        # band y in [0.15, 0.85] and one more on either side: rows 6..36 of
+        # 43 and 12..70 of 83
         assert calls == [(43, 31), (83, 59)]
         # axes not asked for before are evaluated when first asked for, once
         axes = GridSpec(21, 21).axes(geom)
         assert shared.grid_fields(*axes) is shared.grid_fields(*axes)
         assert calls[2:] == [(23, 23)]
-        assert eq == equilibrium_residual(raised_cosine_field, grid, refined=refined,
-                                          exclusion_margin=margin)
-        assert con == constitutive_residual(raised_cosine_field, grid, refined=refined,
-                                            exclusion_margin=margin)
+        assert eq == equilibrium_residual(raised_cosine_field, grid)
+        assert con == constitutive_residual(raised_cosine_field, grid)
 
     def test_constitutive_negative_control_through_shared(self, geom, mat,
                                                           raised_cosine_field):
@@ -172,22 +167,17 @@ class TestPhysicsMeters:
             material = Material(E=mat.E, nu=mat.nu + 0.02)
             grid_fields = shared.grid_fields
 
-        right = constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h)
-        reps = constitutive_residual(Perturbed(), grid, exclusion_margin=0.15 * geom.h)
+        right = constitutive_residual(shared, grid)
+        reps = constitutive_residual(Perturbed(), grid)
         assert max(r.max_abs for r in reps) > 1e-3 * scale
         assert max(r.max_abs for r in reps) > 4.0 * max(r.max_abs for r in right)
-        assert constitutive_residual(shared, grid, exclusion_margin=0.15 * geom.h) == right
+        assert constitutive_residual(shared, grid) == right
 
-    def test_exclusion_margin_too_large_rejected(self, geom, mat):
-        sf = assemble_series([1.0], geom, mat)
-        from platestamp import DomainError
-        with pytest.raises(DomainError):
-            equilibrium_residual(sf, GridSpec(5, 5), exclusion_margin=0.6 * geom.h)
-
-    @pytest.mark.parametrize("margin", [0.6, 1.2], ids=["rows", "columns"])
-    def test_empty_band_rejected_before_evaluation(self, geom, mat, margin):
-        # a band with no row (y in [0.6, 0.4]) or no column (x in [1.2, 0.8])
-        # is rejected before any grid is evaluated
+    @pytest.mark.parametrize("h", [2e-3, 100.0], ids=["thin", "thick"])
+    def test_band_keeps_points_on_smallest_grid(self, mat, h):
+        # h/l = 1e-3 and 50: the band, 0.15 of the shorter side, leaves
+        # interior rows and columns on a 3x3 grid and on its 5x5 refinement
+        geom = Geometry(2.0, h)
         calls = []
 
         class Counted:
@@ -195,20 +185,25 @@ class TestPhysicsMeters:
 
             def grid_fields(self, xs, ys):
                 calls.append((len(xs), len(ys)))
-                return assemble_series([1.0], geom, mat).grid_fields(xs, ys)
+                return assemble_series([0.01, 0.004], geom, mat).grid_fields(xs, ys)
 
+        band = verification._exclusion_band(geom)
+        for grid in (GridSpec(3, 3), verification._refined_grid(GridSpec(3, 3))):
+            xs, ys = (a[1:-1] for a in grid.axes(geom))
+            assert np.any((xs >= band) & (xs <= geom.l - band))
+            assert np.any((ys >= band) & (ys <= geom.h - band))
         for meter in (equilibrium_residual, constitutive_residual):
-            with pytest.raises(DomainError, match="exclusion margin leaves no interior points"):
-                meter(Counted(), GridSpec(41, 41), refined=GridSpec(81, 81),
-                      exclusion_margin=margin)
-        assert calls == []
+            calls.clear()
+            reports = meter(Counted(), GridSpec(3, 3))
+            # every interior row of both grids lies in the band
+            assert calls == [(5, 5), (7, 7)]
+            assert all(math.isfinite(r.max_abs) and r.max_abs > 0.0 for r in reports)
 
-    @pytest.mark.parametrize("margin,rows", [(0.0, (43, 83)), (0.15, (31, 59)), (0.49, (3, 3))],
-                             ids=["none", "0.15h", "one-row"])
-    def test_band_rows_match_full_grid(self, geom, mat, raised_cosine_field, margin, rows):
-        # the meters evaluate only the rows their stencils read (at 0.49,
-        # y = 0.5 is the one band row of both grids); their statistics have
-        # the bits of the same residuals on the full grids, masked to the band
+    def test_band_rows_match_full_grid(self, geom, mat, raised_cosine_field):
+        # the meters evaluate only the rows their stencils read; their
+        # statistics have the bits of the same residuals on the full grids,
+        # masked to the band of 0.15 h
+        margin = 0.15 * geom.h
         calls = []
 
         class Counted:
@@ -232,10 +227,10 @@ class TestPhysicsMeters:
                              (constitutive_residual, functools.partial(
                                  verification._constitutive_terms, mat))):
             calls.clear()
-            reports = meter(Counted(), grid, refined=refined, exclusion_margin=margin)
-            assert tuple(calls) == rows
+            reports = meter(Counted(), grid)
+            assert calls == [31, 59]
             assert [(r.max_abs, r.l2) for r in reports] == full_grid_stats(grid, terms)
-            fine = meter(raised_cosine_field, refined, exclusion_margin=margin)
+            fine = meter(raised_cosine_field, refined)
             assert [(r.max_abs, r.l2) for r in fine] == full_grid_stats(refined, terms)
             assert all(math.isfinite(r.observed_order) for r in reports)
 
