@@ -456,8 +456,9 @@ class TestMain:
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
-    @pytest.mark.parametrize("data", [b"\xff\xfe", MINIMAL.encode("utf-16")],
-                             ids=["bytes", "utf-16"])
+    @pytest.mark.parametrize("data", [b"\xff\xfe", MINIMAL.encode("utf-16"),
+                                      ("# plate \u00e9\n" + MINIMAL).encode("latin-1")],
+                             ids=["bytes", "utf-16", "latin-1"])
     def test_undecodable_config_file_exit_two(self, tmp_path, capsys, data):
         # a config file is read as UTF-8; one that is not is named, not a traceback
         cfg = tmp_path / "run.cfg"

@@ -173,9 +173,9 @@ class TestPhysicsMeters:
         assert max(r.max_abs for r in reps) > 4.0 * max(r.max_abs for r in right)
         assert constitutive_residual(shared, grid) == right
 
-    @pytest.mark.parametrize("h", [2e-3, 100.0], ids=["thin", "thick"])
+    @pytest.mark.parametrize("h", [2e-3, 2.0, 100.0], ids=["thin", "square", "thick"])
     def test_band_keeps_points_on_smallest_grid(self, mat, h):
-        # h/l = 1e-3 and 50: the band, 0.15 of the shorter side, leaves
+        # h/l = 1e-3, 1 and 50: the band, 0.15 of the shorter side, leaves
         # interior rows and columns on a 3x3 grid and on its 5x5 refinement
         geom = Geometry(2.0, h)
         calls = []
@@ -199,11 +199,17 @@ class TestPhysicsMeters:
             assert calls == [(5, 5), (7, 7)]
             assert all(math.isfinite(r.max_abs) and r.max_abs > 0.0 for r in reports)
 
-    def test_band_rows_match_full_grid(self, geom, mat, raised_cosine_field):
+    @pytest.mark.parametrize("l,h,rows", [(2.0, 1.0, [31, 59]), (1.0, 2.0, [37, 71])],
+                             ids=["0.15h", "0.15l"])
+    def test_band_rows_match_full_grid(self, mat, l, h, rows):
         # the meters evaluate only the rows their stencils read; their
         # statistics have the bits of the same residuals on the full grids,
-        # masked to the band of 0.15 h
-        margin = 0.15 * geom.h
+        # masked to the band of 0.15 of the shorter side (the desk plate's
+        # h, and the l of a plate twice as high as long)
+        geom = Geometry(l, h)
+        margin = 0.15 * min(l, h)
+        profile = BoundaryProfile.raised_cosine(0.5 * l, 0.2 * l, 0.01)
+        field = assemble_series(sine_coefficients(profile, geom, 64), geom, mat)
         calls = []
 
         class Counted:
@@ -211,14 +217,14 @@ class TestPhysicsMeters:
 
             def grid_fields(self, xs, ys):
                 calls.append(len(ys))
-                return raised_cosine_field.grid_fields(xs, ys)
+                return field.grid_fields(xs, ys)
 
         def full_grid_stats(grid, terms):
             xs, ys = grid.axes(geom)
             xi, yi = xs[1:-1], ys[1:-1]
             mask = (((yi >= margin) & (yi <= geom.h - margin))[:, None]
                     & ((xi >= margin) & (xi <= geom.l - margin)))
-            residuals = terms(raised_cosine_field.grid_fields(xs, ys), *grid.spacing(geom))
+            residuals = terms(field.grid_fields(xs, ys), *grid.spacing(geom))
             return [(float(np.max(np.abs(r[mask]))), float(np.sqrt(np.mean(r[mask] ** 2))))
                     for r in residuals]
 
@@ -228,11 +234,25 @@ class TestPhysicsMeters:
                                  verification._constitutive_terms, mat))):
             calls.clear()
             reports = meter(Counted(), grid)
-            assert calls == [31, 59]
+            assert calls == rows
             assert [(r.max_abs, r.l2) for r in reports] == full_grid_stats(grid, terms)
-            fine = meter(raised_cosine_field, refined)
+            fine = meter(field, refined)
             assert [(r.max_abs, r.l2) for r in fine] == full_grid_stats(refined, terms)
             assert all(math.isfinite(r.observed_order) for r in reports)
+
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (41, 41), (41, 21), (21, 41)])
+    def test_order_from_grid_and_its_refinement(self, geom, mat, raised_cosine_field,
+                                                nx, ny):
+        # the fine grid has 2 n - 1 interior points on each axis for that
+        # axis's n; the order is the log ratio of the pair's l2 over the log
+        # ratio of their x spacings, l/(nx + 1) and l/(2 nx)
+        grid, refined = GridSpec(nx, ny), GridSpec(2 * nx - 1, 2 * ny - 1)
+        dx, dx_f = geom.l / (nx + 1), geom.l / (2 * nx)
+        for meter in (equilibrium_residual, constitutive_residual):
+            reports = meter(raised_cosine_field, grid)
+            fine = meter(raised_cosine_field, refined)
+            assert [r.observed_order for r in reports] == [
+                math.log(r.l2 / f.l2) / math.log(dx / dx_f) for r, f in zip(reports, fine)]
 
 
 class TestWorkEnergyBalance:
