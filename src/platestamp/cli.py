@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +73,16 @@ class RunConfig:
     grid_ny: int = 41
     path: str = "B"          # A | B | C
     verify: bool = False
-    output_dir: str | None = None
+    output_dir: str = "platestamp_out"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputBundle:
     xs: np.ndarray
-    ys: np.ndarray
     fields: dict
     pressure: np.ndarray
     summary: dict
-    report_text: str
-    files: dict = field(default_factory=dict)
+    files: dict
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +294,11 @@ def _field_grid_rows(xs, ys, fields):
 
 
 def run(config: RunConfig, output_dir=None) -> OutputBundle:
-    """Execute one configuration and write the output bundle.
+    """Execute one configuration and write its four artifacts.
 
-    The files go to ``output_dir``, else ``config.output_dir``, else
-    ``./platestamp_out``; an empty name raises :class:`ConfigError` before
-    solving.  Deterministic: a fixed config produces byte-identical files.
+    The files go to ``output_dir`` if given, else to ``config.output_dir``;
+    an empty name raises :class:`ConfigError` before solving.
+    Deterministic: a fixed config produces byte-identical files.
     """
     directory = config.output_dir if output_dir is None else output_dir
     if directory == "":
@@ -344,20 +343,18 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
         # the coarse and fine grids that both residual meters read, each
         # evaluated once and freed before the artifacts are formatted
         shared = SharedGridFields(sf)
-        eq1, eq2 = equilibrium_residual(shared, grid)
-        c1, c2, c3 = constitutive_residual(shared, grid)
+        equilibrium = dict(zip("xy", equilibrium_residual(shared, grid)))
+        constitutive = dict(zip(("sigma_x", "sigma_y", "tau_xy"),
+                                constitutive_residual(shared, grid)))
         del shared
         refined = _refined_grid(grid)
         summary.update(disc.as_dict())
-        summary.update({
-            "equilibrium_order_x": eq1.observed_order,
-            "equilibrium_order_y": eq2.observed_order,
-            "equilibrium_max_abs_x": eq1.max_abs,
-            "equilibrium_max_abs_y": eq2.max_abs,
-            "constitutive_order_sigma_x": c1.observed_order,
-            "constitutive_order_sigma_y": c2.observed_order,
-            "constitutive_order_tau_xy": c3.observed_order,
-        })
+        summary.update({f"equilibrium_order_{axis}": r.observed_order
+                        for axis, r in equilibrium.items()})
+        summary.update({f"equilibrium_max_abs_{axis}": r.max_abs
+                        for axis, r in equilibrium.items()})
+        summary.update({f"constitutive_order_{name}": r.observed_order
+                        for name, r in constitutive.items()})
         report_lines += [
             "",
             disc.as_text(),
@@ -365,44 +362,34 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
             "residual meters (central differences, grid pair "
             f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
             f"exclusion margin {_exclusion_band(geom):g}):",
-            f"  equilibrium x: max {eq1.max_abs:.3e}, observed order {eq1.observed_order:.3f}",
-            f"  equilibrium y: max {eq2.max_abs:.3e}, observed order {eq2.observed_order:.3f}",
-            f"  constitutive sigma_x: order {c1.observed_order:.3f}",
-            f"  constitutive sigma_y: order {c2.observed_order:.3f}",
-            f"  constitutive tau_xy: order {c3.observed_order:.3f}",
+            *(f"  equilibrium {axis}: max {r.max_abs:.3e}, observed order {r.observed_order:.3f}"
+              for axis, r in equilibrium.items()),
+            *(f"  constitutive {name}: order {r.observed_order:.3f}"
+              for name, r in constitutive.items()),
         ]
-
-    report_text = "\n".join(report_lines) + "\n"
 
     for key, value in summary.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise PlateStampError(f"non-finite summary value {key}={value}")
 
-    bundle = OutputBundle(xs=xs, ys=ys, fields=fields, pressure=pressure,
-                          summary=summary, report_text=report_text)
-
-    out = Path("platestamp_out" if directory is None else directory)
+    # per file name, its text in chunks; field_grid.csv streams row by row
+    artifacts = {
+        "field_grid.csv": itertools.chain([FIELD_GRID_HEADER + "\n"],
+                                          _field_grid_rows(xs, ys, fields)),
+        "pressure_profile.csv": [PRESSURE_HEADER + "\n"] + [
+            f"{_fmt(x)},{_fmt(p)}\n" for x, p in zip(xs, pressure)],
+        "summary.txt": [f"{key}={_fmt(v) if isinstance(v, float) else v}\n"
+                        for key, v in summary.items()],
+        "report.txt": [line + "\n" for line in report_lines],
+    }
+    out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-
-    bundle.files["field_grid"] = out / "field_grid.csv"
-    with bundle.files["field_grid"].open("w") as fh:
-        fh.write(FIELD_GRID_HEADER + "\n")
-        fh.writelines(_field_grid_rows(xs, ys, fields))
-
-    rows = [PRESSURE_HEADER]
-    for i, x in enumerate(xs):
-        rows.append(f"{_fmt(x)},{_fmt(pressure[i])}")
-    bundle.files["pressure_profile"] = out / "pressure_profile.csv"
-    bundle.files["pressure_profile"].write_text("\n".join(rows) + "\n")
-
-    kv = [f"{key}={_fmt(v) if isinstance(v, float) else v}"
-          for key, v in summary.items()]
-    bundle.files["summary"] = out / "summary.txt"
-    bundle.files["summary"].write_text("\n".join(kv) + "\n")
-
-    bundle.files["report"] = out / "report.txt"
-    bundle.files["report"].write_text(report_text)
-    return bundle
+    files = {}
+    for name, chunks in artifacts.items():
+        path = files[Path(name).stem] = out / name
+        with path.open("w") as fh:
+            fh.writelines(chunks)
+    return OutputBundle(xs=xs, fields=fields, pressure=pressure, summary=summary, files=files)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +405,8 @@ def _build_argparser() -> argparse.ArgumentParser:
                "error; 3 numerical failure.",
     )
     ap.add_argument("--config", required=True, help="path to the INI-style run config")
-    ap.add_argument("--output", default=None, help="output directory "
-                    "(default: [output] directory from the config, else ./platestamp_out)")
+    ap.add_argument("--output", default=None, help="output directory: sets [output] "
+                    "directory (default ./platestamp_out)")
     ap.add_argument("--modes", default=None, help="truncation order N: sets [solver] modes")
     ap.add_argument("--grid", nargs=2, metavar=("NX", "NY"), default=None,
                     help="output grid point counts: sets [solver] grid = NXxNY")
@@ -439,20 +426,18 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cp = _read(text)
-        # the flags are [solver] values, checked with the rest of the config
-        flags = {"modes": args.modes, "grid": args.grid and "x".join(args.grid),
-                 "path": args.path, "verify": args.verify}
-        cp.read_dict({"solver": {k: v for k, v in flags.items() if v is not None}})
+        # the flags are config values, checked with the rest of the config
+        flags = {"solver": {"modes": args.modes, "grid": args.grid and "x".join(args.grid),
+                            "path": args.path, "verify": args.verify},
+                 "output": {"directory": args.output}}
+        cp.read_dict({section: {k: v for k, v in keys.items() if v is not None}
+                      for section, keys in flags.items()})
         config = _build(cp)
-        if args.output == "":
-            raise ConfigError("--output must name a directory, got an empty value")
         try:
-            run(config, output_dir=args.output)
+            run(config)
         except OSError as exc:
-            # the same precedence as run() applies to the three sources
-            source = ("--output" if args.output else
-                      "[output] directory" if config.output_dir else "./platestamp_out")
-            raise ConfigError(f"cannot write the artifacts to {source}: {exc}") from exc
+            raise ConfigError(f"cannot write the artifacts to [output] directory = "
+                              f"{config.output_dir}: {exc}") from exc
         except MemoryError:
             raise ConfigError(f"out of memory with [solver] modes = {config.modes} and "
                               f"[solver] grid = {config.grid_nx}x{config.grid_ny}; "

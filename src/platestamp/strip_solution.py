@@ -208,7 +208,7 @@ def initial_amplitudes(n, k, beta, nu: float):
     Cramer solve with one refinement step, so the face conditions hold to
     roundoff of the profiles; conditioning is judged on the
     dimension-balanced variant (second unknown divided by k), whose
-    entries are O(beta) with determinant -1 + O(e^(-2 beta)).
+    entries are O(beta) with determinant exactly -1 (beta coth(beta) cancels).
 
     ``n``, ``k`` and ``beta`` are scalars or (N, 1) columns; every mode is
     solved at once.  Returns (u0 sh, y0 sh) in long double.  The lowest

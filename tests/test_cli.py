@@ -469,7 +469,8 @@ class TestMain:
 
     @pytest.mark.parametrize("source", ["--output", "[output] directory"])
     def test_unwritable_output_exit_two(self, tmp_path, capsys, source):
-        # a directory below a regular file cannot be created
+        # a directory below a regular file cannot be created; --output sets
+        # [output] directory, so both sources are named by that key
         (tmp_path / "file").write_text("")
         target = tmp_path / "file" / "x"
         text = MINIMAL.replace("modes = 64", "modes = 4").replace("grid = 41x41", "grid = 5x5")
@@ -480,22 +481,46 @@ class TestMain:
             text += f"\n[output]\ndirectory = {target}\n"
         assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and source in err
+        assert err.startswith("config error: ") and "[output] directory" in err
+        assert str(target) in err
 
-    @pytest.mark.parametrize("source", ["[output] directory", "--output"])
-    def test_empty_output_directory_exit_two(self, tmp_path, capsys, monkeypatch, source):
-        # an empty directory used to fall through to ./platestamp_out
+    @pytest.mark.parametrize("text,args", [
+        ("\n[output]\ndirectory =\n", []),
+        ("", ["--output", ""]),
+        ("", ["--output", "   "]),
+    ], ids=["[output] directory", "--output", "blank"])
+    def test_empty_output_directory_exit_two(self, tmp_path, capsys, monkeypatch, text, args):
+        # an empty directory used to fall through to ./platestamp_out, and a
+        # blank --output used to create a directory named by its spaces; the
+        # flag is stripped and checked like the config's value
+        cfg = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 4") + text)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["--config", str(cfg), *args]) == 2
+        assert capsys.readouterr().err == ("config error: invalid value for [output] "
+                                           "directory: must name a directory, got an "
+                                           "empty value\n")
+        assert list(cwd.iterdir()) == []
+
+    def test_output_flag_overrides_config_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        text = MINIMAL.replace("modes = 64", "modes = 4")
-        if source == "--output":
-            args = ["--output", ""]
-        else:
-            text += "\n[output]\ndirectory =\n"
-            args = []
-        assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and source in err
-        assert not (tmp_path / "platestamp_out").exists()
+        text = MINIMAL.replace("modes = 64", "modes = 4").replace("grid = 41x41", "grid = 5x5")
+        cfg = self._write(tmp_path, text + "\n[output]\ndirectory = from_config\n")
+        assert main(["--config", str(cfg), "--output", "from_flag"]) == 0
+        assert sorted(p.name for p in (tmp_path / "from_flag").iterdir()) == [
+            "field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt"]
+        assert not (tmp_path / "from_config").exists()
+
+    def test_default_output_directory(self, tmp_path, monkeypatch):
+        # with neither --output nor [output] directory, the artifacts go to
+        # ./platestamp_out
+        monkeypatch.chdir(tmp_path)
+        text = MINIMAL.replace("modes = 64", "modes = 4").replace("grid = 41x41", "grid = 5x5")
+        assert main(["--config", str(self._write(tmp_path, text))]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["platestamp_out", "run.cfg"]
+        assert sorted(p.name for p in (tmp_path / "platestamp_out").iterdir()) == [
+            "field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt"]
 
     @pytest.mark.parametrize("owner,name,args", [
         (cli, "sine_coefficients", []),

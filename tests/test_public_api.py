@@ -10,6 +10,7 @@ import pytest
 
 import platestamp
 from platestamp import Geometry, Material
+from platestamp.cli import OutputBundle, RunConfig
 from platestamp.core import Parity
 from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, closed_profiles
@@ -48,6 +49,8 @@ REMOVED_TOP_LEVEL = {
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
+#: dataclass fields removed, by the class that held them
+REMOVED_FIELDS = {OutputBundle: ("ys", "report_text")}
 REMOVED_MEMBERS = [
     (Parity, "flipped"),
     (SeriesField, "grid_fields_many"),
@@ -128,3 +131,17 @@ def test_residual_report_fields():
     assert [f.name for f in fields] == ["max_abs", "l2", "observed_order"]
     # every meter measures a grid pair, so every report has an order
     assert all(f.default is dataclasses.MISSING for f in fields)
+
+
+def test_output_bundle_fields():
+    # the bundle keeps what callers read, is built once and is frozen
+    fields = [f.name for f in dataclasses.fields(OutputBundle)]
+    assert fields == ["xs", "fields", "pressure", "summary", "files"]
+    for owner, names in REMOVED_FIELDS.items():
+        assert not set(names) & {f.name for f in dataclasses.fields(owner)}
+    bundle = OutputBundle(**dict.fromkeys(fields))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.files = {}
+    # the one default output directory is RunConfig's
+    (output_dir,) = (f for f in dataclasses.fields(RunConfig) if f.name == "output_dir")
+    assert output_dir.default == "platestamp_out"

@@ -27,6 +27,7 @@ from platestamp import (
 from platestamp.strip_solution import (
     _CLOSED_FORM_MIN_BETA,
     FIELD_NAMES,
+    _initial_columns,
     block_profiles,
     closed_profiles,
     initial_amplitudes,
@@ -234,6 +235,37 @@ class TestClosedFormFloor:
         scale = np.max(np.abs(exact), axis=1, keepdims=True)
         assert np.max(np.abs(got - exact) / scale) <= 1e-8
         assert discrepancy_report(geom, mat, range(1, 65)).max_rel_cb <= 1e-8
+
+
+class TestInitialSystem:
+    """Path A's 2x2 face system, the V and X rows of the operator table at
+    eta = 1.  With C = coth(beta) its determinant is
+    -[(1 - 2nu - beta C)^2 + (3 - 4nu - beta C)(1 + beta C)] / (4 (1 - nu)^2),
+    in which the beta C and beta^2 C^2 terms cancel: it is -1 exactly, for
+    every beta and nu, so a wrong sign or factor in any entry shows."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.49])
+    @pytest.mark.parametrize("h_over_l", [5e-5, 5e-3, 0.5, 25.0])
+    def test_determinant_is_minus_one(self, h_over_l, nu):
+        # modes 1..2048 reach beta = 1.6e5 at h/l = 25
+        _, k, beta = mode_columns(range(1, 2049), Geometry(l=2.0, h=2.0 * h_over_l))
+        (a00, a01), (a10, a11) = _initial_columns(k, beta, nu, 1.0, ("V", "X"))
+        products = a00 * a11, a01 * a10
+        bound = 8 * np.finfo(float).eps * (np.abs(products[0]) + np.abs(products[1]))
+        assert np.all(np.abs(products[0] - products[1] + 1.0) <= bound)
+
+    @pytest.mark.parametrize("nu", ["0", "0.3", "0.49"])
+    @pytest.mark.parametrize("b", ["1e-3", "1", "30"])
+    def test_closed_form_determinant(self, b, nu):
+        # the entries of _initial_columns at eta = 1 (s = 1, c = C, y = h);
+        # k cancels from the determinant
+        with mp.workdps(50):
+            b, nu, k = mp.mpf(b), mp.mpf(nu), mp.pi / 2
+            bc = b * mp.coth(b)
+            d2 = 2 * (1 - nu)
+            a00, a01 = -((1 - 2 * nu) - bc) / d2, ((3 - 4 * nu) - bc) / (2 * k * d2)
+            a10, a11 = 2 * k * (1 + bc) / d2, ((1 - 2 * nu) - bc) / d2
+            assert abs(a00 * a11 - a01 * a10 + 1) <= mp.mpf("1e-40")
 
 
 class TestBatchKernels:
