@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import gc
 import itertools
 import math
+import os
+import pickle
+import signal
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,12 +300,156 @@ def _field_grid_rows(xs, ys, fields):
                                                  zip(*(c[j].tolist() for c in columns)))])
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _FieldGridFile:
+    """field_grid.csv, formatted into a temporary file in its directory
+    while the rest of the run goes on.
+
+    :meth:`start` creates the directory and the temporary file and formats
+    the table: in a forked child when this process may run on two CPUs or
+    more, so that the formatting overlaps the run's other work, else at
+    once.  :meth:`place` waits for the table, raises what writing it
+    raised and moves it into place.  Leaving the ``with`` block by an
+    exception ends the child, deletes the temporary file and removes the
+    directories that :meth:`start` created, if they are empty.
+    """
+
+    def __init__(self, out: Path):
+        self.out, self.path = out, out / "field_grid.csv"
+        self._created = []
+        self._tmp = self._pid = self._pipe = self._error = None
+
+    def __enter__(self):
+        return self
+
+    def start(self, xs, ys, fields) -> None:
+        # errors are kept for place(), so that a run fails for its values
+        # before it fails for its directory
+        try:
+            missing = list(itertools.takewhile(lambda d: not d.exists(),
+                                               (self.out, *self.out.parents)))
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            self._error = exc
+            return
+        self._created = missing
+        try:
+            fd, self._tmp = tempfile.mkstemp(prefix=".field_grid.csv.", dir=self.out)
+        except OSError as exc:
+            self._error = self._named(exc)
+            return
+        # the mode open() gives a new file; a file system that keeps no
+        # modes may refuse it
+        mask = os.umask(0o022)
+        os.umask(mask)
+        with contextlib.suppress(OSError):
+            os.fchmod(fd, 0o666 & ~mask)
+        if hasattr(os, "fork") and _usable_cpus() >= 2:
+            try:
+                self._fork(fd, xs, ys, fields)
+                return
+            except OSError:
+                pass   # no pipe or process to be had: format the table here
+        try:
+            self._write(fd, xs, ys, fields)
+        except Exception as exc:
+            self._error = exc
+
+    def _fork(self, fd, xs, ys, fields) -> None:
+        pipe, child_end = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when other threads exist, as OpenBLAS's
+                # do; the child calls no BLAS and takes no lock they hold
+                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(pipe)
+            os.close(child_end)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                # a collection here could run the finalizers of the
+                # parent's garbage, such as the flush of an unclosed file
+                gc.disable()
+                os.close(pipe)
+                try:
+                    self._write(fd, xs, ys, fields)
+                    status = 0
+                except BaseException as exc:
+                    with open(child_end, "wb") as fh:
+                        fh.write(pickle.dumps(exc))
+            finally:
+                # leave without flushing the parent's stdio or running its
+                # atexit handlers
+                os._exit(status)
+        os.close(child_end)
+        os.close(fd)
+        self._pid, self._pipe = pid, open(pipe, "rb")
+
+    def _named(self, exc: OSError) -> OSError:
+        """``exc`` with the name of the file it failed to write."""
+        return OSError(exc.errno, exc.strerror, str(self.path))
+
+    def _write(self, fd: int, xs, ys, fields) -> None:
+        try:
+            with open(fd, "w") as fh:
+                fh.write(FIELD_GRID_HEADER + "\n")
+                fh.writelines(_field_grid_rows(xs, ys, fields))
+        except OSError as exc:
+            raise self._named(exc) from None
+
+    def place(self) -> Path:
+        """Wait for the table and move it to ``field_grid.csv``; returns
+        that path."""
+        if self._pid is not None:
+            with self._pipe:
+                sent = self._pipe.read()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            if sent:
+                self._error = pickle.loads(sent)
+            elif status:
+                self._error = ChildProcessError(
+                    f"the field_grid.csv writer ended with wait status {status}")
+        if self._error is not None:
+            raise self._error
+        try:
+            os.replace(self._tmp, self.path)
+        except OSError as exc:
+            raise self._named(exc) from None
+        self._tmp = None
+        return self.path
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pid is not None:
+            self._pipe.close()
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+        if self._tmp is not None:
+            os.unlink(self._tmp)
+        if exc_type is not None:
+            for directory in self._created:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+
+
 def run(config: RunConfig, output_dir=None) -> OutputBundle:
     """Execute one configuration and write its four artifacts.
 
     The files go to ``output_dir`` if given, else to ``config.output_dir``;
     an empty name raises :class:`ConfigError` before solving.
-    Deterministic: a fixed config produces byte-identical files.
+    Deterministic: a fixed config produces byte-identical files.  A run
+    that fails for its values writes none of them and removes the
+    directories it created, if they are empty.
     """
     directory = config.output_dir if output_dir is None else output_dir
     if directory == "":
@@ -311,82 +462,81 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     xs = np.linspace(0.0, geom.l, config.grid_nx)
     ys = np.linspace(0.0, geom.h, config.grid_ny)
     fields = sf.grid_fields(xs, ys)
-    # the face row y = h of the output grid (linspace ends exactly at h),
-    # copied so that the bundle's pressure is not a view into its sigma_y
-    pressure = fields["sigma_y"][-1].copy()
-    force = total_force(sf)
+    # field_grid.csv is formatted while the rest of the run goes on
+    with _FieldGridFile(Path(directory)) as grid_file:
+        grid_file.start(xs, ys, fields)
+        # the face row y = h of the output grid (linspace ends exactly at h),
+        # copied so that the bundle's pressure is not a view into its sigma_y
+        pressure = fields["sigma_y"][-1].copy()
+        force = total_force(sf)
 
-    summary = {
-        "path": sf.path.value,
-        "modes": config.modes,
-        "grid_nx": config.grid_nx,
-        "grid_ny": config.grid_ny,
-        "total_force": force,
-        "max_abs_v": float(np.max(np.abs(fields["v"]))),
-        "max_abs_sigma_y": float(np.max(np.abs(fields["sigma_y"]))),
-    }
+        summary = {
+            "path": sf.path.value,
+            "modes": config.modes,
+            "grid_nx": config.grid_nx,
+            "grid_ny": config.grid_ny,
+            "total_force": force,
+            "max_abs_v": float(np.max(np.abs(fields["v"]))),
+            "max_abs_sigma_y": float(np.max(np.abs(fields["sigma_y"]))),
+        }
 
-    report_lines = [
-        "plate-stamp run report",
-        f"  geometry: l={geom.l:g}, h={geom.h:g}",
-        f"  material: E={mat.E:g}, nu={mat.nu:g} (G={mat.G:.9g}, lambda={mat.lam:.9g})",
-        f"  stamp: {config.profile.kind.value}",
-        f"  modes: {config.modes}, solution path: {sf.path.value}",
-        f"  total force per unit thickness: {_fmt(force)}",
-        f"  max |v| on grid: {_fmt(summary['max_abs_v'])}",
-        f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
-    ]
-
-    if config.verify:
-        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
-        grid = GridSpec(config.grid_nx, config.grid_ny)
-        # the coarse and fine grids that both residual meters read, each
-        # evaluated once and freed before the artifacts are formatted
-        shared = SharedGridFields(sf)
-        equilibrium = dict(zip("xy", equilibrium_residual(shared, grid)))
-        constitutive = dict(zip(("sigma_x", "sigma_y", "tau_xy"),
-                                constitutive_residual(shared, grid)))
-        del shared
-        refined = _refined_grid(grid)
-        summary.update(disc.as_dict())
-        summary.update({f"equilibrium_order_{axis}": r.observed_order
-                        for axis, r in equilibrium.items()})
-        summary.update({f"equilibrium_max_abs_{axis}": r.max_abs
-                        for axis, r in equilibrium.items()})
-        summary.update({f"constitutive_order_{name}": r.observed_order
-                        for name, r in constitutive.items()})
-        report_lines += [
-            "",
-            disc.as_text(),
-            "",
-            "residual meters (central differences, grid pair "
-            f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
-            f"exclusion margin {_exclusion_band(geom):g}):",
-            *(f"  equilibrium {axis}: max {r.max_abs:.3e}, observed order {r.observed_order:.3f}"
-              for axis, r in equilibrium.items()),
-            *(f"  constitutive {name}: order {r.observed_order:.3f}"
-              for name, r in constitutive.items()),
+        report_lines = [
+            "plate-stamp run report",
+            f"  geometry: l={geom.l:g}, h={geom.h:g}",
+            f"  material: E={mat.E:g}, nu={mat.nu:g} (G={mat.G:.9g}, lambda={mat.lam:.9g})",
+            f"  stamp: {config.profile.kind.value}",
+            f"  modes: {config.modes}, solution path: {sf.path.value}",
+            f"  total force per unit thickness: {_fmt(force)}",
+            f"  max |v| on grid: {_fmt(summary['max_abs_v'])}",
+            f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
         ]
 
-    for key, value in summary.items():
-        if isinstance(value, float) and not np.isfinite(value):
-            raise PlateStampError(f"non-finite summary value {key}={value}")
+        if config.verify:
+            disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
+            grid = GridSpec(config.grid_nx, config.grid_ny)
+            # the coarse and fine grids that both residual meters read, each
+            # evaluated once and freed once both meters have read them
+            shared = SharedGridFields(sf)
+            equilibrium = dict(zip("xy", equilibrium_residual(shared, grid)))
+            constitutive = dict(zip(("sigma_x", "sigma_y", "tau_xy"),
+                                    constitutive_residual(shared, grid)))
+            del shared
+            refined = _refined_grid(grid)
+            summary.update(disc.as_dict())
+            summary.update({f"equilibrium_order_{axis}": r.observed_order
+                            for axis, r in equilibrium.items()})
+            summary.update({f"equilibrium_max_abs_{axis}": r.max_abs
+                            for axis, r in equilibrium.items()})
+            summary.update({f"constitutive_order_{name}": r.observed_order
+                            for name, r in constitutive.items()})
+            report_lines += [
+                "",
+                disc.as_text(),
+                "",
+                "residual meters (central differences, grid pair "
+                f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
+                f"exclusion margin {_exclusion_band(geom):g}):",
+                *(f"  equilibrium {axis}: max {r.max_abs:.3e}, observed order {r.observed_order:.3f}"
+                  for axis, r in equilibrium.items()),
+                *(f"  constitutive {name}: order {r.observed_order:.3f}"
+                  for name, r in constitutive.items()),
+            ]
 
-    # per file name, its text in chunks; field_grid.csv streams row by row
+        for key, value in summary.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise PlateStampError(f"non-finite summary value {key}={value}")
+        files = {"field_grid": grid_file.place()}
+
+    # per file name, its text in chunks
     artifacts = {
-        "field_grid.csv": itertools.chain([FIELD_GRID_HEADER + "\n"],
-                                          _field_grid_rows(xs, ys, fields)),
         "pressure_profile.csv": [PRESSURE_HEADER + "\n"] + [
             f"{_fmt(x)},{_fmt(p)}\n" for x, p in zip(xs, pressure)],
         "summary.txt": [f"{key}={_fmt(v) if isinstance(v, float) else v}\n"
                         for key, v in summary.items()],
         "report.txt": [line + "\n" for line in report_lines],
     }
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {}
     for name, chunks in artifacts.items():
-        path = files[Path(name).stem] = out / name
+        path = files[Path(name).stem] = grid_file.out / name
         with path.open("w") as fh:
             fh.writelines(chunks)
     return OutputBundle(xs=xs, fields=fields, pressure=pressure, summary=summary, files=files)

@@ -1,5 +1,6 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
 import dataclasses
+import errno
 import functools
 import filecmp
 import gc
@@ -85,6 +86,12 @@ SMALL_VERIFY = MINIMAL.replace("modes = 64", "modes = 16") \
 
 DESK_VERIFY = MINIMAL + "verify = true\n"
 
+#: a plate so large that its fields underflow to zero; verified, it exits 3
+#: after its fields exist
+HUGE_PLATE = MINIMAL.replace("l = 2", "l = 1e200").replace("h = 1", "h = 1e200") \
+    .replace("center = 1", "center = 5e199").replace("half_width = 0.4", "half_width = 2e199") \
+    .replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+
 THICK_VERIFY = MINIMAL.replace("h = 1", "h = 20").replace("nu = 0.3", "nu = 0.2") \
     .replace("grid = 41x41", "grid = 21x21") + "verify = true\n"
 
@@ -92,6 +99,25 @@ THICK_VERIFY = MINIMAL.replace("h = 1", "h = 20").replace("nu = 0.3", "nu = 0.2"
 def _env_with_src():
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+
+#: per route of the field_grid.csv writer, a CPU count that selects it
+ROUTE_CPUS = {"forked": 2, "inline": 1}
+
+ARTIFACTS = ("field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt")
+
+
+@pytest.fixture(params=ROUTE_CPUS)
+def route(request, monkeypatch):
+    """Each route of the field_grid.csv writer: a forked child, or inline."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS[request.param])
+    return request.param
+
+
+def _assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseConfig:
@@ -203,14 +229,49 @@ class TestRun:
             call()
         assert list(tmp_path.iterdir()) == []
 
-    def test_deterministic_outputs(self, tmp_path):
+    @pytest.mark.parametrize("first", ROUTE_CPUS)
+    def test_deterministic_outputs(self, tmp_path, monkeypatch, first):
+        # both routes of the field_grid.csv writer give the same bytes, the
+        # forked one forks once, and neither leaves a child behind
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         cfg = parse_config(MINIMAL)
-        run(cfg, output_dir=tmp_path / "a")
-        run(cfg, output_dir=tmp_path / "b")
-        for name in ("field_grid.csv", "pressure_profile.csv", "summary.txt",
-                     "report.txt"):
+        second = next(r for r in ROUTE_CPUS if r != first)
+        for name, writer in (("a", first), ("b", second)):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS[writer])
+            run(cfg, output_dir=tmp_path / name)
+            _assert_no_child()
+        assert len(forks) == 1 and forks[0] > 0
+        for name in ARTIFACTS:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == list(ARTIFACTS)
+        # the table's temporary file gets the mode open() gives the others
+        assert len({(tmp_path / d / name).stat().st_mode
+                    for d in "ab" for name in ARTIFACTS}) == 1
+
+    def test_fork_failure_writes_inline(self, tmp_path, monkeypatch):
+        # a process that cannot start a child formats the table itself
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        cfg = parse_config(MINIMAL.replace("modes = 64", "modes = 8"))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS["inline"])
+        run(cfg, output_dir=tmp_path / "a")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS["forked"])
+        monkeypatch.setattr(os, "fork", no_fork)
+        run(cfg, output_dir=tmp_path / "b")
+        for name in ARTIFACTS:
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
+                               shallow=False), name
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == list(ARTIFACTS)
 
     def test_field_grid_schema(self, tmp_path):
         cfg = parse_config(MINIMAL.replace("grid = 41x41", "grid = 5x4"))
@@ -467,22 +528,49 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("source", ["--output", "[output] directory"])
-    def test_unwritable_output_exit_two(self, tmp_path, capsys, source):
-        # a directory below a regular file cannot be created; --output sets
-        # [output] directory, so both sources are named by that key
-        (tmp_path / "file").write_text("")
-        target = tmp_path / "file" / "x"
+    @pytest.mark.parametrize("source", ["--output", "[output] directory", "grid-is-dir"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, route, source):
+        # a directory below a regular file cannot be created, and a file
+        # cannot replace a directory; --output sets [output] directory, so
+        # both sources are named by that key
         text = MINIMAL.replace("modes = 64", "modes = 4").replace("grid = 41x41", "grid = 5x5")
-        args = []
-        if source == "--output":
-            args = ["--output", str(target)]
+        if source == "grid-is-dir":
+            target = tmp_path / "out"
+            (target / "field_grid.csv").mkdir(parents=True)
         else:
+            (tmp_path / "file").write_text("")
+            target = tmp_path / "file" / "x"
+        args = []
+        if source == "[output] directory":
             text += f"\n[output]\ndirectory = {target}\n"
+        else:
+            args = ["--output", str(target)]
         assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[output] directory" in err
         assert str(target) in err
+        if source == "grid-is-dir":
+            assert f"[Errno {errno.EISDIR}] " in err
+            assert str(target / "field_grid.csv") in err
+            assert [p.name for p in target.iterdir()] == ["field_grid.csv"]
+        _assert_no_child()
+
+    def test_field_grid_write_error_names_file(self, tmp_path, capsys, monkeypatch, route):
+        # an OSError while the table is written, in the child or inline,
+        # names its errno and field_grid.csv, and leaves no file behind
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_field_grid_rows", disk_full)
+        cfg = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 4"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write the artifacts to [output] directory = "
+                       f"{out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                       f"'{out / 'field_grid.csv'}'\n")
+        assert not out.exists()
+        _assert_no_child()
 
     @pytest.mark.parametrize("text,args", [
         ("\n[output]\ndirectory =\n", []),
@@ -527,10 +615,13 @@ class TestMain:
         (cli, "assemble_series", []),
         (SeriesField, "grid_fields", []),
         (cli, "discrepancy_report", ["--verify"]),
-    ], ids=["transform", "solve", "grid", "verify"])
-    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, owner, name, args):
+        (cli, "_field_grid_rows", []),
+    ], ids=["transform", "solve", "grid", "verify", "write"])
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, route,
+                                    owner, name, args):
         # a modes or grid too large for memory exits 2 naming both keys,
-        # not with a traceback, whichever stage of the run runs out
+        # not with a traceback, whichever stage of the run runs out, the
+        # forked field_grid.csv writer included
         def exhausted(*args, **kwargs):
             raise MemoryError
 
@@ -540,6 +631,8 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory")
         assert "[solver] modes = 64" in err and "[solver] grid = 41x41" in err
+        assert not (tmp_path / "out").exists()
+        _assert_no_child()
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # a strip with beta_1 ~ 3e7 makes the per-mode boundary system
@@ -661,17 +754,33 @@ path = A
             "config error: invalid value for [stamp] depth: verification needs")
         assert not (tmp_path / "out").exists()
 
-    def test_huge_plate_verify_exit_three(self, tmp_path, capsys):
+    def test_huge_plate_verify_exit_three(self, tmp_path, capsys, route):
         # the fields underflow to zero, so the meters observe no order; the
         # run reports that as a numerical failure rather than dying in the
-        # order's logarithm
-        text = MINIMAL.replace("l = 2", "l = 1e200").replace("h = 1", "h = 1e200") \
-            .replace("center = 1", "center = 5e199").replace("half_width = 0.4",
-                                                             "half_width = 2e199") \
-            .replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
-        cfg = self._write(tmp_path, text)
-        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), "--verify"]) == 3
+        # order's logarithm, and removes the directories it created
+        cfg = self._write(tmp_path, HUGE_PLATE)
+        out = tmp_path / "new" / "out"
+        assert main(["--config", str(cfg), "--output", str(out), "--verify"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        _assert_no_child()
+
+    def test_failed_run_keeps_previous_artifacts(self, tmp_path, capsys, route):
+        # a run that fails after its fields exist writes nothing: the
+        # artifacts of the run before it keep their bytes, and no temporary
+        # file is left
+        out = tmp_path / "out"
+        good = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 8")
+                           .replace("grid = 41x41", "grid = 9x9"))
+        assert main(["--config", str(good), "--output", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(HUGE_PLATE)
+        assert main(["--config", str(bad), "--output", str(out), "--verify"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+        _assert_no_child()
 
     @pytest.mark.parametrize("old,new,named", [
         ("center = 1", "center = 5", "[stamp] center"),
