@@ -4,13 +4,17 @@ Config files are INI-style with sections [geometry], [material], [stamp],
 [solver], [output]; see the README for the key list.  Outputs are plain
 comma-separated text plus a human-readable report and a key=value
 summary, written with 17 significant digits so repeated runs are
-byte-identical.
+byte-identical.  Every float is written as Python's "%.17g" would write
+it; field_grid.csv, the one large table, gets those bytes from numpy in
+blocks of grid rows (:func:`_format_17g`), in a forked child when the
+process may run on two CPUs or more.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import contextlib
+import functools
 import gc
 import itertools
 import math
@@ -283,21 +287,186 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-#: the five field cells of a field_grid.csv line; "%.17g" gives a float
-#: the same digits as :func:`_fmt`
-_FIELD_CELLS = ",".join(["%.17g"] * 5)
+#: the widest "%.17g" of a float: "-d.dddddddddddddddde-308"
+_CELL = 24
+#: a value whose 17-digit rounding lies this close to a tie, in units of
+#: its 17th digit, is formatted by _fmt; the product below is good to
+#: about 1e-14 of that unit
+_TIE_MARGIN = 1e-6
+#: Veltkamp's splitting constant for doubles, 2**27 + 1
+_SPLIT = 134217729.0
+#: the columns of the digit matrix that _format_17g gathers from: the
+#: digits 2..17 as four groups of four, the first digit, then constants
+_LEAD, _NUL, _DOT, _MINUS, _E, _PLUS, _ZERO = range(16, 23)
+#: columns 16..31 of the digit matrix as uint32 words; the first digit
+#: takes the place of "?"
+_CONSTANTS = np.frombuffer(b"?\0.-e+0123456789", np.uint32)
+_FOURS = (np.arange(10000, dtype=np.int16)[:, None]
+          // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+#: the four ASCII digits of 0..9999, each as one uint32
+_DIGITS4 = (_FOURS + ord("0")).view(np.uint32).ravel()
+#: the trailing zeros of the four digits of 0..9999
+_ZEROS4 = np.cumprod(_FOURS[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.int32)
+del _FOURS
+#: per layout key (see _layout), the columns of a cell, filled when first
+#: met; a float's decimal exponent lies in [-324, 308]
+_LAYOUTS = np.zeros(((308 + 325) << 6, _CELL), np.uint8)
+_HAVE_LAYOUT = np.zeros(len(_LAYOUTS), bool)
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(q: int):
+    """10**q as ``(hi, hi_big, hi_small, lo, e)``: 10**q = (hi + lo) * 2**e
+    to 2**-106, with hi in [0.5, 1] and hi = hi_big + hi_small split in
+    two halves of 26 bits.  Worked out in Python ints, whose true division
+    rounds correctly."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    e = num.bit_length() - den.bit_length()
+    num, den = (num, den << e) if e >= 0 else (num << -e, den)
+    if num >= den:   # else num / den is in (1/2, 1): both have the same bit length
+        den, e = den << 1, e + 1
+    hi = num / den
+    hi_num = int(hi * 2**53)
+    t = hi * _SPLIT
+    big = t - (t - hi)
+    return hi, big, hi - big, ((num << 53) - hi_num * den) / (den << 53), e
+
+
+def _scaled(fx, ex, E):
+    """``fx * 2**ex * 10**(16 - E)`` as a pair of doubles ``(hi, lo)``,
+    hi + lo to about 2**-100: Dekker's exact product of fx and 10**q's
+    high part, plus fx times its low part."""
+    q = 16 - E
+    first = int(q.min())
+    table = np.array([_pow10(p) for p in range(first, int(q.max()) + 1)]).T
+    hi, big, small, lo, e = table.take(q - first, axis=1)
+    t = fx * _SPLIT
+    f_big = t - (t - fx)
+    f_small = fx - f_big
+    p = fx * hi
+    err = ((f_big * big - p) + f_big * small + f_small * big) + f_small * small
+    err += fx * lo
+    s = p + err
+    k = ex + e.astype(np.int32)
+    return np.ldexp(s, k), np.ldexp(err - (s - p), k)
+
+
+def _layout(key: int) -> list:
+    """The columns of the digit matrix that spell a cell of layout
+    ``key = (E + 324) << 6 | digits << 1 | negative``: "%g"'s fixed or
+    exponent form of a value with decimal exponent E and that many
+    significant digits; key 0 or 1 is a zero of that sign."""
+    E, digits, negative = (key >> 6) - 324, (key >> 1) & 31, key & 1
+    column = [_LEAD, *range(16)]
+    cell = [_MINUS] * negative
+    if digits == 0:
+        cell.append(_ZERO)
+    elif E < -4 or E >= 17:
+        cell += column[:1] + [_DOT] * (digits > 1) + column[1:digits]
+        cell += [_E, _MINUS if E < 0 else _PLUS, *(_ZERO + int(c) for c in f"{abs(E):02d}")]
+    elif E >= 0:
+        cell += column[:E + 1] + [_DOT] * (digits > E + 1) + column[E + 1:digits]
+    else:
+        cell += [_ZERO, _DOT] + [_ZERO] * (-E - 1) + column[:digits]
+    return cell + [_NUL] * (_CELL - len(cell))
+
+
+def _format_17g(values) -> np.ndarray:
+    """``"%.17g" % v`` of each float64 ``v``, as rows of ASCII bytes padded
+    with NUL to _CELL bytes: the same bytes, for every float64.
+
+    A finite nonzero ``|v|`` is scaled to ``|v| * 10**(16 - E)`` in
+    [1e16, 1e17), with ``E`` first guessed by ``log10`` and then checked
+    on the product.  The product, a pair of doubles, is rounded to the
+    nearest 17-digit integer by the fraction in its low part, and the
+    digits fill a layout per (E, digit count, sign).  Values within
+    _TIE_MARGIN of a rounding tie, where "%g" rounds half to even, and
+    inf and nan are formatted by :func:`_fmt` instead.
+
+    The bytes depend on numpy's float64 ``+ - *``, ``floor``, ``frexp``,
+    ``ldexp``, comparisons and conversion to int64, and its integer ``//``
+    and ``%``, all exact or correctly rounded on every CPU; ``log10``
+    only picks the first guess, so its last bit is free to depend on
+    numpy's SIMD dispatch.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(x)
+    nonzero = finite & (x != 0)
+    w = np.where(nonzero, np.abs(x), 1.0)
+    fx, ex = np.frexp(w)
+    E = np.floor(np.log10(w)).astype(np.int32)
+    hi, lo = _scaled(fx, ex, E)
+    # the floor of log10 is one off E only where |v| lies within an ulp or
+    # so of a power of ten; one step puts it right, or leaves a product
+    # that rounds to 1e16 or 1e17, and the carry below takes care of 1e17
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    wrong = np.flatnonzero(below | above)
+    if wrong.size:
+        E[wrong] += above[wrong].astype(np.int32) - below[wrong]
+        hi[wrong], lo[wrong] = _scaled(fx[wrong], ex[wrong], E[wrong])
+    whole = np.floor(lo)
+    fraction = lo - whole
+    D = hi.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    carry = D == 10**17
+    D[carry] = 10**16
+    E += carry
+    lead = D // 10**16
+    rest = D - lead * 10**16
+    high8 = (rest // 10**8).astype(np.int32)
+    low8 = (rest - high8 * np.int64(10**8)).astype(np.int32)
+
+    fours = (high8 // 10000, high8 % 10000, low8 // 10000, low8 % 10000)
+    digits = np.empty((x.size, 32), np.uint8)
+    words = digits.view(np.uint32)
+    for i, four in enumerate(fours):
+        words[:, i] = _DIGITS4.take(four)
+    words[:, 4:] = _CONSTANTS
+    digits[:, _LEAD] = lead + ord("0")
+    # the trailing zeros of the last 16 digits, the zeros of a zero group
+    # carried to the group before it
+    zeros = _ZEROS4.take(fours[0])
+    for four in fours[1:]:
+        zeros = np.where(four != 0, _ZEROS4.take(four), 4 + zeros)
+    count = 17 - zeros
+    key = np.where(nonzero, (E + 324) << 6 | count << 1, 0) | np.signbit(x)
+    for k in set(key[~_HAVE_LAYOUT.take(key)].tolist()):
+        _LAYOUTS[k] = _layout(k)
+        _HAVE_LAYOUT[k] = True
+    columns = np.add(_LAYOUTS.take(key, axis=0),
+                     np.arange(0, digits.size, 32)[:, None], dtype=np.intp)
+    cells = digits.ravel().take(columns)
+    for i in np.flatnonzero(~finite | nonzero & (abs(fraction - 0.5) < _TIE_MARGIN)).tolist():
+        cell = _fmt(x[i]).encode()
+        cells[i] = 0
+        cells[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return cells
+
+
+#: grid rows per block of field_grid.csv: on 401-point rows the blocks'
+#: temporaries peak near 7 MiB, and on 101-point rows the table formats
+#: faster than in blocks of 16 rows or of the whole table
+_BLOCK_ROWS = 8
 
 
 def _field_grid_rows(xs, ys, fields):
     """The lines of field_grid.csv after its header, as one string per grid
-    row (one y), so the whole table is never held as text."""
-    x_cells = [_fmt(x) + "," for x in xs.tolist()]
+    row (one y), formatted by :func:`_format_17g` in blocks of
+    _BLOCK_ROWS grid rows, so the whole table is never held as text."""
+    nx = xs.size
+    x_cells, y_cells = _format_17g(xs), _format_17g(ys)
     columns = [fields[name] for name in ("u", "v", "sigma_x", "sigma_y", "tau_xy")]
-    for j, y in enumerate(ys.tolist()):
-        y_cell = _fmt(y) + ","
-        yield "".join([x_cell + y_cell + _FIELD_CELLS % values + "\n"
-                       for x_cell, values in zip(x_cells,
-                                                 zip(*(c[j].tolist() for c in columns)))])
+    for j in range(0, ys.size, _BLOCK_ROWS):
+        values = np.stack([c[j:j + _BLOCK_ROWS] for c in columns], axis=-1)
+        rows = len(values)
+        lines = np.empty((rows, nx, 7, _CELL + 1), np.uint8)
+        lines[:, :, 0, :-1] = x_cells
+        lines[:, :, 1, :-1] = y_cells[j:j + rows, None]
+        lines[:, :, 2:, :-1] = _format_17g(values).reshape(rows, nx, 5, _CELL)
+        lines[..., -1] = ord(",")
+        lines[:, :, -1, -1] = ord("\n")
+        for row in lines:
+            yield row.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _usable_cpus() -> int:

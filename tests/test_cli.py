@@ -4,11 +4,14 @@ import errno
 import functools
 import filecmp
 import gc
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +498,160 @@ class TestRun:
         )
         with pytest.raises(ConfigError):
             parse_config(text)
+
+
+def _cells(values):
+    """The cells of cli._format_17g, as strings."""
+    return [row.tobytes().rstrip(b"\0").decode("ascii")
+            for row in cli._format_17g(np.asarray(values, dtype=np.float64))]
+
+
+def _printf(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _near_ties(e, offsets):
+    """Floats m * 2**e, m in [2**52, 2**53), whose scaling to 17 integer
+    digits lies offsets[i] / b off a rounding tie, b being the denominator
+    of that scaling; offset 0 is an exact tie where b is even."""
+    E = math.floor(math.log10(math.ldexp(1.0, 52 + e)))
+    scale = Fraction(2) ** e * Fraction(10) ** (16 - E)
+    a, b = scale.numerator, scale.denominator
+    ties = []
+    for d in offsets:
+        m = (b // 2 + d) * pow(a, -1, b) % b
+        m += -(-(2**52 - m) // b) * b
+        assert 2**52 <= m < 2**53
+        x = math.ldexp(m, e)
+        y = Fraction(x) * Fraction(10) ** (16 - E)
+        assert 10**16 <= y < 10**17
+        off = y - math.floor(y) - Fraction(1, 2)
+        assert abs(off) < Fraction(cli._TIE_MARGIN)
+        assert (off == 0) == (d == 0 and b % 2 == 0)
+        ties.append(x)
+    return ties
+
+
+class TestFormat17g:
+    """cli._format_17g against Python's "%.17g", cell for cell."""
+
+    def test_random_bit_patterns(self, monkeypatch):
+        # every exponent and sign; about 1 pattern in 2048 is inf or nan,
+        # and only those and values within the tie margin reach _fmt
+        # (doubles from 1e13 to 1e16 with a fraction of 1/8, 1/4, ... are
+        # exact ties)
+        calls = []
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or format(float(v), ".17g"))
+        values = np.random.default_rng(26).integers(0, 2**64, 200_000, dtype=np.uint64,
+                                                    endpoint=False).view(np.float64)
+        assert _cells(values) == _printf(values)
+        finite = [abs(v) for v in calls if math.isfinite(v)]
+        assert len(calls) - len(finite) == np.count_nonzero(~np.isfinite(values))
+        for v in finite:
+            y = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+            y /= 10 if y >= 10**17 else Fraction(1, 10) if y < 10**16 else 1
+            assert abs(y - math.floor(y) - Fraction(1, 2)) < cli._TIE_MARGIN, v
+
+    def test_powers_of_two(self):
+        values = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = np.concatenate([values, -values])
+        assert _cells(values) == _printf(values)
+
+    def test_zeros_infinities_nan_and_subnormals(self):
+        subnormals = np.random.default_rng(3).integers(1, 2**52, 1000, dtype=np.uint64)
+        values = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+             2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+            subnormals.view(np.float64), -subnormals.view(np.float64)])
+        assert _cells(values) == _printf(values)
+        assert _cells([0.0, -0.0, np.nan]) == ["0", "-0", "nan"]
+
+    def test_switch_points_and_decade_carry(self):
+        # "%g" turns to the exponent form below 1e-4 and from 1e17 on.
+        # Around every power of ten (the float nearest it, and nearest the
+        # largest 18-digit value below it, with 3 neighbours each way) the
+        # floor of log10 can be one off, and the 17 digits can round up
+        # into the next decade
+        points = [9.9999999999999995e-5, 1e-4, 1e16, 1e17, 99999999999999999.0]
+        points += [float(f"1e{k}") for k in range(-323, 309)]
+        points += [float(f"9.99999999999999995e{k}") for k in range(-324, 308)]
+        values = []
+        for p in points:
+            below = above = p
+            values.append(p)
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                values += [below, above]
+        values = np.array([v for v in values if math.isfinite(v)])
+        values = np.concatenate([values, -values])
+        assert _cells(values) == _printf(values)
+        assert _cells([1e16, 1e17, 1e-4, math.nextafter(1e-4, 0.0)]) == [
+            "10000000000000000", "1e+17", "0.0001", "9.9999999999999991e-05"]
+        # the double nearest 1e-14 lies below it, and its 17 digits round up
+        # into the next decade
+        assert Fraction(1e-14) < Fraction(1, 10**14) and _cells([1e-14]) == ["1e-14"]
+
+    @pytest.mark.parametrize("e", [-60, -52, -40, 40, 66])
+    def test_near_ties_take_the_per_value_route(self, monkeypatch, e):
+        # values within the tie margin of a rounding tie, exact ties among
+        # them, are formatted by _fmt: the product is not trusted to round
+        # them, and "%g" rounds an exact tie to even
+        calls = []
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or format(float(v), ".17g"))
+        ties = _near_ties(e, [0, 1, -1, 2, -3, 20, -20])
+        values = np.array(ties + [-t for t in ties])
+        assert _cells(values) == _printf(values)
+        assert sorted(calls) == sorted(values.tolist())
+
+    def test_exact_tie_rounds_half_to_even(self):
+        # 1234567890123457 / 8 has 18 significant digits and ends in 5
+        assert _cells([1234567890123457 / 8, 1234567890123459 / 8]) == [
+            "154320986265432.12", "154320986265432.38"]
+
+    def test_any_floats(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(derandomize=True, max_examples=100, database=None, deadline=None)
+        @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40))
+        def formats_like_printf(values):
+            assert _cells(values) == _printf(values)
+
+        formats_like_printf()
+
+    def test_field_grid_rows_in_blocks(self):
+        # a table of more than two blocks and a partial one: one string per
+        # grid row, each cell "%.17g" of its value
+        ny, nx = 2 * cli._BLOCK_ROWS + 3, 4
+        rng = np.random.default_rng(5)
+        xs, ys = np.linspace(0.0, 2.0, nx), np.linspace(0.0, 1.0, ny)
+        names = ("u", "v", "sigma_x", "sigma_y", "tau_xy")
+        fields = {name: rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-30, 30, (ny, nx))
+                  for name in names}
+        fields["v"][:, 0] = 0.0
+        fields["tau_xy"][1, 1] = np.nan
+        rows = list(cli._field_grid_rows(xs, ys, fields))
+        assert len(rows) == ny
+        for j, row in enumerate(rows):
+            assert row == "".join(
+                ",".join(_printf([xs[i], ys[j], *(fields[name][j, i] for name in names)])) + "\n"
+                for i in range(nx))
+
+    def test_working_memory_is_bounded(self):
+        # a 401 x 401 table, large-field's size, is formatted block by
+        # block: the temporaries stay far below the table's 23 MB of text
+        rng = np.random.default_rng(7)
+        xs, ys = np.linspace(0.0, 2.0, 401), np.linspace(0.0, 1.0, 401)
+        fields = {name: rng.standard_normal((401, 401))
+                  for name in ("u", "v", "sigma_x", "sigma_y", "tau_xy")}
+        tracemalloc.start()
+        try:
+            size = sum(len(row) for row in cli._field_grid_rows(xs, ys, fields))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 20 * 2**20
+        assert peak < 16 * 2**20, peak
 
 
 class TestMain:
