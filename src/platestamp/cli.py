@@ -6,8 +6,8 @@ comma-separated text plus a human-readable report and a key=value
 summary, written with 17 significant digits so repeated runs are
 byte-identical.  Every float is written as Python's "%.17g" would write
 it; field_grid.csv, the one large table, gets those bytes from numpy in
-blocks of grid rows (:func:`_format_17g`), in a forked child when the
-process may run on two CPUs or more.
+blocks of grid rows (:func:`_format_17g`), on a writer thread while the
+run computes its other values.
 """
 from __future__ import annotations
 
@@ -15,15 +15,12 @@ import argparse
 import configparser
 import contextlib
 import functools
-import gc
 import itertools
 import math
 import os
-import pickle
-import signal
 import sys
 import tempfile
-import warnings
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,7 +306,8 @@ _DIGITS4 = (_FOURS + ord("0")).view(np.uint32).ravel()
 _ZEROS4 = np.cumprod(_FOURS[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.int32)
 del _FOURS
 #: per layout key (see _layout), the columns of a cell, filled when first
-#: met; a float's decimal exponent lies in [-324, 308]
+#: met, each row before its flag, with the same bytes whichever thread
+#: fills it; a float's decimal exponent lies in [-324, 308]
 _LAYOUTS = np.zeros(((308 + 325) << 6, _CELL), np.uint8)
 _HAVE_LAYOUT = np.zeros(len(_LAYOUTS), bool)
 
@@ -469,30 +467,24 @@ def _field_grid_rows(xs, ys, fields):
             yield row.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _FieldGridFile:
     """field_grid.csv, formatted into a temporary file in its directory
     while the rest of the run goes on.
 
     :meth:`start` creates the directory and the temporary file and formats
-    the table: in a forked child when this process may run on two CPUs or
-    more, so that the formatting overlaps the run's other work, else at
+    the table on a writer thread, so that the formatting overlaps the
+    run's other work; where no thread can be started, it formats it at
     once.  :meth:`place` waits for the table, raises what writing it
     raised and moves it into place.  Leaving the ``with`` block by an
-    exception ends the child, deletes the temporary file and removes the
-    directories that :meth:`start` created, if they are empty.
+    exception waits for the writer, deletes the temporary file and
+    removes the directories that :meth:`start` created, if they are
+    empty.
     """
 
     def __init__(self, out: Path):
         self.out, self.path = out, out / "field_grid.csv"
         self._created = []
-        self._tmp = self._pid = self._pipe = self._error = None
+        self._tmp = self._thread = self._error = None
 
     def __enter__(self):
         return self
@@ -519,76 +511,38 @@ class _FieldGridFile:
         os.umask(mask)
         with contextlib.suppress(OSError):
             os.fchmod(fd, 0o666 & ~mask)
-        if hasattr(os, "fork") and _usable_cpus() >= 2:
-            try:
-                self._fork(fd, xs, ys, fields)
-                return
-            except OSError:
-                pass   # no pipe or process to be had: format the table here
+        # the writer calls nothing that perfbench/spans.py wraps: its
+        # tracer keeps one span stack, for one thread
+        writer = threading.Thread(target=self._write, args=(fd, xs, ys, fields),
+                                  name="field_grid.csv writer")
         try:
-            self._write(fd, xs, ys, fields)
-        except Exception as exc:
-            self._error = exc
-
-    def _fork(self, fd, xs, ys, fields) -> None:
-        pipe, child_end = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns when other threads exist, as OpenBLAS's
-                # do; the child calls no BLAS and takes no lock they hold
-                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                        DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(pipe)
-            os.close(child_end)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                # a collection here could run the finalizers of the
-                # parent's garbage, such as the flush of an unclosed file
-                gc.disable()
-                os.close(pipe)
-                try:
-                    self._write(fd, xs, ys, fields)
-                    status = 0
-                except BaseException as exc:
-                    with open(child_end, "wb") as fh:
-                        fh.write(pickle.dumps(exc))
-            finally:
-                # leave without flushing the parent's stdio or running its
-                # atexit handlers
-                os._exit(status)
-        os.close(child_end)
-        os.close(fd)
-        self._pid, self._pipe = pid, open(pipe, "rb")
+            writer.start()
+        except RuntimeError:
+            self._write(fd, xs, ys, fields)   # no thread to be had: format the table here
+        else:
+            self._thread = writer
 
     def _named(self, exc: OSError) -> OSError:
         """``exc`` with the name of the file it failed to write."""
         return OSError(exc.errno, exc.strerror, str(self.path))
 
     def _write(self, fd: int, xs, ys, fields) -> None:
+        """Write the table to ``fd`` and close it, keeping what that
+        raises for :meth:`place`."""
         try:
             with open(fd, "w") as fh:
                 fh.write(FIELD_GRID_HEADER + "\n")
                 fh.writelines(_field_grid_rows(xs, ys, fields))
         except OSError as exc:
-            raise self._named(exc) from None
+            self._error = self._named(exc)
+        except Exception as exc:
+            self._error = exc
 
     def place(self) -> Path:
         """Wait for the table and move it to ``field_grid.csv``; returns
         that path."""
-        if self._pid is not None:
-            with self._pipe:
-                sent = self._pipe.read()
-            _, status = os.waitpid(self._pid, 0)
-            self._pid = None
-            if sent:
-                self._error = pickle.loads(sent)
-            elif status:
-                self._error = ChildProcessError(
-                    f"the field_grid.csv writer ended with wait status {status}")
+        if self._thread is not None:
+            self._thread.join()
         if self._error is not None:
             raise self._error
         try:
@@ -599,10 +553,8 @@ class _FieldGridFile:
         return self.path
 
     def __exit__(self, exc_type, exc, tb):
-        if self._pid is not None:
-            self._pipe.close()
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
+        if self._thread is not None:
+            self._thread.join()
         if self._tmp is not None:
             os.unlink(self._tmp)
         if exc_type is not None:

@@ -1,4 +1,5 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
+import contextlib
 import dataclasses
 import errno
 import functools
@@ -9,6 +10,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -104,23 +107,30 @@ def _env_with_src():
                 PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
-#: per route of the field_grid.csv writer, a CPU count that selects it
-ROUTE_CPUS = {"forked": 2, "inline": 1}
-
 ARTIFACTS = ("field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt")
 
 
-@pytest.fixture(params=ROUTE_CPUS)
-def route(request, monkeypatch):
-    """Each route of the field_grid.csv writer: a forked child, or inline."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS[request.param])
+def _no_thread(thread):
+    """``threading.Thread.start`` in a process that has no thread to spare."""
+    raise RuntimeError("can't start new thread")
+
+
+@pytest.fixture(params=["thread", "inline"])
+def writer(request, monkeypatch):
+    """Each way the field_grid.csv writer runs: on its own thread, or, where
+    no thread can be started, inline on the thread of the run."""
+    if request.param == "inline":
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
     return request.param
 
 
-def _assert_no_child():
-    """No child process of this one is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def _no_thread_left():
+    """The block leaves the threads of this process as it found them: no
+    field_grid.csv writer outlives its run."""
+    before = threading.enumerate()
+    yield
+    assert threading.enumerate() == before
 
 
 class TestParseConfig:
@@ -232,26 +242,22 @@ class TestRun:
             call()
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("first", ROUTE_CPUS)
-    def test_deterministic_outputs(self, tmp_path, monkeypatch, first):
-        # both routes of the field_grid.csv writer give the same bytes, the
-        # forked one forks once, and neither leaves a child behind
-        forks = []
-        fork = os.fork
+    def test_deterministic_outputs(self, tmp_path, monkeypatch):
+        # two runs give the same bytes; each starts one field_grid.csv
+        # writer thread and leaves none behind
+        writers = []
+        start = threading.Thread.start
 
-        def counted_fork():
-            pid = fork()
-            forks.append(pid)
-            return pid
+        def counted_start(thread):
+            writers.append(thread.name)
+            start(thread)
 
-        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
         cfg = parse_config(MINIMAL)
-        second = next(r for r in ROUTE_CPUS if r != first)
-        for name, writer in (("a", first), ("b", second)):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS[writer])
-            run(cfg, output_dir=tmp_path / name)
-            _assert_no_child()
-        assert len(forks) == 1 and forks[0] > 0
+        for name in "ab":
+            with _no_thread_left():
+                run(cfg, output_dir=tmp_path / name)
+        assert writers == ["field_grid.csv writer"] * 2
         for name in ARTIFACTS:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
@@ -260,17 +266,13 @@ class TestRun:
         assert len({(tmp_path / d / name).stat().st_mode
                     for d in "ab" for name in ARTIFACTS}) == 1
 
-    def test_fork_failure_writes_inline(self, tmp_path, monkeypatch):
-        # a process that cannot start a child formats the table itself
-        def no_fork():
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
+    def test_thread_start_failure_writes_inline(self, tmp_path, monkeypatch):
+        # a process that cannot start a thread formats the table itself
         cfg = parse_config(MINIMAL.replace("modes = 64", "modes = 8"))
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS["inline"])
         run(cfg, output_dir=tmp_path / "a")
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: ROUTE_CPUS["forked"])
-        monkeypatch.setattr(os, "fork", no_fork)
-        run(cfg, output_dir=tmp_path / "b")
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        with _no_thread_left():
+            run(cfg, output_dir=tmp_path / "b")
         for name in ARTIFACTS:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
@@ -637,6 +639,36 @@ class TestFormat17g:
                 ",".join(_printf([xs[i], ys[j], *(fields[name][j, i] for name in names)])) + "\n"
                 for i in range(nx))
 
+    def test_threads_share_the_layout_cache(self, monkeypatch):
+        # the field_grid.csv writer formats beside other threads: threads
+        # that fill the same empty layouts at once, switching often, each
+        # get "%.17g" of every value
+        values = np.random.default_rng(27).integers(0, 2**64, 4000, dtype=np.uint64,
+                                                    endpoint=False).view(np.float64)
+        blocks = np.array_split(values, 40)
+        expected = [_printf(np.concatenate(blocks[parity::2])) for parity in (0, 1)]
+        results = {}
+
+        def format_blocks(i):
+            results[i] = [cell for block in blocks[i % 2::2] for cell in _cells(block)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(cli, "_LAYOUTS", np.zeros_like(cli._LAYOUTS))
+                monkeypatch.setattr(cli, "_HAVE_LAYOUT", np.zeros_like(cli._HAVE_LAYOUT))
+                threads = [threading.Thread(target=format_blocks, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for i in range(4):
+                    assert results.pop(i) == expected[i % 2], i
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_working_memory_is_bounded(self):
         # a 401 x 401 table, large-field's size, is formatted block by
         # block: the temporaries stay far below the table's 23 MB of text
@@ -686,7 +718,7 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["--output", "[output] directory", "grid-is-dir"])
-    def test_unwritable_output_exit_two(self, tmp_path, capsys, route, source):
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, writer, source):
         # a directory below a regular file cannot be created, and a file
         # cannot replace a directory; --output sets [output] directory, so
         # both sources are named by that key
@@ -702,7 +734,8 @@ class TestMain:
             text += f"\n[output]\ndirectory = {target}\n"
         else:
             args = ["--output", str(target)]
-        assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
+        with _no_thread_left():
+            assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[output] directory" in err
         assert str(target) in err
@@ -710,24 +743,24 @@ class TestMain:
             assert f"[Errno {errno.EISDIR}] " in err
             assert str(target / "field_grid.csv") in err
             assert [p.name for p in target.iterdir()] == ["field_grid.csv"]
-        _assert_no_child()
 
-    def test_field_grid_write_error_names_file(self, tmp_path, capsys, monkeypatch, route):
-        # an OSError while the table is written, in the child or inline,
-        # names its errno and field_grid.csv, and leaves no file behind
+    def test_field_grid_write_error_names_file(self, tmp_path, capsys, monkeypatch, writer):
+        # an OSError while the table is written, on the writer thread or
+        # inline, names its errno and field_grid.csv, and leaves no file
+        # behind
         def disk_full(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(cli, "_field_grid_rows", disk_full)
         cfg = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 4"))
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        with _no_thread_left():
+            assert main(["--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (f"config error: cannot write the artifacts to [output] directory = "
                        f"{out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
                        f"'{out / 'field_grid.csv'}'\n")
         assert not out.exists()
-        _assert_no_child()
 
     @pytest.mark.parametrize("text,args", [
         ("\n[output]\ndirectory =\n", []),
@@ -774,22 +807,22 @@ class TestMain:
         (cli, "discrepancy_report", ["--verify"]),
         (cli, "_field_grid_rows", []),
     ], ids=["transform", "solve", "grid", "verify", "write"])
-    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, route,
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, writer,
                                     owner, name, args):
         # a modes or grid too large for memory exits 2 naming both keys,
         # not with a traceback, whichever stage of the run runs out, the
-        # forked field_grid.csv writer included
+        # field_grid.csv writer included, on its thread or inline
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(owner, name, exhausted)
         cfg = self._write(tmp_path, MINIMAL)
-        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        with _no_thread_left():
+            assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory")
         assert "[solver] modes = 64" in err and "[solver] grid = 41x41" in err
         assert not (tmp_path / "out").exists()
-        _assert_no_child()
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # a strip with beta_1 ~ 3e7 makes the per-mode boundary system
@@ -911,18 +944,27 @@ path = A
             "config error: invalid value for [stamp] depth: verification needs")
         assert not (tmp_path / "out").exists()
 
-    def test_huge_plate_verify_exit_three(self, tmp_path, capsys, route):
+    def test_huge_plate_verify_exit_three(self, tmp_path, capsys, monkeypatch, writer):
         # the fields underflow to zero, so the meters observe no order; the
         # run reports that as a numerical failure rather than dying in the
-        # order's logarithm, and removes the directories it created
+        # order's logarithm, and removes the directories it created, after
+        # the writer has finished: inline, or on a thread still formatting
+        # when the run fails
+        rows = cli._field_grid_rows
+
+        def slow_rows(*args):
+            time.sleep(0.2)
+            yield from rows(*args)
+
+        monkeypatch.setattr(cli, "_field_grid_rows", slow_rows)
         cfg = self._write(tmp_path, HUGE_PLATE)
         out = tmp_path / "new" / "out"
-        assert main(["--config", str(cfg), "--output", str(out), "--verify"]) == 3
+        with _no_thread_left():
+            assert main(["--config", str(cfg), "--output", str(out), "--verify"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
-        _assert_no_child()
 
-    def test_failed_run_keeps_previous_artifacts(self, tmp_path, capsys, route):
+    def test_failed_run_keeps_previous_artifacts(self, tmp_path, capsys, writer):
         # a run that fails after its fields exist writes nothing: the
         # artifacts of the run before it keep their bytes, and no temporary
         # file is left
@@ -933,11 +975,11 @@ path = A
         before = {name: (out / name).read_bytes() for name in ARTIFACTS}
         bad = tmp_path / "bad.cfg"
         bad.write_text(HUGE_PLATE)
-        assert main(["--config", str(bad), "--output", str(out), "--verify"]) == 3
+        with _no_thread_left():
+            assert main(["--config", str(bad), "--output", str(out), "--verify"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
-        _assert_no_child()
 
     @pytest.mark.parametrize("old,new,named", [
         ("center = 1", "center = 5", "[stamp] center"),
