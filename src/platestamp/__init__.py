@@ -17,7 +17,6 @@ from .core import (
     ModeDegeneracyError,
     PathDivergenceError,
     PlateStampError,
-    SingularRatioError,
 )
 from .strip_solution import (
     SeriesField,

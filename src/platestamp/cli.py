@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -500,25 +499,22 @@ class _FieldGridFile:
             self._error = exc
             return
         self._created = missing
+        # a new name, created with the mode open() gives every artifact
+        tmp = self.out / f".field_grid.csv.{os.urandom(6).hex()}"
         try:
-            fd, self._tmp = tempfile.mkstemp(prefix=".field_grid.csv.", dir=self.out)
+            fh = open(tmp, "x")
         except OSError as exc:
             self._error = self._named(exc)
             return
-        # the mode open() gives a new file; a file system that keeps no
-        # modes may refuse it
-        mask = os.umask(0o022)
-        os.umask(mask)
-        with contextlib.suppress(OSError):
-            os.fchmod(fd, 0o666 & ~mask)
+        self._tmp = tmp
         # the writer calls nothing that perfbench/spans.py wraps: its
         # tracer keeps one span stack, for one thread
-        writer = threading.Thread(target=self._write, args=(fd, xs, ys, fields),
+        writer = threading.Thread(target=self._write, args=(fh, xs, ys, fields),
                                   name="field_grid.csv writer")
         try:
             writer.start()
         except RuntimeError:
-            self._write(fd, xs, ys, fields)   # no thread to be had: format the table here
+            self._write(fh, xs, ys, fields)   # no thread to be had: format the table here
         else:
             self._thread = writer
 
@@ -526,11 +522,11 @@ class _FieldGridFile:
         """``exc`` with the name of the file it failed to write."""
         return OSError(exc.errno, exc.strerror, str(self.path))
 
-    def _write(self, fd: int, xs, ys, fields) -> None:
-        """Write the table to ``fd`` and close it, keeping what that
-        raises for :meth:`place`."""
+    def _write(self, fh, xs, ys, fields) -> None:
+        """Write the table to the open file ``fh`` and close it, keeping
+        what that raises for :meth:`place`."""
         try:
-            with open(fd, "w") as fh:
+            with fh:
                 fh.write(FIELD_GRID_HEADER + "\n")
                 fh.writelines(_field_grid_rows(xs, ys, fields))
         except OSError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 
 class PlateStampError(Exception):
@@ -29,10 +28,6 @@ class DomainError(PlateStampError):
 
 class MaterialError(PlateStampError):
     """Elastic constants outside the admissible plane-strain range."""
-
-
-class SingularRatioError(PlateStampError):
-    """Hyperbolic ratio requested with a vanishing denominator argument."""
 
 
 class ModeDegeneracyError(PlateStampError):
@@ -67,13 +62,6 @@ def _positive_integer(value, name: str) -> int:
         if value >= 1:
             return int(value)
     raise DomainError(f"{name} must be a whole number >= 1, got {value}")
-
-
-class Parity(Enum):
-    """x-dependence of a per-mode quantity: sin(k x) or cos(k x)."""
-
-    SINE = "sine"
-    COSINE = "cosine"
 
 
 @dataclass(frozen=True)

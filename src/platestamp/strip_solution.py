@@ -39,10 +39,15 @@ the BLAS thread count.  The face readers of :mod:`platestamp.stamp_problem`
 take one mode at a time from the same columns
 (:meth:`SeriesField.face_normal_stress`, the ``Y``-only case of the same
 call).
-All hyperbolics are evaluated in overflow-safe exponential form, so the
-routes stay finite for arbitrarily high modes.  Kernels are pure
-functions and assembled series are frozen value objects; they can be
-evaluated from any number of threads.
+Paths A and B are written in the ratios sh(ky)/sh(kh), ch(ky)/sh(kh)
+and ch(ky)ch(kh)/sh(kh)^2, each evaluated in exponential form, e.g.
+
+    sh(a)/sh(b) = e^(a-b) (1 - e^(-2a)) / (1 - e^(-2b)),
+
+so that no sh/ch of a large argument is ever formed and the routes stay
+finite for arbitrarily high modes; path C expands its brackets the same
+way.  Kernels are pure functions and assembled series are frozen value
+objects; they can be evaluated from any number of threads.
 """
 from __future__ import annotations
 
@@ -59,14 +64,11 @@ from .core import (
     Geometry,
     Material,
     ModeDegeneracyError,
-    Parity,
 )
-from .modal_calculus import RatioKind, stable_ratio
 
 __all__ = [
     "SolutionPath",
     "SeriesField",
-    "FIELD_PARITIES",
     "mode_columns",
     "block_profiles",
     "initial_amplitudes",
@@ -76,16 +78,10 @@ __all__ = [
     "evaluate_fields",
 ]
 
-#: x-parity of the five per-mode profiles (U, V, Y, X, SX order).
-FIELD_PARITIES = {
-    "U": Parity.COSINE,
-    "V": Parity.SINE,
-    "Y": Parity.SINE,
-    "X": Parity.COSINE,
-    "SX": Parity.SINE,
-}
-
 FIELD_NAMES = ("U", "V", "Y", "X", "SX")
+
+#: the fields that go with sin(k x); U and X go with cos(k x)
+_SINE_FIELDS = ("V", "Y", "SX")
 
 #: condition-number ceiling for the per-mode boundary solve
 _COND_LIMIT = 1e12
@@ -117,16 +113,53 @@ def mode_columns(ns: Sequence[int], geom: Geometry):
 
 
 # ---------------------------------------------------------------------------
+# hyperbolic ratios in exponential form, for 0 <= a and 0 < b
+# ---------------------------------------------------------------------------
+
+def _ratio_terms(a, b):
+    """``a`` and ``b`` as float arrays, with e^(a-b) and
+    expm1(-2b) = -(1 - e^(-2b)); ``b <= 0`` or ``a < 0`` raises
+    :class:`DomainError` naming the smallest offending value."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(b <= 0.0):
+        raise DomainError(f"ratio denominator argument must be positive, "
+                          f"got b={float(b[b <= 0.0].min())}")
+    if np.any(a < 0.0):
+        raise DomainError(f"ratio numerator argument must be non-negative, "
+                          f"got a={float(a[a < 0.0].min())}")
+    return a, b, np.exp(a - b), np.expm1(-2.0 * b)
+
+
+def _sh_sh(a, b):
+    """sh(a)/sh(b), broadcast."""
+    a, b, scale, em2b = _ratio_terms(a, b)
+    return scale * np.expm1(-2.0 * a) / em2b
+
+
+def _ch_sh(a, b):
+    """ch(a)/sh(b), broadcast."""
+    a, b, scale, em2b = _ratio_terms(a, b)
+    return scale * (1.0 + np.exp(-2.0 * a)) / (-em2b)
+
+
+def _chch_shsh(a, b):
+    """ch(a)ch(b)/sh(b)^2, broadcast."""
+    a, b, scale, em2b = _ratio_terms(a, b)
+    return scale * (1.0 + np.exp(-2.0 * a)) * (1.0 + np.exp(-2.0 * b)) / em2b**2
+
+
+# ---------------------------------------------------------------------------
 # path B: harmonic building blocks (normative)
 # ---------------------------------------------------------------------------
 
 def _ratios(beta, eta):
     """beta*eta and the four hyperbolic ratio profiles path B is built from."""
     be = beta * np.asarray(eta, dtype=float)
-    shr = stable_ratio(RatioKind.SH_SH, be, beta)      # sh(ky)/sh(kh)
-    chr_ = stable_ratio(RatioKind.CH_SH, be, beta)     # ch(ky)/sh(kh)
-    ccr = stable_ratio(RatioKind.CHCH_SHSH, be, beta)  # ch(ky)ch(kh)/sh^2
-    scr = shr * stable_ratio(RatioKind.CH_SH, beta, beta)  # sh(ky)ch(kh)/sh^2
+    shr = _sh_sh(be, beta)               # sh(ky)/sh(kh)
+    chr_ = _ch_sh(be, beta)              # ch(ky)/sh(kh)
+    ccr = _chch_shsh(be, beta)           # ch(ky)ch(kh)/sh^2
+    scr = shr * _ch_sh(beta, beta)       # sh(ky)ch(kh)/sh^2
     return be, shr, chr_, ccr, scr
 
 
@@ -178,8 +211,8 @@ def _initial_columns(k, beta, nu: float, eta, fields) -> tuple:
     """
     y = np.asarray(eta, dtype=float) * (beta / k)
     ky = k * y
-    s = stable_ratio(RatioKind.SH_SH, ky, beta)
-    c = stable_ratio(RatioKind.CH_SH, ky, beta)
+    s = _sh_sh(ky, beta)
+    c = _ch_sh(ky, beta)
     d2 = 2.0 * (1.0 - nu)
     formulas = {
         "U": lambda: (c + ky * s / d2,                                    # L_UU
@@ -324,9 +357,9 @@ def _mode_sums(c, k, profiles: dict, xs) -> dict:
     total = {}
     # one parity's weights alive at a time; each profile block is released
     # once it is summed
-    for parity, trig in ((Parity.SINE, np.sin), (Parity.COSINE, np.cos)):
+    for trig, sine in ((np.sin, True), (np.cos, False)):
         weighted = c * trig(np.outer(k, xs))
-        for name in (f for f in FIELD_NAMES if FIELD_PARITIES[f] is parity):
+        for name in (f for f in FIELD_NAMES if (f in _SINE_FIELDS) == sine):
             total[name] = np.einsum("nj,ni->ji", profiles.pop(name), weighted,
                                     optimize=False)
         del weighted
@@ -352,7 +385,7 @@ def _uniform_x_sums(n, c, profiles: dict, M: int, N: int) -> dict:
         padded[n] = c * block
         spectrum = np.fft.rfft(padded.reshape(-1, period, block.shape[1]).sum(axis=0),
                                axis=0)
-        if FIELD_PARITIES[name] is Parity.SINE:
+        if name in _SINE_FIELDS:
             # 0 - imag rather than -imag: the DC and Nyquist bins (x = 0 and
             # x = l) carry signed zeros, which must come out as +0.0
             total[name] = np.subtract(0.0, spectrum.imag.T, order="C")

@@ -1,7 +1,7 @@
 """Two solutions of Laplace's equation on the rectangle with Dirichlet
 data, which the tests check against each other and against path B: the
 four-series solution (one sine series per edge, damped into the interior
-by a sinh ratio through ``stable_ratio``) and the 5-point finite-difference
+by the sinh ratio ``strip_solution._sh_sh``) and the 5-point finite-difference
 solve by DST-I along both axes (the fast Poisson method of Hockney and of
 Buzbee, Golub and Nielson).
 
@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from platestamp.modal_calculus import RatioKind, stable_ratio
 from platestamp.stamp_problem import sine_transform
+from platestamp.strip_solution import _sh_sh
 
 
 def series_transforms(edges, geom, N, panels=None, breakpoints=None):
@@ -42,7 +42,7 @@ def series_solution(transforms, geom, x, y):
         along, length, depth, width = layout[edge]
         for n, c in enumerate(coeffs, start=1):
             k = n * math.pi / length
-            total += c * np.sin(k * along) * stable_ratio(RatioKind.SH_SH, k * depth, k * width)
+            total += c * np.sin(k * along) * _sh_sh(k * depth, k * width)
     return total
 
 

@@ -8,6 +8,7 @@ import gc
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -265,6 +266,24 @@ class TestRun:
         # the table's temporary file gets the mode open() gives the others
         assert len({(tmp_path / d / name).stat().st_mode
                     for d in "ab" for name in ARTIFACTS}) == 1
+
+    def test_artifact_modes_follow_umask(self, tmp_path, monkeypatch, writer):
+        # under umask 0o027 all four artifacts get mode 0o640, the mode
+        # open() gives a new file, and the run never sets the process-wide
+        # umask, so files other threads create meanwhile keep their modes
+        def no_umask(mask):
+            raise AssertionError("the run set the process umask")
+
+        set_umask = os.umask
+        before = set_umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", no_umask)
+            run(parse_config(MINIMAL.replace("modes = 64", "modes = 4")),
+                output_dir=tmp_path / "out")
+        finally:
+            set_umask(before)
+        assert {name: stat.S_IMODE((tmp_path / "out" / name).stat().st_mode)
+                for name in ARTIFACTS} == dict.fromkeys(ARTIFACTS, 0o640)
 
     def test_thread_start_failure_writes_inline(self, tmp_path, monkeypatch):
         # a process that cannot start a thread formats the table itself
@@ -850,6 +869,19 @@ path = A
         cfg = self._write(tmp_path, text)
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_underflowing_beta_exit_three(self, tmp_path, capsys):
+        # on l = 1e10, h = 5e-324 every beta = n pi h / l underflows to 0, where
+        # no hyperbolic ratio has a value: one line names the error and
+        # the smallest denominator argument, and no file is written
+        text = MINIMAL.replace("l = 2", "l = 1e10").replace("h = 1", "h = 5e-324") \
+            .replace("center = 1", "center = 5e9").replace("half_width = 0.4", "half_width = 1e9") \
+            .replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 5x5")
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("numerical failure: DomainError: ratio denominator "
+                                           "argument must be positive, got b=0.0\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old,new,named", [
         ("depth = 0.01", "depth = nan", "[stamp] depth"),

@@ -1,8 +1,11 @@
 """Tests for the per-mode formulas the solution paths run.
 
-The building blocks are evaluated from the ratio profiles of path B's
-kernel (``strip_solution._ratios``) and checked against mpmath reference
-forms, their y- and h-derivative identities and a discrete Laplacian.
+The three hyperbolic ratios of ``strip_solution`` (``_sh_sh``,
+``_ch_sh``, ``_chch_shsh``) are checked against 40-digit mpmath from
+beta = 1e-5 to 1e5.  The building blocks are evaluated from the ratio
+profiles of path B's kernel (``strip_solution._ratios``) and checked
+against mpmath reference forms, their y- and h-derivative identities and
+a discrete Laplacian.
 The transfer operators are the entries of path A's two live operator
 columns, the u0 and y0 columns scaled by sh(k h)
 (``strip_solution._initial_columns``), and are checked against three
@@ -27,20 +30,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from platestamp import (
-    DomainError,
-    Geometry,
-    Material,
-    MaterialError,
-    SingularRatioError,
-)
-from platestamp.core import Parity
-from platestamp.modal_calculus import RatioKind, stable_ratio
+from platestamp import DomainError, Geometry, Material, MaterialError
 from platestamp.strip_solution import (
     FIELD_NAMES,
-    FIELD_PARITIES,
+    _SINE_FIELDS,
+    _ch_sh,
+    _chch_shsh,
     _initial_columns,
     _ratios,
+    _sh_sh,
     mode_columns,
 )
 
@@ -50,50 +48,70 @@ mp.mp.dps = 40
 
 
 # ---------------------------------------------------------------------------
-# stable_ratio
+# hyperbolic ratios
 # ---------------------------------------------------------------------------
 
-class TestStableRatio:
-    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (1.0, 1.0), (2.5, 7.0),
-                                     (0.0, 5.0), (12.0, 30.0), (29.9, 30.0)])
-    def test_matches_naive_hyperbolics(self, a, b):
-        naive = {
-            RatioKind.SH_SH: math.sinh(a) / math.sinh(b),
-            RatioKind.CH_SH: math.cosh(a) / math.sinh(b),
-            RatioKind.CHCH_SHSH: math.cosh(a) * math.cosh(b) / math.sinh(b) ** 2,
-        }
-        for kind, expected in naive.items():
-            got = stable_ratio(kind, a, b)
-            assert got == pytest.approx(expected, rel=1e-12)
+#: each ratio helper and its definition
+_RATIO_REFERENCES = {
+    _sh_sh: lambda a, b: mp.sinh(a) / mp.sinh(b),
+    _ch_sh: lambda a, b: mp.cosh(a) / mp.sinh(b),
+    _chch_shsh: lambda a, b: mp.cosh(a) * mp.cosh(b) / mp.sinh(b) ** 2,
+}
+
+_EACH_RATIO = pytest.mark.parametrize("ratio", _RATIO_REFERENCES, ids=lambda f: f.__name__)
+
+
+class TestRatioHelpers:
+    @_EACH_RATIO
+    def test_against_mpmath(self, ratio):
+        # b from 1e-5 to 1e5 and 0 <= a <= b, wherever the value is at
+        # least 1e-290: the relative error stays within (|b - a| + 4) eps,
+        # where |b - a| eps is the rounding of a - b, which e^(a - b)
+        # amplifies
+        eps = np.finfo(float).eps
+        checked = 0
+        for b in np.logspace(-5.0, 5.0, 161):
+            for a in b * np.array([0.0, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.9, 0.999, 1.0]):
+                exact = _RATIO_REFERENCES[ratio](mp.mpf(a), mp.mpf(b))
+                if exact < mp.mpf("1e-290"):
+                    continue
+                error = abs(mp.mpf(float(ratio(a, b))) - exact) / exact
+                assert error <= (abs(b - a) + 4.0) * eps, (a, b, float(error))
+                checked += 1
+        assert checked >= 1000
 
     def test_equal_large_arguments_exact(self):
         # naive sinh(700) overflows; the ratio is exactly 1
-        assert stable_ratio(RatioKind.SH_SH, 700.0, 700.0) == 1.0
+        assert _sh_sh(700.0, 700.0) == 1.0
 
     def test_zero_numerator(self):
-        assert stable_ratio(RatioKind.SH_SH, 0.0, 5.0) == 0.0
+        assert _sh_sh(0.0, 5.0) == 0.0
 
     def test_coth_reference(self):
         # ch(1)/sh(1) against a high-precision reference
         expected = float(mp.coth(1))
-        assert stable_ratio(RatioKind.CH_SH, 1.0, 1.0) == pytest.approx(expected, rel=1e-15)
+        assert _ch_sh(1.0, 1.0) == pytest.approx(expected, rel=1e-15)
 
-    def test_large_arguments_finite(self):
-        for kind in RatioKind:
-            v = stable_ratio(kind, 900.0, 1000.0)
-            assert np.isfinite(v)
+    @_EACH_RATIO
+    def test_zero_denominator_raises(self, ratio):
+        # named by the smallest offending value, in one line
+        with pytest.raises(DomainError, match=r"^ratio denominator argument must be "
+                                              r"positive, got b=0\.0$"):
+            ratio(0.0, 0.0)
+        b = np.array([[2.0], [0.0], [-0.0], [-1.5], [3.0]])
+        with pytest.raises(DomainError, match=r"got b=-1\.5$"):
+            ratio(0.0, b)
 
-    def test_zero_denominator_raises(self):
-        with pytest.raises(SingularRatioError):
-            stable_ratio(RatioKind.SH_SH, 0.0, 0.0)
-
-    def test_negative_numerator_raises(self):
-        with pytest.raises(DomainError):
-            stable_ratio(RatioKind.CH_SH, -1.0, 2.0)
+    @_EACH_RATIO
+    def test_negative_numerator_raises(self, ratio):
+        a = np.array([0.5, -1.0, -0.25])
+        with pytest.raises(DomainError, match=r"^ratio numerator argument must be "
+                                              r"non-negative, got a=-1\.0$"):
+            ratio(a, 2.0)
 
     def test_array_input(self):
         a = np.array([0.0, 1.0, 2.0])
-        out = stable_ratio(RatioKind.SH_SH, a, 2.0)
+        out = _sh_sh(a, 2.0)
         expected = np.sinh(a) / math.sinh(2.0)
         assert np.allclose(out, expected, rtol=1e-13)
 
@@ -108,21 +126,21 @@ _RATIO_NAMES = ("sh/sh", "ch/sh", "chch/sh2", "shch/sh2")
 # Each building block of path B is one of the ratio profiles times a
 # power of +-k: (ratio, sign, power of k, x-parity, reference form b(k, y, h)).
 _BLOCKS = {
-    "b10": ("sh/sh", 1, 0, Parity.SINE,
+    "b10": ("sh/sh", 1, 0, "sine",
             lambda k, y, h: mp.sinh(k * y) / mp.sinh(k * h)),
-    "b11": ("ch/sh", -1, 0, Parity.COSINE,
+    "b11": ("ch/sh", -1, 0, "cosine",
             lambda k, y, h: -mp.cosh(k * y) / mp.sinh(k * h)),
-    "b12": ("sh/sh", 1, 1, Parity.COSINE,
+    "b12": ("sh/sh", 1, 1, "cosine",
             lambda k, y, h: k * mp.sinh(k * y) / mp.sinh(k * h)),
-    "b13": ("ch/sh", 1, 1, Parity.SINE,
+    "b13": ("ch/sh", 1, 1, "sine",
             lambda k, y, h: k * mp.cosh(k * y) / mp.sinh(k * h)),
-    "b14": ("sh/sh", -1, 2, Parity.SINE,
+    "b14": ("sh/sh", -1, 2, "sine",
             lambda k, y, h: -k**2 * mp.sinh(k * y) / mp.sinh(k * h)),
-    "b15": ("ch/sh", 1, 2, Parity.COSINE,
+    "b15": ("ch/sh", 1, 2, "cosine",
             lambda k, y, h: k**2 * mp.cosh(k * y) / mp.sinh(k * h)),
-    "b16": ("chch/sh2", -1, 1, Parity.COSINE,
+    "b16": ("chch/sh2", -1, 1, "cosine",
             lambda k, y, h: -k * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2),
-    "b17": ("chch/sh2", 1, 2, Parity.SINE,
+    "b17": ("chch/sh2", 1, 2, "sine",
             lambda k, y, h: k**2 * mp.cosh(k * y) * mp.cosh(k * h) / mp.sinh(k * h)**2),
 }
 
@@ -203,7 +221,7 @@ class TestBuildingBlocks:
     def test_harmonicity(self, geom, op, n):
         # 5-point Laplacian of block(y) * trig(k x) shrinks at O(h^2)
         k, beta = mode_scalars(n, geom)
-        trig = np.sin if _BLOCKS[op][3] is Parity.SINE else np.cos
+        trig = np.sin if _BLOCKS[op][3] == "sine" else np.cos
 
         def field(step):
             xs = np.arange(0.3, 0.3 + 5 * step, step)[:5]
@@ -247,7 +265,7 @@ _ENTRIES = {
 }
 
 #: x-parity of the mode of each amplitude: U_0 ~ cos, Y_0 ~ sin
-_AMPLITUDE_PARITY = {"u0": Parity.COSINE, "y0": Parity.SINE}
+_AMPLITUDE_PARITY = {"u0": "cosine", "y0": "sine"}
 
 #: transfer operators odd in a = d/dx: they flip the x-parity of a mode
 _ODD = frozenset({"L_UY", "L_VU", "L_YU", "L_XY", "A_U"})
@@ -277,7 +295,7 @@ def _series_terms(op, y, nu):
 
 def _phase(parity):
     """phi with sin(k x + phi) the mode of ``parity``."""
-    return mp.mpf(0) if parity is Parity.SINE else mp.pi / 2
+    return mp.mpf(0) if parity == "sine" else mp.pi / 2
 
 
 def _apply_power_series(op, k, y, x, nu, parity_in, n_terms=18):
@@ -316,11 +334,11 @@ def _parity_out(op, parity_in):
     """x-parity of operator ``op`` acting on a mode of ``parity_in``."""
     if op not in _ODD:
         return parity_in
-    return Parity.COSINE if parity_in is Parity.SINE else Parity.SINE
+    return "cosine" if parity_in == "sine" else "sine"
 
 
 def _trig(parity):
-    return mp.sin if parity is Parity.SINE else mp.cos
+    return mp.sin if parity == "sine" else mp.cos
 
 
 def _entry(op, k, beta, eta, nu):
@@ -388,13 +406,13 @@ class TestVlasovOperators:
         field, amplitude = _ENTRIES[op]
         parity_in = _AMPLITUDE_PARITY[amplitude]
         parity = _parity_out(op, parity_in)
-        assert parity is FIELD_PARITIES[field]
+        assert parity == ("sine" if field in _SINE_FIELDS else "cosine")
         series_val = _apply_power_series(op, mp.pi * n / l, y, x, nu, parity_in)
         expected = _raw(op, k, beta, y, geom.h, nu) * float(_trig(parity)(k * x))
         assert float(series_val) == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("column,parity_in", [
-        ("U", Parity.COSINE), ("Y", Parity.SINE),
+        ("U", "cosine"), ("Y", "sine"),
     ])
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.49])
     def test_transfer_ode_consistency(self, geom, nu, column, parity_in):
@@ -409,7 +427,7 @@ class TestVlasovOperators:
         c1, c2, c3 = nu / (1 - nu), (1 - 2 * nu) / (2 * (1 - nu)), 2 / (1 - nu)
         k, beta = mode_scalars(2, geom)
         amplitude = "u0" if column == "U" else "y0"
-        assert _AMPLITUDE_PARITY[amplitude] is parity_in
+        assert _AMPLITUDE_PARITY[amplitude] == parity_in
         ops_for = [op for op, entry in _ENTRIES.items()
                    if entry in {(row, amplitude) for row in ("U", "V", "Y", "X")}]
 
@@ -431,7 +449,7 @@ class TestVlasovOperators:
             assert np.allclose(fdot, rhs, atol=5e-7 * scale), (column, y, fdot, rhs)
 
     @pytest.mark.parametrize("column,parity_in", [
-        ("U", Parity.COSINE), ("Y", Parity.SINE),
+        ("U", "cosine"), ("Y", "sine"),
     ])
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.49])
     def test_horizontal_stress_row_identity(self, geom, nu, column, parity_in):
@@ -445,7 +463,7 @@ class TestVlasovOperators:
         for y in (0.0, 0.3, 0.77, 1.0):
             fa, fu, fy = (_raw(op, k, beta, y, geom.h, nu) for op in (a_op, u_op, y_op))
             # alpha on the U state: cos -> -k sin, sin -> +k cos
-            du = -k * fu if pu is Parity.COSINE else k * fu
+            du = -k * fu if pu == "cosine" else k * fu
             expected = (nu / (1 - nu)) * fy + (2 / (1 - nu)) * du
             assert fa == pytest.approx(expected, rel=1e-12, abs=1e-12)
 

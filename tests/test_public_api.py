@@ -11,7 +11,6 @@ import pytest
 import platestamp
 from platestamp import Geometry, Material
 from platestamp.cli import OutputBundle, RunConfig
-from platestamp.core import Parity
 from platestamp.stamp_problem import sine_coefficients
 from platestamp.strip_solution import SeriesField, assemble_series, closed_profiles
 from platestamp.verification import (ModeDiscrepancy, ResidualReport, SharedGridFields,
@@ -23,11 +22,13 @@ MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp
 #: names removed from the package, by the module that held them
 REMOVED = {
     "platestamp.cli": ("VERIFY_MARGIN_FRACTION",),
-    "platestamp.core": ("ModeIndex", "QuadratureError", "FdSolveError"),
+    "platestamp.core": ("ModeIndex", "QuadratureError", "FdSolveError",
+                        "SingularRatioError", "Parity"),
     "platestamp.modal_calculus": (
         "ModalValue", "apply_parity", "building_block", "_block_value",
         "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
         "OperatorId", "_OPERATOR_ALIASES", "_operator_multiplier",
+        "RatioKind", "stable_ratio",
     ),
     "platestamp.harmonic_rect": ("stamp_block_coefficients", "ramp_transform",
                                  "QuadratureSpec", "solve_dirichlet", "evaluate_harmonic",
@@ -36,23 +37,18 @@ REMOVED = {
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed", "_scaled_ops", "_ZERO_ROW_OPS", "_INITIAL_ROWS",
         "calibrate_delta_ratio", "_CALIBRATION_TOL", "_CALIBRATION_MODE",
-        "_CALIBRATION_SAMPLES",
+        "_CALIBRATION_SAMPLES", "FIELD_PARITIES",
     ),
     "platestamp.verification": ("path_profile_difference", "fd_laplace_solve",
                                 "laplacian_residual"),
-}
-#: names removed from the top level only, by the module that keeps them for
-#: the package's own callers
-REMOVED_TOP_LEVEL = {
-    "platestamp.core": ("Parity",),
-    "platestamp.modal_calculus": ("RatioKind", "stable_ratio"),
 }
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
 #: dataclass fields removed, by the class that held them
 REMOVED_FIELDS = {OutputBundle: ("ys", "report_text")}
 REMOVED_MEMBERS = [
-    (Parity, "flipped"),
+    # stamp_problem no longer re-exports the value type that core holds
+    (platestamp.stamp_problem, "FieldSample"),
     (SeriesField, "grid_fields_many"),
     (SeriesField, "sample"),
     (SERIES, "grid_fields_many"),
@@ -85,19 +81,11 @@ def test_removed_names_unreachable(module):
             assert not hasattr(mod, name), f"{module}.{name}"
 
 
-def test_removed_top_level_names_kept_in_their_modules():
-    for module, names in REMOVED_TOP_LEVEL.items():
-        mod = importlib.import_module(module)
-        for name in names:
-            assert not hasattr(platestamp, name), name
-            assert hasattr(mod, name), f"{module}.{name}"
-    # stamp_problem no longer re-exports the value type that core holds
-    assert not hasattr(importlib.import_module("platestamp.stamp_problem"), "FieldSample")
-
-
 def test_removed_modules_gone():
-    # the four-edge Dirichlet solver lives on as test support only
-    assert importlib.util.find_spec("platestamp.harmonic_rect") is None
+    # the four-edge Dirichlet solver lives on as test support only, and
+    # the hyperbolic ratios are private helpers of strip_solution
+    for module in ("platestamp.harmonic_rect", "platestamp.modal_calculus"):
+        assert importlib.util.find_spec(module) is None, module
 
 
 def test_removed_members_unreachable():
