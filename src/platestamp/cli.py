@@ -6,8 +6,10 @@ comma-separated text plus a human-readable report and a key=value
 summary, written with 17 significant digits so repeated runs are
 byte-identical.  Every float is written as Python's "%.17g" would write
 it; field_grid.csv, the one large table, gets those bytes from numpy in
-blocks of grid rows (:func:`_format_17g`), on a writer thread while the
-run computes its other values.
+blocks of grid rows (:func:`_format_17g`).  A run solves and checks every
+value first (:func:`_solve`), then creates the output directory and
+writes the four files (:func:`_write`), so a run that fails for its
+values writes nothing.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import itertools
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -447,9 +448,9 @@ _BLOCK_ROWS = 8
 
 
 def _field_grid_rows(xs, ys, fields):
-    """The lines of field_grid.csv after its header, as one string per grid
-    row (one y), formatted by :func:`_format_17g` in blocks of
-    _BLOCK_ROWS grid rows, so the whole table is never held as text."""
+    """The lines of field_grid.csv after its header, as one ``bytes`` per
+    block of _BLOCK_ROWS grid rows (y values), formatted by
+    :func:`_format_17g`, so the whole table is never held as text."""
     nx = xs.size
     x_cells, y_cells = _format_17g(xs), _format_17g(ys)
     columns = [fields[name] for name in ("u", "v", "sigma_x", "sigma_y", "tau_xy")]
@@ -462,116 +463,13 @@ def _field_grid_rows(xs, ys, fields):
         lines[:, :, 2:, :-1] = _format_17g(values).reshape(rows, nx, 5, _CELL)
         lines[..., -1] = ord(",")
         lines[:, :, -1, -1] = ord("\n")
-        for row in lines:
-            yield row.tobytes().translate(None, b"\0").decode("ascii")
+        yield lines.tobytes().translate(None, b"\0")
 
 
-class _FieldGridFile:
-    """field_grid.csv, formatted into a temporary file in its directory
-    while the rest of the run goes on.
-
-    :meth:`start` creates the directory and the temporary file and formats
-    the table on a writer thread, so that the formatting overlaps the
-    run's other work; where no thread can be started, it formats it at
-    once.  :meth:`place` waits for the table, raises what writing it
-    raised and moves it into place.  Leaving the ``with`` block by an
-    exception waits for the writer, deletes the temporary file and
-    removes the directories that :meth:`start` created, if they are
-    empty.
-    """
-
-    def __init__(self, out: Path):
-        self.out, self.path = out, out / "field_grid.csv"
-        self._created = []
-        self._tmp = self._thread = self._error = None
-
-    def __enter__(self):
-        return self
-
-    def start(self, xs, ys, fields) -> None:
-        # errors are kept for place(), so that a run fails for its values
-        # before it fails for its directory
-        try:
-            missing = list(itertools.takewhile(lambda d: not d.exists(),
-                                               (self.out, *self.out.parents)))
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            self._error = exc
-            return
-        self._created = missing
-        # a new name, created with the mode open() gives every artifact
-        tmp = self.out / f".field_grid.csv.{os.urandom(6).hex()}"
-        try:
-            fh = open(tmp, "x")
-        except OSError as exc:
-            self._error = self._named(exc)
-            return
-        self._tmp = tmp
-        # the writer calls nothing that perfbench/spans.py wraps: its
-        # tracer keeps one span stack, for one thread
-        writer = threading.Thread(target=self._write, args=(fh, xs, ys, fields),
-                                  name="field_grid.csv writer")
-        try:
-            writer.start()
-        except RuntimeError:
-            self._write(fh, xs, ys, fields)   # no thread to be had: format the table here
-        else:
-            self._thread = writer
-
-    def _named(self, exc: OSError) -> OSError:
-        """``exc`` with the name of the file it failed to write."""
-        return OSError(exc.errno, exc.strerror, str(self.path))
-
-    def _write(self, fh, xs, ys, fields) -> None:
-        """Write the table to the open file ``fh`` and close it, keeping
-        what that raises for :meth:`place`."""
-        try:
-            with fh:
-                fh.write(FIELD_GRID_HEADER + "\n")
-                fh.writelines(_field_grid_rows(xs, ys, fields))
-        except OSError as exc:
-            self._error = self._named(exc)
-        except Exception as exc:
-            self._error = exc
-
-    def place(self) -> Path:
-        """Wait for the table and move it to ``field_grid.csv``; returns
-        that path."""
-        if self._thread is not None:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-        try:
-            os.replace(self._tmp, self.path)
-        except OSError as exc:
-            raise self._named(exc) from None
-        self._tmp = None
-        return self.path
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._thread is not None:
-            self._thread.join()
-        if self._tmp is not None:
-            os.unlink(self._tmp)
-        if exc_type is not None:
-            for directory in self._created:
-                with contextlib.suppress(OSError):
-                    directory.rmdir()
-
-
-def run(config: RunConfig, output_dir=None) -> OutputBundle:
-    """Execute one configuration and write its four artifacts.
-
-    The files go to ``output_dir`` if given, else to ``config.output_dir``;
-    an empty name raises :class:`ConfigError` before solving.
-    Deterministic: a fixed config produces byte-identical files.  A run
-    that fails for its values writes none of them and removes the
-    directories it created, if they are empty.
-    """
-    directory = config.output_dir if output_dir is None else output_dir
-    if directory == "":
-        source = "RunConfig.output_dir" if output_dir is None else "output_dir"
-        raise ConfigError(f"{source} must name a directory, got an empty value")
+def _solve(config: RunConfig):
+    """Solve ``config`` and check every value the artifacts hold, with no
+    I/O.  Returns the grid axes ``xs`` and ``ys``, the fields, the face
+    pressure, the summary and, per small artifact, its text in chunks."""
     geom, mat = config.geometry, config.material
     coeffs = sine_coefficients(config.profile, geom, config.modes)
     sf = assemble_series(coeffs, geom, mat, path=config.path)
@@ -579,83 +477,131 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     xs = np.linspace(0.0, geom.l, config.grid_nx)
     ys = np.linspace(0.0, geom.h, config.grid_ny)
     fields = sf.grid_fields(xs, ys)
-    # field_grid.csv is formatted while the rest of the run goes on
-    with _FieldGridFile(Path(directory)) as grid_file:
-        grid_file.start(xs, ys, fields)
-        # the face row y = h of the output grid (linspace ends exactly at h),
-        # copied so that the bundle's pressure is not a view into its sigma_y
-        pressure = fields["sigma_y"][-1].copy()
-        force = total_force(sf)
+    # the face row y = h of the output grid (linspace ends exactly at h),
+    # copied so that the bundle's pressure is not a view into its sigma_y
+    pressure = fields["sigma_y"][-1].copy()
+    force = total_force(sf)
 
-        summary = {
-            "path": sf.path.value,
-            "modes": config.modes,
-            "grid_nx": config.grid_nx,
-            "grid_ny": config.grid_ny,
-            "total_force": force,
-            "max_abs_v": float(np.max(np.abs(fields["v"]))),
-            "max_abs_sigma_y": float(np.max(np.abs(fields["sigma_y"]))),
-        }
+    summary = {
+        "path": sf.path.value,
+        "modes": config.modes,
+        "grid_nx": config.grid_nx,
+        "grid_ny": config.grid_ny,
+        "total_force": force,
+        "max_abs_v": float(np.max(np.abs(fields["v"]))),
+        "max_abs_sigma_y": float(np.max(np.abs(fields["sigma_y"]))),
+    }
 
-        report_lines = [
-            "plate-stamp run report",
-            f"  geometry: l={geom.l:g}, h={geom.h:g}",
-            f"  material: E={mat.E:g}, nu={mat.nu:g} (G={mat.G:.9g}, lambda={mat.lam:.9g})",
-            f"  stamp: {config.profile.kind.value}",
-            f"  modes: {config.modes}, solution path: {sf.path.value}",
-            f"  total force per unit thickness: {_fmt(force)}",
-            f"  max |v| on grid: {_fmt(summary['max_abs_v'])}",
-            f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
+    report_lines = [
+        "plate-stamp run report",
+        f"  geometry: l={geom.l:g}, h={geom.h:g}",
+        f"  material: E={mat.E:g}, nu={mat.nu:g} (G={mat.G:.9g}, lambda={mat.lam:.9g})",
+        f"  stamp: {config.profile.kind.value}",
+        f"  modes: {config.modes}, solution path: {sf.path.value}",
+        f"  total force per unit thickness: {_fmt(force)}",
+        f"  max |v| on grid: {_fmt(summary['max_abs_v'])}",
+        f"  max |sigma_y| on grid: {_fmt(summary['max_abs_sigma_y'])}",
+    ]
+
+    if config.verify:
+        disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
+        grid = GridSpec(config.grid_nx, config.grid_ny)
+        # the coarse and fine grids that both residual meters read, each
+        # evaluated once and freed once both meters have read them
+        shared = SharedGridFields(sf)
+        equilibrium = dict(zip("xy", equilibrium_residual(shared, grid)))
+        constitutive = dict(zip(("sigma_x", "sigma_y", "tau_xy"),
+                                constitutive_residual(shared, grid)))
+        del shared
+        refined = _refined_grid(grid)
+        summary.update(disc.as_dict())
+        summary.update({f"equilibrium_order_{axis}": r.observed_order
+                        for axis, r in equilibrium.items()})
+        summary.update({f"equilibrium_max_abs_{axis}": r.max_abs
+                        for axis, r in equilibrium.items()})
+        summary.update({f"constitutive_order_{name}": r.observed_order
+                        for name, r in constitutive.items()})
+        report_lines += [
+            "",
+            disc.as_text(),
+            "",
+            "residual meters (central differences, grid pair "
+            f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
+            f"exclusion margin {_exclusion_band(geom):g}):",
+            *(f"  equilibrium {axis}: max {r.max_abs:.3e}, observed order {r.observed_order:.3f}"
+              for axis, r in equilibrium.items()),
+            *(f"  constitutive {name}: order {r.observed_order:.3f}"
+              for name, r in constitutive.items()),
         ]
 
-        if config.verify:
-            disc = discrepancy_report(geom, mat, range(1, config.modes + 1))
-            grid = GridSpec(config.grid_nx, config.grid_ny)
-            # the coarse and fine grids that both residual meters read, each
-            # evaluated once and freed once both meters have read them
-            shared = SharedGridFields(sf)
-            equilibrium = dict(zip("xy", equilibrium_residual(shared, grid)))
-            constitutive = dict(zip(("sigma_x", "sigma_y", "tau_xy"),
-                                    constitutive_residual(shared, grid)))
-            del shared
-            refined = _refined_grid(grid)
-            summary.update(disc.as_dict())
-            summary.update({f"equilibrium_order_{axis}": r.observed_order
-                            for axis, r in equilibrium.items()})
-            summary.update({f"equilibrium_max_abs_{axis}": r.max_abs
-                            for axis, r in equilibrium.items()})
-            summary.update({f"constitutive_order_{name}": r.observed_order
-                            for name, r in constitutive.items()})
-            report_lines += [
-                "",
-                disc.as_text(),
-                "",
-                "residual meters (central differences, grid pair "
-                f"{config.grid_nx}x{config.grid_ny} -> {refined.nx}x{refined.ny}, "
-                f"exclusion margin {_exclusion_band(geom):g}):",
-                *(f"  equilibrium {axis}: max {r.max_abs:.3e}, observed order {r.observed_order:.3f}"
-                  for axis, r in equilibrium.items()),
-                *(f"  constitutive {name}: order {r.observed_order:.3f}"
-                  for name, r in constitutive.items()),
-            ]
-
-        for key, value in summary.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise PlateStampError(f"non-finite summary value {key}={value}")
-        files = {"field_grid": grid_file.place()}
-
-    # per file name, its text in chunks
-    artifacts = {
+    for key, value in summary.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise PlateStampError(f"non-finite summary value {key}={value}")
+    texts = {
         "pressure_profile.csv": [PRESSURE_HEADER + "\n"] + [
             f"{_fmt(x)},{_fmt(p)}\n" for x, p in zip(xs, pressure)],
         "summary.txt": [f"{key}={_fmt(v) if isinstance(v, float) else v}\n"
                         for key, v in summary.items()],
         "report.txt": [line + "\n" for line in report_lines],
     }
-    for name, chunks in artifacts.items():
-        path = files[Path(name).stem] = grid_file.out / name
+    return xs, ys, fields, pressure, summary, texts
+
+
+def _write(out: Path, xs, ys, fields, texts) -> dict:
+    """Create ``out`` and write the four artifacts into it; returns, per
+    artifact stem, its path.
+
+    field_grid.csv is written to a new temporary file in ``out``
+    (``.field_grid.csv.`` and 12 hex digits, created with the mode open()
+    gives every artifact) and moved into place, so a failure to write it
+    leaves the previous table as it was.  Such a failure deletes the
+    temporary file, removes the directories this call created, if they
+    are empty, and raises an ``OSError`` that names field_grid.csv.
+    """
+    missing = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    out.mkdir(parents=True, exist_ok=True)
+    grid = out / "field_grid.csv"
+    tmp = out / f".field_grid.csv.{os.urandom(6).hex()}"
+    created = False
+    try:
+        try:
+            with open(tmp, "xb") as fh:
+                created = True
+                fh.write(FIELD_GRID_HEADER.encode() + b"\n")
+                fh.writelines(_field_grid_rows(xs, ys, fields))
+            os.replace(tmp, grid)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(grid)) from None
+    except BaseException:
+        if created:
+            os.unlink(tmp)
+        for directory in missing:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    files = {"field_grid": grid}
+    for name, chunks in texts.items():
+        path = files[Path(name).stem] = out / name
         with path.open("w") as fh:
             fh.writelines(chunks)
+    return files
+
+
+def run(config: RunConfig, output_dir=None) -> OutputBundle:
+    """Execute one configuration and write its four artifacts.
+
+    The files go to ``output_dir`` if given, else to ``config.output_dir``;
+    an empty name raises :class:`ConfigError` before solving.
+    Deterministic: a fixed config produces byte-identical files.  The run
+    solves and checks every value first, so a run that fails for its
+    values creates no directory and writes no file.
+    """
+    directory = config.output_dir if output_dir is None else output_dir
+    if directory == "":
+        source = "RunConfig.output_dir" if output_dir is None else "output_dir"
+        raise ConfigError(f"{source} must name a directory, got an empty value")
+    xs, ys, fields, pressure, summary, texts = _solve(config)
+    files = _write(Path(directory), xs, ys, fields, texts)
     return OutputBundle(xs=xs, fields=fields, pressure=pressure, summary=summary, files=files)
 
 

@@ -450,7 +450,8 @@ class SeriesField:
         one fixed-order sum over modes per field.  Neither route uses
         BLAS, so the result does not depend on the BLAS thread count.
 
-        A point off the plate, or not finite, raises :class:`DomainError`.
+        A point off the plate, or not finite, raises :class:`DomainError`,
+        and so does a field that is not finite somewhere on the grid.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -468,13 +469,22 @@ class SeriesField:
             total = _mode_sums(self.c[rows], self.k[rows], profiles, xs)
 
         G = self.material.G
-        return {
+        fields = {
             "u": total["U"] / G,
             "v": total["V"] / G,
             "sigma_x": total["SX"],
             "sigma_y": total["Y"],
             "tau_xy": total["X"],
         }
+        for name, values in fields.items():
+            bad = ~np.isfinite(values)
+            if bad.any():
+                j, i = np.argwhere(bad)[0]
+                raise DomainError(
+                    f"field {name} is not finite at {np.count_nonzero(bad)} of {bad.size} "
+                    f"grid points, first at (x, y) = ({xs[i]:g}, {ys[j]:g}), with "
+                    f"beta_1 = {self.beta[0, 0]:g} and beta_N = {self.beta[-1, 0]:g}")
+        return fields
 
 
 def assemble_series(

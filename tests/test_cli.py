@@ -1,5 +1,4 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
-import contextlib
 import dataclasses
 import errno
 import functools
@@ -12,7 +11,6 @@ import stat
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -109,29 +107,6 @@ def _env_with_src():
 
 
 ARTIFACTS = ("field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt")
-
-
-def _no_thread(thread):
-    """``threading.Thread.start`` in a process that has no thread to spare."""
-    raise RuntimeError("can't start new thread")
-
-
-@pytest.fixture(params=["thread", "inline"])
-def writer(request, monkeypatch):
-    """Each way the field_grid.csv writer runs: on its own thread, or, where
-    no thread can be started, inline on the thread of the run."""
-    if request.param == "inline":
-        monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    return request.param
-
-
-@contextlib.contextmanager
-def _no_thread_left():
-    """The block leaves the threads of this process as it found them: no
-    field_grid.csv writer outlives its run."""
-    before = threading.enumerate()
-    yield
-    assert threading.enumerate() == before
 
 
 class TestParseConfig:
@@ -244,33 +219,28 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_outputs(self, tmp_path, monkeypatch):
-        # two runs give the same bytes; each starts one field_grid.csv
-        # writer thread and leaves none behind
-        writers = []
-        start = threading.Thread.start
+        # two runs give the same bytes, the second in a process that cannot
+        # start a thread: the run starts none
+        def no_thread(thread):
+            raise RuntimeError("can't start new thread")
 
-        def counted_start(thread):
-            writers.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
         cfg = parse_config(MINIMAL)
-        for name in "ab":
-            with _no_thread_left():
-                run(cfg, output_dir=tmp_path / name)
-        assert writers == ["field_grid.csv writer"] * 2
+        run(cfg, output_dir=tmp_path / "a")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        run(cfg, output_dir=tmp_path / "b")
         for name in ARTIFACTS:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == list(ARTIFACTS)
-        # the table's temporary file gets the mode open() gives the others
+        # the table's temporary file got the mode open() gives the others
         assert len({(tmp_path / d / name).stat().st_mode
                     for d in "ab" for name in ARTIFACTS}) == 1
 
-    def test_artifact_modes_follow_umask(self, tmp_path, monkeypatch, writer):
+    def test_artifact_modes_follow_umask(self, tmp_path, monkeypatch):
         # under umask 0o027 all four artifacts get mode 0o640, the mode
         # open() gives a new file, and the run never sets the process-wide
-        # umask, so files other threads create meanwhile keep their modes
+        # umask, so files other threads of a library caller create
+        # meanwhile keep their modes
         def no_umask(mask):
             raise AssertionError("the run set the process umask")
 
@@ -285,17 +255,22 @@ class TestRun:
         assert {name: stat.S_IMODE((tmp_path / "out" / name).stat().st_mode)
                 for name in ARTIFACTS} == dict.fromkeys(ARTIFACTS, 0o640)
 
-    def test_thread_start_failure_writes_inline(self, tmp_path, monkeypatch):
-        # a process that cannot start a thread formats the table itself
-        cfg = parse_config(MINIMAL.replace("modes = 64", "modes = 8"))
-        run(cfg, output_dir=tmp_path / "a")
-        monkeypatch.setattr(threading.Thread, "start", _no_thread)
-        with _no_thread_left():
-            run(cfg, output_dir=tmp_path / "b")
-        for name in ARTIFACTS:
-            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
-                               shallow=False), name
-        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == list(ARTIFACTS)
+    def test_verified_run_peak_memory(self, tmp_path):
+        # verify-desk's run (N=256 on 101x101, path B) formats field_grid.csv
+        # after its verification has freed its grids, so the formatter's
+        # block temporaries do not add to the verification's: 3.9-4.1 MiB
+        # traced, against 4.7-6.0 MiB with the table formatted on a thread
+        # beside the verification
+        cfg = parse_config(MINIMAL.replace("half_width = 0.4", "half_width = 0.5")
+                           .replace("modes = 64", "modes = 256")
+                           .replace("grid = 41x41", "grid = 101x101") + "verify = true\n")
+        tracemalloc.start()
+        try:
+            run(cfg, output_dir=tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.4 * 2**20, peak / 2**20
 
     def test_field_grid_schema(self, tmp_path):
         cfg = parse_config(MINIMAL.replace("grid = 41x41", "grid = 5x4"))
@@ -495,7 +470,7 @@ class TestRun:
         assert (tmp_path / "out" / "summary.txt").read_text().count("equilibrium_order_x=") == 1
 
     def test_field_grid_rows_format_like_17g(self):
-        # "%.17g" per row must give the digits of format(v, ".17g") on
+        # "%.17g" per cell must give the digits of format(v, ".17g") on
         # signed zero, subnormals, huge values and integral floats
         xs = np.array([0.0, -0.0, 2.0])
         ys = np.array([5e-324, 1.0])
@@ -508,9 +483,8 @@ class TestRun:
             ",".join(format(float(v), ".17g")
                      for v in (x, y, *(fields[name][j, i] for name in names))) + "\n"
             for j, y in enumerate(ys) for i, x in enumerate(xs))
-        rows = list(cli._field_grid_rows(xs, ys, fields))
-        assert len(rows) == len(ys)
-        assert "".join(rows) == want
+        blocks = list(cli._field_grid_rows(xs, ys, fields))
+        assert blocks == [want.encode("ascii")]
 
     def test_tabulated_stamp_bad_values(self):
         text = MINIMAL.replace(
@@ -641,8 +615,8 @@ class TestFormat17g:
         formats_like_printf()
 
     def test_field_grid_rows_in_blocks(self):
-        # a table of more than two blocks and a partial one: one string per
-        # grid row, each cell "%.17g" of its value
+        # a table of two whole blocks and a partial one: one bytes object
+        # per block of grid rows, each cell "%.17g" of its value
         ny, nx = 2 * cli._BLOCK_ROWS + 3, 4
         rng = np.random.default_rng(5)
         xs, ys = np.linspace(0.0, 2.0, nx), np.linspace(0.0, 1.0, ny)
@@ -651,15 +625,16 @@ class TestFormat17g:
                   for name in names}
         fields["v"][:, 0] = 0.0
         fields["tau_xy"][1, 1] = np.nan
-        rows = list(cli._field_grid_rows(xs, ys, fields))
-        assert len(rows) == ny
-        for j, row in enumerate(rows):
-            assert row == "".join(
-                ",".join(_printf([xs[i], ys[j], *(fields[name][j, i] for name in names)])) + "\n"
-                for i in range(nx))
+        blocks = list(cli._field_grid_rows(xs, ys, fields))
+        rows = [",".join(_printf([xs[i], ys[j], *(fields[name][j, i] for name in names)]))
+                for j in range(ny) for i in range(nx)]
+        lines = nx * cli._BLOCK_ROWS
+        assert blocks == ["".join(row + "\n" for row in rows[b:b + lines]).encode("ascii")
+                          for b in range(0, len(rows), lines)]
+        assert len(blocks) == 3
 
     def test_threads_share_the_layout_cache(self, monkeypatch):
-        # the field_grid.csv writer formats beside other threads: threads
+        # a library caller may run ``run`` from several threads: threads
         # that fill the same empty layouts at once, switching often, each
         # get "%.17g" of every value
         values = np.random.default_rng(27).integers(0, 2**64, 4000, dtype=np.uint64,
@@ -737,7 +712,7 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["--output", "[output] directory", "grid-is-dir"])
-    def test_unwritable_output_exit_two(self, tmp_path, capsys, writer, source):
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, source):
         # a directory below a regular file cannot be created, and a file
         # cannot replace a directory; --output sets [output] directory, so
         # both sources are named by that key
@@ -753,8 +728,7 @@ class TestMain:
             text += f"\n[output]\ndirectory = {target}\n"
         else:
             args = ["--output", str(target)]
-        with _no_thread_left():
-            assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
+        assert main(["--config", str(self._write(tmp_path, text)), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[output] directory" in err
         assert str(target) in err
@@ -763,18 +737,16 @@ class TestMain:
             assert str(target / "field_grid.csv") in err
             assert [p.name for p in target.iterdir()] == ["field_grid.csv"]
 
-    def test_field_grid_write_error_names_file(self, tmp_path, capsys, monkeypatch, writer):
-        # an OSError while the table is written, on the writer thread or
-        # inline, names its errno and field_grid.csv, and leaves no file
-        # behind
+    def test_field_grid_write_error_names_file(self, tmp_path, capsys, monkeypatch):
+        # an OSError while the table is written names its errno and
+        # field_grid.csv, and leaves no file or directory behind
         def disk_full(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(cli, "_field_grid_rows", disk_full)
         cfg = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 4"))
         out = tmp_path / "out"
-        with _no_thread_left():
-            assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        assert main(["--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (f"config error: cannot write the artifacts to [output] directory = "
                        f"{out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
@@ -826,18 +798,16 @@ class TestMain:
         (cli, "discrepancy_report", ["--verify"]),
         (cli, "_field_grid_rows", []),
     ], ids=["transform", "solve", "grid", "verify", "write"])
-    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, writer,
-                                    owner, name, args):
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, owner, name, args):
         # a modes or grid too large for memory exits 2 naming both keys,
         # not with a traceback, whichever stage of the run runs out, the
-        # field_grid.csv writer included, on its thread or inline
+        # field_grid.csv formatter included
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(owner, name, exhausted)
         cfg = self._write(tmp_path, MINIMAL)
-        with _no_thread_left():
-            assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out"), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory")
         assert "[solver] modes = 64" in err and "[solver] grid = 41x41" in err
@@ -882,6 +852,26 @@ path = A
         assert capsys.readouterr().err == ("numerical failure: DomainError: ratio denominator "
                                            "argument must be positive, got b=0.0\n")
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_field_exit_three(self, tmp_path):
+        # on l = 1e-300, h = 1 path B's shear profile overflows and every
+        # tau_xy cell is nan: the run exits 3 with one line naming the
+        # field and creates no directory.  A subprocess, so that numpy's
+        # RuntimeWarnings print as they would for a user rather than fail
+        # the test
+        text = MINIMAL.replace("l = 2", "l = 1e-300").replace("center = 1", "center = 5e-301") \
+            .replace("half_width = 0.4", "half_width = 1e-301") \
+            .replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 5x5")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "platestamp", "--config", str(self._write(tmp_path, text)),
+             "--output", str(out)],
+            env=_env_with_src(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        failures = [line for line in proc.stderr.splitlines()
+                    if line.startswith("numerical failure: DomainError")]
+        assert len(failures) == 1 and "field tau_xy " in failures[0], proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("old,new,named", [
         ("depth = 0.01", "depth = nan", "[stamp] depth"),
@@ -976,27 +966,17 @@ path = A
             "config error: invalid value for [stamp] depth: verification needs")
         assert not (tmp_path / "out").exists()
 
-    def test_huge_plate_verify_exit_three(self, tmp_path, capsys, monkeypatch, writer):
+    def test_huge_plate_verify_exit_three(self, tmp_path, capsys):
         # the fields underflow to zero, so the meters observe no order; the
         # run reports that as a numerical failure rather than dying in the
-        # order's logarithm, and removes the directories it created, after
-        # the writer has finished: inline, or on a thread still formatting
-        # when the run fails
-        rows = cli._field_grid_rows
-
-        def slow_rows(*args):
-            time.sleep(0.2)
-            yield from rows(*args)
-
-        monkeypatch.setattr(cli, "_field_grid_rows", slow_rows)
+        # order's logarithm, and creates no directory
         cfg = self._write(tmp_path, HUGE_PLATE)
         out = tmp_path / "new" / "out"
-        with _no_thread_left():
-            assert main(["--config", str(cfg), "--output", str(out), "--verify"]) == 3
+        assert main(["--config", str(cfg), "--output", str(out), "--verify"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
-    def test_failed_run_keeps_previous_artifacts(self, tmp_path, capsys, writer):
+    def test_failed_run_keeps_previous_artifacts(self, tmp_path, capsys):
         # a run that fails after its fields exist writes nothing: the
         # artifacts of the run before it keep their bytes, and no temporary
         # file is left
@@ -1007,8 +987,7 @@ path = A
         before = {name: (out / name).read_bytes() for name in ARTIFACTS}
         bad = tmp_path / "bad.cfg"
         bad.write_text(HUGE_PLATE)
-        with _no_thread_left():
-            assert main(["--config", str(bad), "--output", str(out), "--verify"]) == 3
+        assert main(["--config", str(bad), "--output", str(out), "--verify"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before

@@ -432,6 +432,40 @@ class TestAssembly:
         with pytest.raises(DomainError, match=f"grid point {named} is off the plate"):
             sf.grid_fields(np.array(xs), np.array(ys))
 
+    def test_non_finite_field_raises(self, mat):
+        # on l = 1e-300 path B's shear profile overflows and meets a zero
+        # ratio: every tau_xy cell is nan, on either summation route
+        geom = Geometry(l=1e-300, h=1.0)
+        sf = assemble_series([1.0] * 8, geom, mat, path="B")
+        ys = np.linspace(0.0, 1.0, 5)
+        for xs, cells in ((np.linspace(0.0, geom.l, 5), 25), (np.array([3e-301]), 5)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DomainError) as err:
+                sf.grid_fields(xs, ys)
+            assert str(err.value) == (
+                f"field tau_xy is not finite at {cells} of {cells} grid points, first at "
+                f"(x, y) = ({xs[0]:g}, 0), with beta_1 = 3.14159e+300 and "
+                f"beta_N = 2.51327e+301")
+
+    def test_non_finite_field_names_first_cell(self, geom, mat, monkeypatch):
+        # the first non-finite cell in row-major order, y the slow index
+        from platestamp import strip_solution
+
+        sums = strip_solution._uniform_x_sums
+
+        def with_nans(*args):
+            total = sums(*args)
+            total["SX"][4, 1] = np.inf
+            total["SX"][2, 3] = np.nan
+            return total
+
+        monkeypatch.setattr(strip_solution, "_uniform_x_sums", with_nans)
+        sf = assemble_series([1.0, 0.5], geom, mat)
+        with pytest.raises(DomainError, match=r"^field sigma_x is not finite at 2 of 30 grid "
+                                              r"points, first at \(x, y\) = \(1\.5, 0\.4\), "
+                                              r"with beta_1 = 1\.5708 and beta_N = 3\.14159$"):
+            sf.grid_fields(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6))
+
     def test_path_enum_accepts_strings(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="C")
         assert sf.path is SolutionPath.C
