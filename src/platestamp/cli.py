@@ -7,15 +7,16 @@ summary, written with 17 significant digits so repeated runs are
 byte-identical.  Every float is written as Python's "%.17g" would write
 it; field_grid.csv, the one large table, gets those bytes from numpy in
 blocks of grid rows (:func:`_format_17g`).  A run solves and checks every
-value first (:func:`_solve`), then creates the output directory and
-writes the four files (:func:`_write`), so a run that fails for its
-values writes nothing.
+value first (:func:`_solve`), then writes the four files as one set
+(:func:`_write`), so a run that fails for its values writes nothing, and
+one that fails while writing leaves the previous set as it was.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import contextlib
+import errno
 import functools
 import itertools
 import math
@@ -88,7 +89,6 @@ class RunConfig:
 class OutputBundle:
     xs: np.ndarray
     fields: dict
-    pressure: np.ndarray
     summary: dict
     files: dict
 
@@ -468,8 +468,8 @@ def _field_grid_rows(xs, ys, fields):
 
 def _solve(config: RunConfig):
     """Solve ``config`` and check every value the artifacts hold, with no
-    I/O.  Returns the grid axes ``xs`` and ``ys``, the fields, the face
-    pressure, the summary and, per small artifact, its text in chunks."""
+    I/O.  Returns the grid axes ``xs`` and ``ys``, the fields, the summary
+    and, per small artifact, its text in chunks."""
     geom, mat = config.geometry, config.material
     coeffs = sine_coefficients(config.profile, geom, config.modes)
     sf = assemble_series(coeffs, geom, mat, path=config.path)
@@ -477,9 +477,8 @@ def _solve(config: RunConfig):
     xs = np.linspace(0.0, geom.l, config.grid_nx)
     ys = np.linspace(0.0, geom.h, config.grid_ny)
     fields = sf.grid_fields(xs, ys)
-    # the face row y = h of the output grid (linspace ends exactly at h),
-    # copied so that the bundle's pressure is not a view into its sigma_y
-    pressure = fields["sigma_y"][-1].copy()
+    # the face row y = h of the output grid (linspace ends exactly at h)
+    pressure = fields["sigma_y"][-1]
     force = total_force(sf)
 
     summary = {
@@ -544,47 +543,44 @@ def _solve(config: RunConfig):
                         for key, v in summary.items()],
         "report.txt": [line + "\n" for line in report_lines],
     }
-    return xs, ys, fields, pressure, summary, texts
+    return xs, ys, fields, summary, texts
 
 
-def _write(out: Path, xs, ys, fields, texts) -> dict:
-    """Create ``out`` and write the four artifacts into it; returns, per
-    artifact stem, its path.
+def _write(out: Path, artifacts: dict) -> dict:
+    """Create ``out`` and write into it ``artifacts``, a mapping from file
+    name to chunks of bytes, as one set; returns, per stem, its path.
 
-    field_grid.csv is written to a new temporary file in ``out``
-    (``.field_grid.csv.`` and 12 hex digits, created with the mode open()
-    gives every artifact) and moved into place, so a failure to write it
-    leaves the previous table as it was.  Such a failure deletes the
-    temporary file, removes the directories this call created, if they
-    are empty, and raises an ``OSError`` that names field_grid.csv.
+    Each goes to a new temporary file ``.<name>.<12 hex>``, with the mode
+    open() gives a new file, and none is moved into place until all are
+    written.  A target that is a directory is refused before any write.
+    A failure deletes the temporary files and removes the directories this
+    call created, if empty; an ``OSError`` at an artifact is raised naming it.
     """
     missing = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
-    out.mkdir(parents=True, exist_ok=True)
-    grid = out / "field_grid.csv"
-    tmp = out / f".field_grid.csv.{os.urandom(6).hex()}"
-    created = False
+    paths = {name: out / name for name in artifacts}
+    temps, name = {}, None
     try:
-        try:
-            with open(tmp, "xb") as fh:
-                created = True
-                fh.write(FIELD_GRID_HEADER.encode() + b"\n")
-                fh.writelines(_field_grid_rows(xs, ys, fields))
-            os.replace(tmp, grid)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(grid)) from None
-    except BaseException:
-        if created:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, path in paths.items():
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for name, chunks in artifacts.items():
+            with open(out / f".{name}.{os.urandom(6).hex()}", "xb") as fh:
+                temps[name] = fh.name
+                fh.writelines(chunks)
+        for name, tmp in list(temps.items()):
+            os.replace(tmp, paths[name])
+            del temps[name]
+    except BaseException as exc:
+        for tmp in temps.values():
             os.unlink(tmp)
         for directory in missing:
             with contextlib.suppress(OSError):
                 directory.rmdir()
+        if isinstance(exc, OSError) and name is not None:
+            raise OSError(exc.errno, exc.strerror, str(paths[name])) from None
         raise
-    files = {"field_grid": grid}
-    for name, chunks in texts.items():
-        path = files[Path(name).stem] = out / name
-        with path.open("w") as fh:
-            fh.writelines(chunks)
-    return files
+    return {Path(name).stem: path for name, path in paths.items()}
 
 
 def run(config: RunConfig, output_dir=None) -> OutputBundle:
@@ -600,9 +596,17 @@ def run(config: RunConfig, output_dir=None) -> OutputBundle:
     if directory == "":
         source = "RunConfig.output_dir" if output_dir is None else "output_dir"
         raise ConfigError(f"{source} must name a directory, got an empty value")
-    xs, ys, fields, pressure, summary, texts = _solve(config)
-    files = _write(Path(directory), xs, ys, fields, texts)
-    return OutputBundle(xs=xs, fields=fields, pressure=pressure, summary=summary, files=files)
+    xs, ys, fields, summary, texts = _solve(config)
+
+    def table():
+        # formatted as it is written, so a failure to format names the file
+        yield FIELD_GRID_HEADER.encode() + b"\n"
+        yield from _field_grid_rows(xs, ys, fields)
+
+    files = _write(Path(directory), {"field_grid.csv": table(),
+                                     **{name: map(str.encode, chunks)
+                                        for name, chunks in texts.items()}})
+    return OutputBundle(xs=xs, fields=fields, summary=summary, files=files)
 
 
 # ---------------------------------------------------------------------------

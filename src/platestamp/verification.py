@@ -361,15 +361,9 @@ def discrepancy_report(geom: Geometry, mat: Material,
     unfixed = _uncorrected_shear_face(beta, nu, h)
     (fixed,) = closed_profiles(beta, nu, h, 1.0, fields=("X",))
 
-    rows = tuple(
-        ModeDiscrepancy(
-            n=int(ns[i, 0]), beta=float(beta[i, 0]),
-            rel_diff_ab=float(d_ab[i]), rel_diff_cb=float(d_cb[i]),
-            amplitude_ratio=float(delta[i]),
-            uncorrected_shear_face=float(unfixed[i, 0]),
-            corrected_shear_face=float(fixed[i, 0]),
-        )
-        for i in range(len(ns)))
+    # one row per mode, built from the columns in ModeDiscrepancy's order
+    rows = tuple(map(ModeDiscrepancy, *(a.ravel().tolist() for a in
+                                        (ns, beta, d_ab, d_cb, delta, unfixed, fixed))))
     max_ab = float(np.max(d_ab, initial=0.0))
     max_cb = float(np.max(d_cb, initial=0.0))
     if not max_ab <= _PATH_AB_HARD_LIMIT:

@@ -203,7 +203,8 @@ class TestRun:
         assert bundle.summary["total_force"] == 0.0
         for arr in bundle.fields.values():
             assert np.all(arr == 0.0)
-        assert np.all(bundle.pressure == 0.0)
+        rows = (tmp_path / "out" / "pressure_profile.csv").read_text().splitlines()[1:]
+        assert len(rows) == 41 and {row.split(",")[1] for row in rows} == {"0"}
 
     @pytest.mark.parametrize("source", ["output_dir", "RunConfig.output_dir"])
     def test_empty_output_directory_rejected(self, tmp_path, monkeypatch, source):
@@ -232,7 +233,7 @@ class TestRun:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == list(ARTIFACTS)
-        # the table's temporary file got the mode open() gives the others
+        # each artifact got the mode open() gives its temporary file
         assert len({(tmp_path / d / name).stat().st_mode
                     for d in "ab" for name in ARTIFACTS}) == 1
 
@@ -385,8 +386,8 @@ class TestRun:
         sf = assemble_series(sine_coefficients(cfg.profile, geom, cfg.modes), geom,
                              cfg.material, path=path)
         ref = contact_pressure(sf, bundle.xs)
-        assert np.max(np.abs(bundle.pressure - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert not np.shares_memory(bundle.pressure, bundle.fields["sigma_y"])
+        face_row = bundle.fields["sigma_y"][-1]
+        assert np.max(np.abs(face_row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_tabulated_stamp_from_config(self, tmp_path):
         text = MINIMAL.replace(
@@ -991,6 +992,68 @@ path = A
         assert "numerical failure" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_directory_target_keeps_previous_artifacts(self, tmp_path, capsys):
+        # report.txt made a directory after a run: the next run, with other
+        # values, exits 2 naming it before it writes anything, so the other
+        # three artifacts keep the earlier run's bytes
+        text = DESK_VERIFY.replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 5x5")
+        out = tmp_path / "out"
+        assert main(["--config", str(self._write(tmp_path, text)), "--output", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        (out / "report.txt").unlink()
+        (out / "report.txt").mkdir()
+        cfg = self._write(tmp_path, text.replace("depth = 0.01", "depth = 0.02"))
+        assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[Errno {errno.EISDIR}] " in err
+        assert err.rstrip().endswith(f"'{out / 'report.txt'}'")
+        assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
+        assert (out / "report.txt").is_dir()
+        for name in ARTIFACTS:
+            if name != "report.txt":
+                assert (out / name).read_bytes() == before[name], name
+
+    def test_write_error_keeps_previous_artifacts(self, tmp_path, capsys, monkeypatch):
+        # ENOSPC while summary.txt, the third artifact, is written: the run
+        # exits 2 naming it, every earlier artifact keeps its bytes, no
+        # temporary file is left, and a run into a new directory leaves none
+        def disk_full(chunks):
+            yield chunks[0]
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def solve(config):
+            *values, texts = real_solve(config)
+            texts["summary.txt"] = disk_full(texts["summary.txt"])
+            return *values, texts
+
+        real_solve = cli._solve
+        text = MINIMAL.replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+        out = tmp_path / "out"
+        assert main(["--config", str(self._write(tmp_path, text)), "--output", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        monkeypatch.setattr(cli, "_solve", solve)
+        cfg = self._write(tmp_path, text.replace("depth = 0.01", "depth = 0.02"))
+        new = tmp_path / "new" / "out"
+        for target in (out, new):
+            assert main(["--config", str(cfg), "--output", str(target)]) == 2
+            assert capsys.readouterr().err.endswith(
+                f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                f"'{target / 'summary.txt'}'\n")
+        assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+
+    def test_over_long_directory_name_creates_nothing(self, tmp_path, capsys):
+        # the last component of --output is too long for the file system:
+        # mkdir creates its parent, then fails; the run exits 2 and removes
+        # the parent
+        cfg = self._write(tmp_path, MINIMAL.replace("modes = 64", "modes = 4")
+                          .replace("grid = 41x41", "grid = 5x5"))
+        out = tmp_path / "new" / ("x" * 300)
+        assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        assert f"[Errno {errno.ENAMETOOLONG}] " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     @pytest.mark.parametrize("old,new,named", [
         ("center = 1", "center = 5", "[stamp] center"),

@@ -45,7 +45,7 @@ REMOVED = {
 #: a series field instance, since dataclass fields are not class attributes
 SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
 #: dataclass fields removed, by the class that held them
-REMOVED_FIELDS = {OutputBundle: ("ys", "report_text")}
+REMOVED_FIELDS = {OutputBundle: ("ys", "report_text", "pressure")}
 REMOVED_MEMBERS = [
     # stamp_problem no longer re-exports the value type that core holds
     (platestamp.stamp_problem, "FieldSample"),
@@ -124,7 +124,7 @@ def test_residual_report_fields():
 def test_output_bundle_fields():
     # the bundle keeps what callers read, is built once and is frozen
     fields = [f.name for f in dataclasses.fields(OutputBundle)]
-    assert fields == ["xs", "fields", "pressure", "summary", "files"]
+    assert fields == ["xs", "fields", "summary", "files"]
     for owner, names in REMOVED_FIELDS.items():
         assert not set(names) & {f.name for f in dataclasses.fields(owner)}
     bundle = OutputBundle(**dict.fromkeys(fields))
