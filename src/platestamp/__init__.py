@@ -10,7 +10,6 @@ from .core import (
     BoundaryCompatibilityError,
     ConfigError,
     DomainError,
-    FieldSample,
     Geometry,
     Material,
     MaterialError,
@@ -22,7 +21,6 @@ from .strip_solution import (
     SeriesField,
     SolutionPath,
     assemble_series,
-    evaluate_fields,
 )
 from .stamp_problem import (
     BoundaryProfile,

@@ -191,9 +191,13 @@ def _get(cp, section, key):
 def _build_profile(cp, geom: Geometry) -> BoundaryProfile:
     """The [stamp] profile, placed on the face of ``geom``
     (:meth:`BoundaryProfile.validate_edges`); a value either rejects
-    raises :class:`ConfigError` naming its key."""
+    raises :class:`ConfigError` naming its key, and so does a key that
+    the kind does not take."""
     kind = _get(cp, "stamp", "kind")
     keys = _STAMP_KEYS[kind]
+    for key in cp.options("stamp"):
+        if key not in keys and key != "kind":
+            raise ConfigError(f"unknown key {key!r} in section [stamp] for kind {kind}")
     values = [_get(cp, "stamp", key) for key in keys]
     try:
         profile = getattr(BoundaryProfile, kind)(*values)
@@ -639,7 +643,8 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            # "utf-8-sig" skips a leading byte-order mark
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cp = _read(text)

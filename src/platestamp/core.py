@@ -105,22 +105,3 @@ class Material:
     @property
     def lam(self) -> float:
         return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Physical displacements and stresses at one point."""
-
-    x: float
-    y: float
-    u: float
-    v: float
-    sigma_x: float
-    sigma_y: float
-    tau_xy: float
-
-    def __post_init__(self):
-        for name in ("u", "v", "sigma_x", "sigma_y", "tau_xy"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"non-finite field value {name} at "
-                                  f"({self.x}, {self.y})")

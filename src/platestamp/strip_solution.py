@@ -60,7 +60,6 @@ import numpy as np
 
 from .core import (
     DomainError,
-    FieldSample,
     Geometry,
     Material,
     ModeDegeneracyError,
@@ -75,7 +74,6 @@ __all__ = [
     "initial_profiles",
     "closed_profiles",
     "assemble_series",
-    "evaluate_fields",
 ]
 
 FIELD_NAMES = ("U", "V", "Y", "X", "SX")
@@ -511,9 +509,3 @@ def assemble_series(
     path_args = initial_amplitudes(ns, k, beta, mat.nu) if path is SolutionPath.A else ()
     return SeriesField(material=mat, geometry=geom, N=c.size, path=path,
                        c=c, k=k, beta=beta, _path_args=path_args)
-
-
-def evaluate_fields(sf: SeriesField, x: float, y: float) -> FieldSample:
-    """Physical displacements and stresses of the truncated solution."""
-    f = sf.grid_fields(np.array([x]), np.array([y]))
-    return FieldSample(x=x, y=y, **{name: float(a[0, 0]) for name, a in f.items()})

@@ -1,4 +1,5 @@
 """Tests for config parsing, the batch runner and the command-line entry."""
+import codecs
 import dataclasses
 import errno
 import functools
@@ -29,7 +30,6 @@ from platestamp import (
     constitutive_residual,
     contact_pressure,
     equilibrium_residual,
-    evaluate_fields,
     parse_config,
     run,
     sine_coefficients,
@@ -194,6 +194,7 @@ class TestParseConfig:
         exec(block, namespace)
         assert namespace["force"] > 0.0
         assert namespace["pressure"].shape == (101,)
+        assert all(f.shape == (21, 41) for f in namespace["fields"].values())
 
 
 class TestRun:
@@ -443,7 +444,7 @@ class TestRun:
         total_force(sf)
         assert "platestamp.strip_solution" not in callers
         # the spy does see the per-mode sum, off uniform axes
-        evaluate_fields(sf, 0.3, 0.1)
+        sf.grid_fields([0.3], [0.1])
         assert callers[-1] == "platestamp.strip_solution"
 
     def test_field_grid_has_no_negative_zero_cells(self, tmp_path):
@@ -711,6 +712,39 @@ class TestMain:
         assert main(["--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
         assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # a UTF-8 config that starts with a byte-order mark runs as the
+        # same config without it, to the same bytes
+        text = MINIMAL.replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        for cfg, out in ((self._write(tmp_path, text), "plain"), (marked, "bom")):
+            assert main(["--config", str(cfg), "--output", str(tmp_path / out), "--verify"]) == 0
+        for name in ARTIFACTS:
+            assert (tmp_path / "bom" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("stamp,stray", [
+        ("kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01", "mode = 7"),
+        ("kind = tabulated\nxs = 0 0.5 2\nvalues = 0 0.01 0", "center = 1"),
+        ("kind = single_mode\nmode = 1\ndepth = 0.01", "half_width = 0.4"),
+    ], ids=["raised_cosine-mode", "tabulated-center", "single_mode-half_width"])
+    def test_key_of_another_kind_exit_two(self, tmp_path, capsys, stamp, stray):
+        # [stamp] takes only the keys of its kind: a key that only another
+        # kind takes is named, not left unread
+        text = MINIMAL.replace(
+            "kind = raised_cosine\ncenter = 1\nhalf_width = 0.4\ndepth = 0.01", stamp)
+        parse_config(text)  # valid without the stray key
+        text = text.replace(stamp, f"{stamp}\n{stray}")
+        key, kind = stray.split(" = ")[0], stamp.split("\n")[0].split(" = ")[1]
+        message = f"unknown key {key!r} in section [stamp] for kind {kind}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(self._write(tmp_path, text)), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["--output", "[output] directory", "grid-is-dir"])
     def test_unwritable_output_exit_two(self, tmp_path, capsys, source):

@@ -23,7 +23,7 @@ MODULES = sorted(f"platestamp.{m.name}" for m in pkgutil.iter_modules(platestamp
 REMOVED = {
     "platestamp.cli": ("VERIFY_MARGIN_FRACTION",),
     "platestamp.core": ("ModeIndex", "QuadratureError", "FdSolveError",
-                        "SingularRatioError", "Parity"),
+                        "SingularRatioError", "Parity", "FieldSample"),
     "platestamp.modal_calculus": (
         "ModalValue", "apply_parity", "building_block", "_block_value",
         "vlasov_operator", "BLOCK_IDS", "VLASOV_IDS", "_ODD_OPERATORS", "_coth",
@@ -37,7 +37,7 @@ REMOVED = {
         "ModeFieldCoeffs", "_bind", "mode_fields_blocks", "mode_fields_initial",
         "mode_fields_closed", "_scaled_ops", "_ZERO_ROW_OPS", "_INITIAL_ROWS",
         "calibrate_delta_ratio", "_CALIBRATION_TOL", "_CALIBRATION_MODE",
-        "_CALIBRATION_SAMPLES", "FIELD_PARITIES",
+        "_CALIBRATION_SAMPLES", "FIELD_PARITIES", "evaluate_fields",
     ),
     "platestamp.verification": ("path_profile_difference", "fd_laplace_solve",
                                 "laplacian_residual"),
@@ -47,7 +47,7 @@ SERIES = assemble_series([1.0], Geometry(2.0, 1.0), Material(1.0, 0.3))
 #: dataclass fields removed, by the class that held them
 REMOVED_FIELDS = {OutputBundle: ("ys", "report_text", "pressure")}
 REMOVED_MEMBERS = [
-    # stamp_problem no longer re-exports the value type that core holds
+    # stamp_problem once re-exported the one-point field type, which is gone
     (platestamp.stamp_problem, "FieldSample"),
     (SeriesField, "grid_fields_many"),
     (SeriesField, "sample"),

@@ -20,7 +20,6 @@ from platestamp import (
     PlateStampError,
     SolutionPath,
     assemble_series,
-    evaluate_fields,
     sine_coefficients,
     BoundaryProfile,
 )
@@ -320,8 +319,8 @@ class TestAssembly:
     def test_single_mode_series(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="B")
         assert sf.N == 1 and sf.c.shape == sf.k.shape == sf.beta.shape == (1, 1)
-        sample = evaluate_fields(sf, 0.5, 0.5)
-        assert np.isfinite(sample.v)
+        f = sf.grid_fields([0.5], [0.5])
+        assert f["v"].shape == (1, 1) and np.isfinite(f["v"][0, 0])
 
     def test_zero_coefficients_zero_fields(self, geom, mat):
         sf = assemble_series([0.0, 0.0, 0.0], geom, mat)
@@ -346,11 +345,11 @@ class TestAssembly:
         profile = BoundaryProfile.raised_cosine(1.0, 0.4, 0.01)
         sf = assemble_series(sine_coefficients(profile, geom, 32), geom, mat)
         for x in (0.0, 0.7, 1.9):
-            bottom = evaluate_fields(sf, x, 0.0)
-            assert bottom.v == 0.0
-            assert bottom.tau_xy == 0.0
-            top = evaluate_fields(sf, x, geom.h)
-            assert top.tau_xy == 0.0
+            bottom = sf.grid_fields([x], [0.0])
+            assert bottom["v"][0, 0] == 0.0
+            assert bottom["tau_xy"][0, 0] == 0.0
+            top = sf.grid_fields([x], [geom.h])
+            assert top["tau_xy"][0, 0] == 0.0
 
     def test_face_displacement_reproduction(self, geom, mat):
         # v(x, h) equals the N-term sine reconstruction of V_h / G
@@ -415,7 +414,7 @@ class TestAssembly:
         for x, y in [(-0.1, 0.5), (0.5, 1.1), (math.nan, 0.5), (0.5, math.nan),
                      (math.inf, 0.5)]:
             with pytest.raises(DomainError, match="off the plate"):
-                evaluate_fields(sf, x, y)
+                sf.grid_fields([x], [y])
 
     @pytest.mark.parametrize("xs,ys,named", [
         ([0.0, 1.0], [0.0, 3.0], "y = 3.0"),
