@@ -219,7 +219,7 @@ def _read(text: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        cp.read_string(text)
+        cp.read_string(text.removeprefix("\ufeff"))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     # configparser copies [DEFAULT] keys into every section's options
@@ -276,7 +276,8 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a sectioned key=value config document."""
+    """Parse and validate a sectioned key=value config document; one
+    leading byte-order mark is skipped."""
     return _build(_read(text))
 
 
@@ -643,8 +644,7 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         try:
-            # "utf-8-sig" skips a leading byte-order mark
-            text = Path(args.config).read_text(encoding="utf-8-sig")
+            text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cp = _read(text)

@@ -34,11 +34,11 @@ and :meth:`SeriesField.grid_fields` evaluates all five fields of a grid
 with one kernel call.  On the uniform x axes from 0 to l that every grid
 of a run uses, its sums over modes are one real FFT per field, of the
 modes folded by ``n mod 2M``; on other abscissae they are one fixed-order
-einsum per field.  Neither uses BLAS, so the grids' bits do not depend on
-the BLAS thread count.  The face readers of :mod:`platestamp.stamp_problem`
-take one mode at a time from the same columns
-(:meth:`SeriesField.face_normal_stress`, the ``Y``-only case of the same
-call).
+einsum per field.  Neither uses BLAS, so the grids' bits depend on neither
+BLAS's thread count nor its CPU kernel.  The face readers of
+:mod:`platestamp.stamp_problem` take one mode at a time from the same
+columns (:meth:`SeriesField.face_normal_stress`, the ``Y``-only case of
+the same call).
 Paths A and B are written in the ratios sh(ky)/sh(kh), ch(ky)/sh(kh)
 and ch(ky)ch(kh)/sh(kh)^2, each evaluated in exponential form, e.g.
 
@@ -293,14 +293,6 @@ def initial_profiles(k, beta, nu: float, u0, y0, eta, *, fields=FIELD_NAMES) -> 
 # path C: closed-form modal series
 # ---------------------------------------------------------------------------
 
-def _exp_m2(beta):
-    """E = e^(-2 beta) from the C library's exp, mode by mode: numpy's
-    vectorised exp differs from it in the last bit for a few percent of
-    arguments, and the discrepancy report prints C-B differences at that
-    level."""
-    return np.array([math.exp(-2.0 * b) for b in np.ravel(beta)]).reshape(np.shape(beta))
-
-
 def closed_profiles(beta, nu: float, h: float, eta, *, fields=FIELD_NAMES) -> tuple:
     """Path C: closed-form profiles per unit sine coefficient, with the
     corrected shear factor eta*ch(beta*eta).  Shapes broadcast as in
@@ -310,7 +302,7 @@ def closed_profiles(beta, nu: float, h: float, eta, *, fields=FIELD_NAMES) -> tu
     Internally each bracket is expanded around e^(beta(eta-1)) with
     E = e^(-2 beta), F = e^(-2 beta eta), so no large hyperbolic is formed.
     """
-    E2 = _exp_m2(beta)
+    E2 = np.exp(-2.0 * beta)
     # denominators of the e^(beta(eta-1))-scaled brackets: 2*Delta and
     # Delta with Delta = (1-nu) sh(beta)^2 cancelled against e^(2 beta)/4
     den2 = 2.0 * (1.0 - nu) * (1.0 - E2) ** 2
@@ -446,7 +438,7 @@ class SeriesField:
         over ``n mod 2M`` (:func:`_uniform_x_sums`); the sine fields are
         exactly zero at ``x = 0`` and ``x = l``.  Any other ``xs`` gets
         one fixed-order sum over modes per field.  Neither route uses
-        BLAS, so the result does not depend on the BLAS thread count.
+        BLAS, so no BLAS thread count or CPU kernel changes the result.
 
         A point off the plate, or not finite, raises :class:`DomainError`,
         and so does a field that is not finite somewhere on the grid.
@@ -495,7 +487,10 @@ def assemble_series(
     arguments, computed for all modes at once; path A solves every mode's
     boundary system in one batch; path C checks its beta floor.
     """
-    path = SolutionPath(path) if not isinstance(path, SolutionPath) else path
+    try:
+        path = SolutionPath(path)
+    except ValueError:
+        raise DomainError(f"path must be one of A, B, C, got {path!r}") from None
     c = np.array([float(c) for c in coeffs]).reshape(-1, 1)
     if c.size < 1:
         raise DomainError("need at least one sine coefficient")

@@ -41,7 +41,6 @@ from .core import (
 )
 from .strip_solution import (
     FIELD_NAMES,
-    _exp_m2,
     block_profiles,
     closed_profiles,
     initial_amplitudes,
@@ -297,6 +296,13 @@ def _layer_etas(beta):
     return np.maximum(1.0 - _LAYER_S / beta, 0.0)
 
 
+def _amplitude_ratio(vc, vb):
+    """Least-squares ratio scaling the profiles ``vc`` onto ``vb`` along the
+    last axis, by fixed-order einsums, whose bits no BLAS kernel sets."""
+    return (np.einsum("...i,...i->...", vc, vb, optimize=False)
+            / np.einsum("...i,...i->...", vc, vc, optimize=False))
+
+
 def _calibration_ratio(geom: Geometry, mat: Material) -> float:
     """Least-squares ratio that scales path C's mode-1 V-profile onto
     path B's at 33 uniform eta samples: 1 analytically."""
@@ -304,18 +310,17 @@ def _calibration_ratio(geom: Geometry, mat: Material) -> float:
     etas = np.linspace(0.0, 1.0, 33)
     (vb,) = block_profiles(k, beta, mat.nu, etas, fields=("V",))
     (vc,) = closed_profiles(beta, mat.nu, geom.h, etas, fields=("V",))
-    return float(np.dot(vc, vb) / np.dot(vc, vc))
+    return float(_amplitude_ratio(vc, vb))
 
 
 def _uncorrected_shear_face(beta, nu: float, h: float):
     """Face value X(1) of path C's shear profile with the uncorrected
     factor eta*sh(beta*eta) for eta*ch(beta*eta) (:func:`closed_profiles`),
-    per mode of ``beta``.  There its bracket is (1 - F) 2E, with the
-    kernel's E (libm) and F (numpy) of e^(-2 beta): the factor (1 - F)
-    keeps the violation, exponentially small in beta, in floats."""
-    E2 = _exp_m2(beta)
-    F = np.exp(-2.0 * beta)
-    return (beta * beta / h) * ((1 - F) * (2 * E2)) / ((1 - nu) * (1 - E2) ** 2)
+    per mode of ``beta``.  There its bracket is (1 - E) 2E, with
+    E = e^(-2 beta) as the kernel computes it: the factor (1 - E) keeps
+    the violation, exponentially small in beta, in floats."""
+    E2 = np.exp(-2.0 * beta)
+    return (beta * beta / h) * ((1 - E2) * (2 * E2)) / ((1 - nu) * (1 - E2) ** 2)
 
 
 def discrepancy_report(geom: Geometry, mat: Material,
@@ -352,11 +357,9 @@ def discrepancy_report(geom: Geometry, mat: Material,
     d_ab = np.max(np.abs(a_cmp - b_cmp) / scale, axis=(0, 2))
     d_cb = np.max(np.abs(c_cmp - b_cmp) / scale, axis=(0, 2))
 
-    # per-mode least-squares amplitude ratio of the closed form; the
-    # stacked row products give the same bits as one np.dot per mode
+    # per-mode least-squares amplitude ratio of the closed form
     (vc,) = closed_profiles(beta, nu, h, _SCALE_ETAS, fields=("V",))
-    vb = b_fine[FIELD_NAMES.index("V")]
-    delta = ((vc[:, None, :] @ vb[:, :, None]) / (vc[:, None, :] @ vc[:, :, None])).ravel()
+    delta = _amplitude_ratio(vc, b_fine[FIELD_NAMES.index("V")])
 
     unfixed = _uncorrected_shear_face(beta, nu, h)
     (fixed,) = closed_profiles(beta, nu, h, 1.0, fields=("X",))

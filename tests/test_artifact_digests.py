@@ -6,7 +6,10 @@ dispatches no SIMD loop above its X86_V3 (AVX2) level
 (``NPY_DISABLE_CPU_FEATURES`` names the enabled targets above it), so that
 x86-64 hosts with and without AVX-512 get the same bytes.  Where that
 level is not available (another architecture, a CPU without AVX2, a numpy
-that names its targets differently) the test skips, saying why.
+that names its targets differently) the test skips, saying why.  No value
+an artifact holds passes through BLAS, so the digests hold whatever BLAS
+thread count and CPU kernel (``OPENBLAS_CORETYPE``) the run gets; numpy's
+dispatch level is the one platform setting that the bytes depend on.
 
 A change that means to change bytes re-records the file from a checkout:
 

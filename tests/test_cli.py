@@ -7,6 +7,7 @@ import filecmp
 import gc
 import math
 import os
+import platform
 import re
 import stat
 import subprocess
@@ -107,6 +108,24 @@ def _env_with_src():
 
 
 ARTIFACTS = ("field_grid.csv", "pressure_profile.csv", "report.txt", "summary.txt")
+
+#: OpenBLAS core types, each with the CPU features (numpy's names) it needs
+BLAS_CORE_TYPES = {"Prescott": ("SSE3",), "Sandybridge": ("AVX",), "Haswell": ("AVX2", "FMA3")}
+
+
+def _blas_core_types():
+    """The core types of BLAS_CORE_TYPES that this CPU runs, and why the
+    others are left out (None when none is)."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return [], f"OpenBLAS's x86-64 core types do not run on {platform.machine()}"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    runs = [c for c, needs in BLAS_CORE_TYPES.items() if all(features.get(f) for f in needs)]
+    lacking = [c for c in BLAS_CORE_TYPES if c not in runs]
+    return runs, (f"this CPU lacks the features of the OpenBLAS core types {lacking}"
+                  if lacking else None)
 
 
 class TestParseConfig:
@@ -401,25 +420,37 @@ class TestRun:
         assert bundle.summary["total_force"] != 0.0
 
     def test_field_grid_independent_of_blas_threads(self, tmp_path):
-        # the mode sums must come out the same whatever BLAS thread count
-        # the process runs with; a verified run also sums the residual
-        # meters' grids in the same pass.  All four artifacts are compared.
+        # no value an artifact holds passes through BLAS, so all four come
+        # out the same whatever BLAS thread count and CPU kernel the process
+        # runs with.  A verified run also sums the residual meters' grids in
+        # the same pass, and writes the discrepancy report's amplitude
+        # ratios: with nu = 0, calibration_ratio's last bits would follow
+        # the kernel's summation order were it a BLAS dot product.  A core
+        # type that this CPU lacks is left out, and the test then skips,
+        # naming it.
         code = ("import sys; from platestamp import cli; "
                 "cli.run(cli.parse_config(open(sys.argv[1]).read()), sys.argv[2])")
-        for extra in ("", "verify = true\n"):
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(MINIMAL.replace("modes = 64", "modes = 256")
-                           .replace("grid = 41x41", "grid = 101x101") + extra)
+        plain = MINIMAL.replace("modes = 64", "modes = 256").replace("grid = 41x41",
+                                                                     "grid = 101x101")
+        verified = plain + "verify = true\n"
+        core_types, reason = _blas_core_types()
+        cases = [(text, [{"OPENBLAS_NUM_THREADS": t} for t in "12"]) for text in (plain, verified)]
+        cases.append((verified.replace("nu = 0.3", "nu = 0"),
+                      [{"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": c} for c in core_types]))
+        for i, (text, envs) in enumerate(cases):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(text)
             artifacts = []
-            for threads in ("1", "2"):
-                env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads)
-                out = tmp_path / f"verify{bool(extra)}-threads{threads}"
+            for j, extra in enumerate(envs):
+                out = tmp_path / f"run{i}-{j}"
                 subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
-                               env=env, check=True, timeout=300)
+                               env=dict(_env_with_src(), **extra), check=True, timeout=300)
                 artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            assert sorted(artifacts[0]) == ["field_grid.csv", "pressure_profile.csv",
-                                            "report.txt", "summary.txt"]
-            assert artifacts[0] == artifacts[1], extra
+                assert sorted(artifacts[-1]) == list(ARTIFACTS)
+                differ = [f for f in ARTIFACTS if artifacts[-1][f] != artifacts[0][f]]
+                assert differ == [], (envs[0], extra)
+        if reason is not None:
+            pytest.skip(reason)
 
     def test_grids_take_the_transform(self, tmp_path, monkeypatch):
         # every grid of a verified run, and of a library sweep solve (N=64
@@ -715,8 +746,10 @@ class TestMain:
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # a UTF-8 config that starts with a byte-order mark runs as the
-        # same config without it, to the same bytes
+        # same config without it, to the same bytes; a library caller that
+        # read the file as plain UTF-8 gets the same config too
         text = MINIMAL.replace("modes = 64", "modes = 8").replace("grid = 41x41", "grid = 9x9")
+        assert parse_config("\ufeff" + text) == parse_config(text)
         marked = tmp_path / "bom.cfg"
         marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
         for cfg, out in ((self._write(tmp_path, text), "plain"), (marked, "bom")):

@@ -468,6 +468,11 @@ class TestAssembly:
     def test_path_enum_accepts_strings(self, geom, mat):
         sf = assemble_series([1.0], geom, mat, path="C")
         assert sf.path is SolutionPath.C
+        # any other path is a DomainError naming the parameter and its
+        # choices, not the enum's ValueError
+        for path in ("D", "b", None):
+            with pytest.raises(DomainError, match=rf"^path must be one of A, B, C, got {path!r}$"):
+                assemble_series([1.0], geom, mat, path=path)
 
     def test_linear_in_coefficients(self, geom, mat):
         # doubling every coefficient exactly doubles every field value
